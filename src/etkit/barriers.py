@@ -2,20 +2,25 @@
 
 Four methods are provided: the uncoupled Marcus barrier, the traditional
 constant shift by V(1/2), a Marcus-form barrier built from a reduced
-effective reorganization energy, and exact numerical extremum analysis of
-the lower adiabat.
+effective reorganization energy, and exact extremum analysis of the lower
+adiabat, whose stationary points are the real roots of a polynomial.
 """
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from . import numerics
 from .constants import K_B
 from .errors import SingularRegimeError, SurfaceTopologyError
-from .model import coupling_eval, coupling_max, lower_adiabat
+from .model import (
+    as_polynomial,
+    coupling_eval,
+    coupling_max,
+    lower_adiabat,
+)
 
 __all__ = [
     "BarrierMethod",
@@ -23,17 +28,21 @@ __all__ = [
     "marcus_ts",
     "marcus_barrier",
     "effective_lambda",
+    "effective_lambdas",
     "barrier",
+    "ExactAdiabat",
     "adiabatic_driving_force",
     "validity_report",
 ]
 
-# scan window for adiabat extrema: both diabatic minima (q=0, 1) and the
+# window for adiabat extrema: both diabatic minima (q=0, 1) and the
 # crossing lie strictly inside for the normal regime
 SCAN_Q_LO = -0.5
 SCAN_Q_HI = 1.5
-SCAN_N = 2001
-EXTREMUM_TOL_X = 1e-10
+# |V| (eV) at the diabatic crossing below which it counts as a kink
+_KINK_V = 1e-12
+# (2q - 1)^3, ascending
+_CUBE = np.array([-1.0, 6.0, -12.0, 8.0])
 
 
 class BarrierMethod(enum.Enum):
@@ -62,6 +71,13 @@ def marcus_barrier(sys):
     return (sys.lam + sys.dg0) ** 2 / (4.0 * sys.lam)
 
 
+def effective_lambdas(lam, c, dg0):
+    """lam_eff of effective_lambda at each driving force in dg0 (a scalar
+    or an array), returned as it is where it is not positive."""
+    v0 = float(coupling_eval(c, 0.0))
+    return lam - 4.0 * coupling_eval(c, 0.5 * (1.0 + dg0 / lam)) + 4.0 * v0 * v0 / lam
+
+
 def effective_lambda(sys, c):
     """Reduced effective reorganization energy.
 
@@ -70,9 +86,7 @@ def effective_lambda(sys, c):
     Raises SingularRegimeError when the result is non-positive (the
     Marcus-form barrier diverges there).
     """
-    v_ts = float(coupling_eval(c, marcus_ts(sys)))
-    v0 = float(coupling_eval(c, 0.0))
-    lam_eff = sys.lam - 4.0 * v_ts + 4.0 * v0 * v0 / sys.lam
+    lam_eff = float(effective_lambdas(sys.lam, c, sys.dg0))
     if lam_eff <= 0.0:
         raise SingularRegimeError(
             f"effective reorganization energy non-positive ({lam_eff:.6g} eV)"
@@ -80,61 +94,143 @@ def effective_lambda(sys, c):
     return lam_eff
 
 
-def _exact_extrema(sys, c):
-    """Refined minima and maxima of the lower adiabat in the scan window."""
-    qs = np.linspace(SCAN_Q_LO, SCAN_Q_HI, SCAN_N)
-    es = lower_adiabat(sys, c, qs)
-    found = numerics.brackets_from_samples(qs, es)
+class ExactAdiabat:
+    """Extrema of the lower adiabat of (lam, c) at arrays of level shifts.
 
-    lam, dg0 = sys.lam, sys.dg0
+    The stationary points at a level shift dg are the real roots in the
+    window of P(q) = M'^2 g - h^2, where M' = lam*(2q - 1) is the slope
+    of the diabat mean, g = Delta^2/4 + V^2, h = lam*Delta/2 + V V' and
+    Delta = lam*(2q - 1) - dg is the diabat gap. Squaring adds the roots
+    where sign(M') != sign(h); they are dropped. P = A + dg*B + dg^2*C
+    with polynomials A, B, C of lam and the coupling only: they are
+    formed once here, and one stacked companion-matrix eigenvalue call
+    solves every dg of a batch. Where V vanishes at the diabatic
+    crossing, E_minus has a kink there that is no root of E_minus', so
+    the crossing is added as a candidate.
+    """
 
-    def f(q):
-        # scalar fast path; hot inner loop of the rate quadrature
-        ea = lam * q * q
-        eb = lam * (1.0 - q) ** 2 + dg0
-        v = coupling_eval(c, q)
-        return 0.5 * (ea + eb) - 0.5 * math.sqrt(
-            (ea - eb) * (ea - eb) + 4.0 * v * v
-        )
+    def __init__(self, lam, c):
+        self.lam = lam
+        self.coupling = c
+        v = np.array(as_polynomial(c).coeffs)
+        # 1 + degree of P: max(4, 2d + 2, 4d - 2) for a coupling of degree d
+        n = max(5, 2 * len(v) + 1, 4 * len(v) - 5)
+        # V, V' and V'' as rows of ascending coefficients
+        taylor = np.zeros((3, len(v)))
+        taylor[0] = v
+        taylor[1, :-1] = v[1:] * np.arange(1.0, len(v))
+        taylor[2, :-1] = taylor[1, 1:] * np.arange(1.0, len(v))
+        # Horner coefficients from the top power down, each a (3, 1, 1) column
+        self._horner = taylor.T[::-1, :, None, None]
+        l2 = lam * lam
+        m2 = np.zeros(n)  # M'^2 = lam^2 (2q - 1)^2
+        m2[:3] = l2, -4.0 * l2, 4.0 * l2
+        vv = np.zeros(n)
+        vv[: 2 * len(v) - 1] = np.convolve(v, v)
+        h0 = np.zeros(n)  # h at dg = 0: lam M'/2 + V V'
+        h0[: 2 * len(v) - 1] = np.convolve(v, taylor[1])
+        h0[:2] += -0.5 * l2, l2
+        abc = np.zeros((3, n))
+        abc[0] = np.convolve(m2, 0.25 * m2 + vv)[:n] - np.convolve(h0, h0)[:n]
+        abc[1] = lam * h0
+        abc[1, :4] -= 0.5 * lam * l2 * _CUBE  # M'^3/2
+        abc[2, 1:3] = -l2, l2  # (M'^2 - lam^2)/4
+        # drop top coefficients that vanish for every dg
+        scale = np.abs(abc).max(axis=1)
+        while (np.abs(abc[:, -1]) <= 1e-14 * scale).all():
+            abc = abc[:, :-1]
+        self._abc = abc
+        self._companion = np.eye(abc.shape[1] - 1, k=-1)[None]
 
-    minima = [
-        numerics.minimize_1d(f, br, tol_x=EXTREMUM_TOL_X)
-        for br, kind in found
-        if kind == "min"
-    ]
-    maxima = [
-        numerics.maximize_1d(f, br, tol_x=EXTREMUM_TOL_X)
-        for br, kind in found
-        if kind == "max"
-    ]
-    return minima, maxima
+    def extrema(self, dg):
+        """Stationary points at every level shift in the 1-D array dg.
 
+        Returns (q, e, is_min, is_max), each of shape (len(dg), k): the
+        candidates in ascending q, then SCAN_Q_HI as padding; E_minus
+        there; and which of them are strict minima and maxima (of two
+        equal neighbours, the left one counts).
+        """
+        lam = self.lam
+        l2 = lam * lam
+        column = dg[:, None]
+        a, b, c2 = self._abc
+        p = a + column * (b + column * c2)
+        companion = self._companion.repeat(len(dg), axis=0)
+        companion[:, :, -1] = p[:, :-1] / -p[:, -1:]
+        roots = np.linalg.eigvals(companion)
+        q = roots.real
+        # V, V' and V'' at the roots, by Horner's rule
+        v = self._horner[0] + 0.0 * q
+        for coef in self._horner[1:]:
+            v = v * q + coef
+        v, dv, ddv = v
+        slope = lam * (2.0 * q - 1.0)
+        delta = slope - column
+        h = 0.5 * lam * delta + v * dv
+        # a double root of P (the transition state at q = 1/2 when h
+        # vanishes there, or a near-kink) comes back as a pair split by
+        # ~1e-8, possibly complex (one of the two is kept), with M'*h at
+        # noise level
+        slope_h = slope * h
+        keep = (0.0 <= roots.imag) & (roots.imag <= 1e-6)
+        keep &= slope_h >= -1e-12 * lam * l2
+        # so refine by one Newton step on F = M' sqrt(g) - h, whose
+        # genuine roots are simple (F' = 2 lam sqrt(g) + M' h / sqrt(g) - h')
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root_g = np.sqrt(0.25 * delta * delta + v * v)
+            step = (slope * root_g - h) / (
+                2.0 * lam * root_g + slope_h / root_g - (l2 + dv * dv + v * ddv)
+            )
+        q = np.where(np.abs(step) <= 1e-6, q - step, q)
+        # candidates between the window ends; a rejected one moves to the
+        # upper end, so that after sorting the valid ones lead
+        crossing = 0.5 * (1.0 + column / lam)
+        kink = np.abs(coupling_eval(self.coupling, crossing)) <= _KINK_V
+        ends = np.ones_like(column, dtype=bool)
+        grid = np.concatenate([SCAN_Q_LO * ends, q, crossing, SCAN_Q_HI * ends], axis=1)
+        keep = np.concatenate([ends, keep, kink, ends], axis=1)
+        keep &= (SCAN_Q_LO <= grid) & (grid <= SCAN_Q_HI)
+        grid = np.where(keep, grid, SCAN_Q_HI)
+        grid.sort(axis=1)
+        cand = grid[:, 1:-1]
+        valid = (SCAN_Q_LO < cand) & (cand < SCAN_Q_HI)
+        # lower_adiabat reads only lam and dg0 of a system; here dg0 is
+        # the column of level shifts, one per row
+        e = lower_adiabat(SimpleNamespace(lam=lam, dg0=column), self.coupling, grid)
+        left, mid, right = e[:, :-2], e[:, 1:-1], e[:, 2:]
+        is_min = valid & (mid < left) & (mid <= right)
+        is_max = valid & (mid > left) & (mid >= right)
+        return cand, mid, is_min, is_max
 
-def _exact_barrier(sys, c):
-    minima, maxima = _exact_extrema(sys, c)
-    if not minima:
-        raise SurfaceTopologyError(
-            "no minimum of the lower adiabat in the scan window"
-        )
-    reactant = minima[0]  # smallest q among the (<= 2) minima
-    if len(minima) < 2:
-        return BarrierResult(
-            e_star=0.0, q_ts=math.nan, q_r=reactant.x,
-            lambda_used=sys.lam, activationless=True,
-        )
-    product = minima[1]
-    interior = [m for m in maxima if reactant.x < m.x < product.x]
-    if not interior:
-        return BarrierResult(
-            e_star=0.0, q_ts=math.nan, q_r=reactant.x,
-            lambda_used=sys.lam, activationless=True,
-        )
-    ts = max(interior, key=lambda m: m.fx)
-    e_star = max(ts.fx - reactant.fx, 0.0)
-    return BarrierResult(
-        e_star=e_star, q_ts=ts.x, q_r=reactant.x,
-        lambda_used=sys.lam, activationless=False,
-    )
+    def barriers(self, dg):
+        """Exact barriers at every level shift in dg (scalar or array).
+
+        The first two minima in q are the reactant and product wells and
+        the transition state is the highest maximum between them. With
+        fewer than two minima, or no maximum between them, the surface is
+        activationless (barrier 0). Returns the arrays (e_star, q_ts, q_r,
+        activationless); q_ts is NaN where activationless. Raises
+        SurfaceTopologyError if some level shift has no minimum in the
+        window.
+        """
+        dg = np.atleast_1d(np.asarray(dg, dtype=float))
+        q, e, is_min, is_max = self.extrema(dg)
+        count = is_min.cumsum(axis=1)
+        if not count[:, -1].all():
+            raise SurfaceTopologyError(
+                "no minimum of the lower adiabat in the scan window"
+            )
+        # maxima past the reactant well (the first minimum) but not past
+        # the product well (the second)
+        e_ts = np.where(is_max & (count == 1) & (count[:, -1:] >= 2), e, -np.inf)
+        rows = np.arange(len(dg))
+        reactant = is_min.argmax(axis=1)
+        ts = e_ts.argmax(axis=1)
+        e_ts = e_ts[rows, ts]
+        e_star = np.maximum(e_ts - e[rows, reactant], 0.0)
+        activationless = e_ts == -np.inf
+        q_ts = np.where(activationless, np.nan, q[rows, ts])
+        return e_star, q_ts, q[rows, reactant], activationless
 
 
 def barrier(sys, c, method):
@@ -156,7 +252,11 @@ def barrier(sys, c, method):
         e = (lam_eff + sys.dg0) ** 2 / (4.0 * lam_eff)
         return BarrierResult(e, q_star, 0.0, lam_eff, e == 0.0)
     if method is BarrierMethod.EXACT_ADIABAT:
-        return _exact_barrier(sys, c)
+        e, q_ts, q_r, activationless = ExactAdiabat(sys.lam, c).barriers(sys.dg0)
+        return BarrierResult(
+            float(e[0]), float(q_ts[0]), float(q_r[0]), sys.lam,
+            bool(activationless[0]),
+        )
     raise TypeError(f"unknown barrier method: {method!r}")
 
 
@@ -166,12 +266,13 @@ def adiabatic_driving_force(sys, c):
     Diagnostic only; with coupling on, this deviates from dg0 at second
     order. Raises SurfaceTopologyError for a single-well surface.
     """
-    minima, _ = _exact_extrema(sys, c)
+    _q, e, is_min, _ = ExactAdiabat(sys.lam, c).extrema(np.array([float(sys.dg0)]))
+    minima = e[is_min]
     if len(minima) < 2:
         raise SurfaceTopologyError(
             "lower adiabat is single-welled; no adiabatic driving force"
         )
-    return minima[1].fx - minima[0].fx
+    return float(minima[1] - minima[0])
 
 
 def validity_report(sys, c):
@@ -204,8 +305,3 @@ def validity_report(sys, c):
             "in the non-adiabatic regime"
         )
     return warnings
-
-
-def shifted(sys, dg0):
-    """Copy of sys with a different driving force."""
-    return replace(sys, dg0=dg0)

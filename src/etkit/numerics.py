@@ -1,4 +1,11 @@
-"""Scalar numerical substrate: bracketing, 1D extrema, quadrature, erfc.
+"""Numerical substrate: Brent minimization, adaptive quadrature, erfc.
+
+``integrate`` takes a vectorized integrand: a function of a 1-D float
+array of abscissae that returns the values as an array of the same
+length. It calls it once per refinement level with every node of that
+level, and integrates one interval or, given arrays of interval ends,
+several intervals in the same calls. ``minimize_1d`` and ``erfc`` work
+on scalars.
 
 Everything here is a pure function of its arguments and safe for
 concurrent use.
@@ -14,10 +21,7 @@ from .errors import AccuracyError, NumericalDomainError
 __all__ = [
     "Bracket",
     "ExtremumResult",
-    "scan_brackets",
-    "brackets_from_samples",
     "minimize_1d",
-    "maximize_1d",
     "integrate",
     "erfc",
 ]
@@ -44,39 +48,6 @@ class ExtremumResult:
     fx: float
     iterations: int
     converged: bool
-
-
-def brackets_from_samples(xs, ys):
-    """Brackets around strict interior extrema of sampled values.
-
-    ``xs`` must be ascending. Returns a list of (Bracket, kind) with kind
-    'min' or 'max', in ascending x order.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if not np.all(np.isfinite(ys)):
-        raise NumericalDomainError("non-finite function value in scan")
-    left, mid, right = ys[:-2], ys[1:-1], ys[2:]
-    is_min = (mid < left) & (mid < right)
-    is_max = (mid > left) & (mid > right)
-    found = [
-        (i + 1, "min" if is_min[i] else "max")
-        for i in np.flatnonzero(is_min | is_max)
-    ]
-    return [
-        (Bracket(xs[i - 1], xs[i], xs[i + 1]), kind) for i, kind in found
-    ]
-
-
-def scan_brackets(f, lo, hi, n_grid):
-    """Sample f on a uniform grid and bracket every strict interior extremum."""
-    if n_grid < 3:
-        raise ValueError(f"n_grid must be >= 3, got {n_grid}")
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got {lo}, {hi}")
-    xs = np.linspace(lo, hi, n_grid)
-    ys = np.array([f(x) for x in xs], dtype=float)
-    return brackets_from_samples(xs, ys)
 
 
 def minimize_1d(f, bracket, tol_x=1e-10, max_iter=200):
@@ -139,59 +110,74 @@ def minimize_1d(f, bracket, tol_x=1e-10, max_iter=200):
     return ExtremumResult(x, fx, max_iter, False)
 
 
-def maximize_1d(f, bracket, tol_x=1e-10, max_iter=200):
-    """Refine a maximum bracket; identical search applied to -f."""
-    res = minimize_1d(lambda t: -f(t), bracket, tol_x=tol_x, max_iter=max_iter)
-    return ExtremumResult(res.x, -res.fx, res.iterations, res.converged)
-
-
 def _simpson(fa, fm, fb, h):
     return (h / 6.0) * (fa + 4.0 * fm + fb)
 
 
 def integrate(f, a, b, rel_tol=1e-9, abs_tol=1e-300, max_depth=60):
-    """Adaptive Simpson quadrature of f on [a, b].
+    """Adaptive Simpson quadrature of a vectorized f on [a, b].
 
-    The estimated error is kept below max(rel_tol*|result|, abs_tol).
-    Raises AccuracyError (carrying the best estimate) if the recursion
-    depth cap is exceeded.
+    ``f`` takes a 1-D float array of abscissae and returns the values as
+    an array of the same length. ``a`` and ``b`` are floats, or
+    equal-length 1-D arrays of interval ends; the result is then the sum
+    of the integrals over the intervals [a[i], b[i]], each refined with
+    its own tolerance as if integrated alone.
+
+    A subinterval is accepted once splitting it changes its Simpson value
+    by at most 15*tol, and contributes the split value plus the
+    Richardson term; otherwise both halves are refined with tol/2. The
+    starting tol of an interval is max(abs_tol, rel_tol*|S|), with S its
+    three-point Simpson value. All open subintervals of one depth are
+    evaluated in a single call to f, so f sees the nodes of the
+    depth-first recursion, in batches. Raises AccuracyError (carrying the
+    best estimate) if a subinterval is still open at depth max_depth.
     """
-    if not a < b:
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError("a and b must be floats or equal-length 1-D arrays")
+    if not np.all(a < b):
         raise ValueError(f"need a < b, got {a}, {b}")
     if rel_tol <= 0 or abs_tol <= 0:
         raise ValueError("tolerances must be positive")
     m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
+    n = len(a)
+    fx = np.asarray(f(np.concatenate([a, m, b])))
+    fa, fm, fb = fx[:n], fx[n : 2 * n], fx[2 * n :]
     whole = _simpson(fa, fm, fb, b - a)
-    tol = max(abs_tol, rel_tol * abs(whole))
-    failed_on = []
-
-    def recurse(a, fa, m, fm, b, fb, whole, tol, depth):
+    tol = np.maximum(abs_tol, rel_tol * np.abs(whole))
+    parts = []
+    for depth in range(max_depth + 1):
+        n = len(a)
         lm = 0.5 * (a + m)
         rm = 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
+        fx = np.asarray(f(np.concatenate([lm, rm])))
+        flm, frm = fx[:n], fx[n:]
         left = _simpson(fa, flm, fm, m - a)
         right = _simpson(fm, frm, fb, b - m)
         delta = left + right - whole
-        if abs(delta) <= 15.0 * tol:
-            return left + right + delta / 15.0
-        if depth >= max_depth:
-            failed_on.append((a, b))
-            return left + right + delta / 15.0
-        half = 0.5 * tol
-        return recurse(a, fa, lm, flm, m, fm, left, half, depth + 1) + recurse(
-            m, fm, rm, frm, b, fb, right, half, depth + 1
-        )
-
-    total = recurse(a, fa, m, fm, b, fb, whole, tol, 0)
-    if failed_on:
-        lo, hi = failed_on[0]
-        raise AccuracyError(
-            f"adaptive quadrature exceeded depth {max_depth} on "
-            f"{len(failed_on)} subinterval(s), first [{lo}, {hi}]",
-            best_estimate=total,
-        )
-    return total
+        estimate = left + right + delta / 15.0
+        done = np.abs(delta) <= 15.0 * tol
+        parts.append(estimate[done])
+        if done.all():
+            return math.fsum(np.concatenate(parts))
+        keep = ~done
+        if depth == max_depth:
+            raise AccuracyError(
+                f"adaptive quadrature exceeded depth {max_depth} on "
+                f"{int(keep.sum())} subinterval(s), first "
+                f"[{a[keep][0]}, {b[keep][0]}]",
+                best_estimate=math.fsum(np.concatenate(parts + [estimate[keep]])),
+            )
+        # each open subinterval splits into its left and right half, in
+        # that order, so that the arrays stay in ascending x
+        halves = np.array(
+            [[a, m, fa, flm, fm, left, tol], [m, b, fm, frm, fb, right, tol]]
+        )[:, :, keep]
+        halves = halves.transpose(1, 2, 0).reshape(7, -1)
+        a, b, fa, fm, fb, whole, tol = halves
+        m = 0.5 * (a + b)
+        tol = 0.5 * tol
 
 
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)

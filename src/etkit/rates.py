@@ -10,12 +10,19 @@ the inverse problem of extracting the coupling.
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from . import numerics
-from .barriers import BarrierMethod, barrier, effective_lambda, shifted
+from .barriers import (
+    BarrierMethod,
+    ExactAdiabat,
+    effective_lambda,
+    effective_lambdas,
+)
 from .constants import H, HBAR, K_B, beta
-from .errors import SingularRegimeError
+from .errors import AccuracyError, SingularRegimeError
 from .model import coupling_eval
 
 __all__ = [
@@ -73,13 +80,13 @@ class RateRequest:
 
 
 def fermi_dirac(eps, T):
-    """Occupancy 1/(1 + exp(eps/kT)); stable for |eps/kT| up to ~700."""
-    x = beta(T) * eps
-    if x >= 0.0:
-        e = math.exp(-min(x, 745.0))
-        return e / (1.0 + e)
-    e = math.exp(max(x, -745.0))
-    return 1.0 / (1.0 + e)
+    """Occupancy 1/(1 + exp(eps/kT)); stable for |eps/kT| up to ~700.
+
+    eps may be a scalar or an array.
+    """
+    x = beta(T) * np.asarray(eps, dtype=float)
+    e = np.exp(-np.minimum(np.abs(x), 745.0))
+    return np.where(x >= 0.0, e / (1.0 + e), 1.0 / (1.0 + e))[()]
 
 
 def prefactor(kind, sys, coupling_at_crossing, T):
@@ -98,7 +105,10 @@ def prefactor(kind, sys, coupling_at_crossing, T):
 
 
 def _barrier_of_dg(sys, c, method):
-    """e_star as a function of the level-shifted driving force."""
+    """e_star over an array of level-shifted driving forces dg.
+
+    +inf marks a closed channel: a node whose integrand is exactly 0.
+    """
     lam = sys.lam
     if method is BarrierMethod.MARCUS:
         return lambda dg: (lam + dg) ** 2 / (4.0 * lam)
@@ -109,22 +119,24 @@ def _barrier_of_dg(sys, c, method):
     if method is BarrierMethod.EFFECTIVE_LAMBDA:
 
         def eff(dg):
-            lam_eff = effective_lambda(shifted(sys, dg), c)
-            return (lam_eff + dg) ** 2 / (4.0 * lam_eff)
+            # where lam_eff is not positive the Marcus-form barrier
+            # diverges: the channel is closed, as on the exact route
+            lam_eff = effective_lambdas(lam, c, dg)
+            open_ = lam_eff > 0.0
+            lam_eff = np.where(open_, lam_eff, 1.0)
+            return np.where(open_, (lam_eff + dg) ** 2 / (4.0 * lam_eff), np.inf)
 
         return eff
 
     if method is BarrierMethod.EXACT_ADIABAT:
+        adiabat = ExactAdiabat(lam, c)
 
         def exact(dg):
-            res = barrier(shifted(sys, dg), c, method)
-            if res.activationless and res.q_r < 0.5:
-                # single well on the reactant side: the product well does
-                # not exist at this level shift, so the channel is closed
-                # (not barrierless); returning None zeroes the integrand
-                return None
-            # downhill single-well surfaces contribute exp(0) = 1
-            return res.e_star
+            e_star, _q_ts, q_r, activationless = adiabat.barriers(dg)
+            # a single well on the reactant side means the product well
+            # does not exist at this level shift: the channel is closed
+            # (not barrierless). Downhill single wells contribute exp(0) = 1
+            return np.where(activationless & (q_r < 0.5), np.inf, e_star)
 
         return exact
     raise TypeError(f"unknown barrier method: {method!r}")
@@ -136,7 +148,10 @@ def mhc_rate_numeric(req, rel_tol=1e-9, window_scale=1.0):
     k = A * rho * integral n(eps) * exp(-beta*E*(lam, e*eta_f - eps)) deps
     over a window [-W, W], W = 2*lam + |e*eta_f| + 40*kT (times
     window_scale), doubled until the result is converged to 1e-6
-    relative.
+    relative. Nodes whose channel is closed contribute 0: on the exact
+    route a single reactant-side well, on the eff route lam_eff <= 0.
+    Raises AccuracyError, carrying the best estimate of the rate, if the
+    sixth doubling still changes the result by more than that.
     """
     sys, c, cond = req.sys, req.coupling, req.cond
     T = cond.temperature
@@ -149,30 +164,32 @@ def mhc_rate_numeric(req, rel_tol=1e-9, window_scale=1.0):
 
     def integrand(eps):
         e = e_star(cond.eta_f - eps)
-        if e is None:
-            return 0.0
-        return fermi_dirac(eps, T) * math.exp(max(-b * e, _EXP_FLOOR))
+        boltzmann = np.exp(np.maximum(-b * e, _EXP_FLOOR))
+        return np.where(np.isinf(e), 0.0, fermi_dirac(eps, T) * boltzmann)
 
     w = (2.0 * sys.lam + abs(cond.eta_f) + 40.0 * K_B * T) * window_scale
     total = numerics.integrate(integrand, -w, w, rel_tol=rel_tol)
     for _ in range(6):
+        # both extensions, [-2w, -w] and [w, 2w], in the same calls
         extension = numerics.integrate(
-            integrand, -2.0 * w, -w, rel_tol=rel_tol
-        ) + numerics.integrate(integrand, w, 2.0 * w, rel_tol=rel_tol)
+            integrand, [-2.0 * w, w], [-w, 2.0 * w], rel_tol=rel_tol
+        )
         new_total = total + extension
         converged = abs(new_total - total) <= 1e-6 * abs(new_total)
         total = new_total
         w *= 2.0
         if converged:
-            break
-    return a_pref * cond.rho * total
+            return a_pref * cond.rho * total
+    raise AccuracyError(
+        f"rate window still changing after 6 doublings (to +-{w:.6g} eV)",
+        best_estimate=a_pref * cond.rho * total,
+    )
 
 
 def effective_lambda_overpotential(sys, c, eta_f):
     """Effective reorganization energy at the Fermi level for a given
     overpotential: lam - 4*V((lam + e*eta_f)/(2*lam)) + 4*V(0)^2/lam."""
-    lam_eff = effective_lambda(shifted(sys, eta_f), c)
-    return lam_eff
+    return effective_lambda(replace(sys, dg0=eta_f), c)
 
 
 def mhc_rate_closed_form(lambda_eff, cond):

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etkit.barriers import (
     BarrierMethod,
+    ExactAdiabat,
     adiabatic_driving_force,
     barrier,
     effective_lambda,
@@ -18,7 +21,40 @@ from etkit.model import (
     ConstantCoupling,
     DiabaticSystem,
     LinearCoupling,
+    PolynomialCoupling,
     lower_adiabat,
+)
+
+
+def scan_barrier(s, c, n=20001):
+    """Exact barrier by a dense scan of E_minus on [-0.5, 1.5], each
+    sampled extremum refined by scipy's Brent search on its three-sample
+    bracket, and the package's topology convention (first two minima,
+    highest maximum between them, 0 when activationless)."""
+    f = lambda q: float(lower_adiabat(s, c, q))
+    qs = np.linspace(-0.5, 1.5, n)
+    es = lower_adiabat(s, c, qs)
+    left, mid, right = es[:-2], es[1:-1], es[2:]
+    extrema = []
+    for i in np.flatnonzero(((mid < left) & (mid < right)) | ((mid > left) & (mid > right))):
+        sign = 1.0 if mid[i] < left[i] else -1.0
+        res = scipy.optimize.minimize_scalar(
+            lambda q: sign * f(q), bracket=(qs[i], qs[i + 1], qs[i + 2]),
+            method="brent", options={"xtol": 1e-14},
+        )
+        extrema.append((sign > 0, sign * res.fun))
+    minima = [k for k, (is_min, _e) in enumerate(extrema) if is_min]
+    if len(minima) < 2:
+        return 0.0
+    r, p = minima[:2]
+    tops = [e for is_min, e in extrema[r + 1 : p] if not is_min]
+    return max(max(tops) - extrema[r][1], 0.0) if tops else 0.0
+
+
+couplings = st.one_of(
+    st.builds(lambda f: (f,), st.floats(0.0, 0.45)),
+    st.builds(lambda f0, f1: (f0, f1 - f0), st.floats(0.0, 0.45), st.floats(0.0, 0.45)),
+    st.tuples(st.floats(0.0, 0.3), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
 )
 
 
@@ -168,6 +204,57 @@ class TestBarrier:
             assert res.e_star >= 0.0
             if res.activationless:
                 assert res.e_star == 0.0
+
+
+class TestAlgebraicExtrema:
+    def test_lower_adiabat_double_well(self):
+        # lam=4, V=1, dg0=0: stationary analysis puts the wells at
+        # (1 -/+ sqrt(1 - 4V^2/lam^2))/2 and the barrier top at 1/2
+        q, _e, is_min, is_max = ExactAdiabat(4.0, ConstantCoupling(1.0)).extrema(
+            np.array([0.0])
+        )
+        q_r = (1.0 - math.sqrt(1.0 - 4.0 / 16.0)) / 2.0
+        assert q[is_min] == pytest.approx([q_r, 1.0 - q_r], abs=1e-12)
+        assert q[is_max] == pytest.approx([0.5], abs=1e-7)
+
+    def test_tilted_adiabat_barrier_top_is_a_maximum(self):
+        s = DiabaticSystem(4.0, 0.3)
+        c = ConstantCoupling(1.0)
+        res = barrier(s, c, BarrierMethod.EXACT_ADIABAT)
+        f = lambda q: float(lower_adiabat(s, c, q))
+        h = 1e-4
+        second = (f(res.q_ts + h) - 2 * f(res.q_ts) + f(res.q_ts - h)) / (h * h)
+        assert second < 0.0
+
+    def test_batch_rows_match_scalar_calls(self):
+        c = LinearCoupling(0.2, 1.0)
+        dg = np.linspace(-3.0, 2.0, 41)
+        e_star, q_ts, q_r, single = ExactAdiabat(4.0, c).barriers(dg)
+        for i, d in enumerate(dg):
+            res = barrier(DiabaticSystem(4.0, float(d)), c, BarrierMethod.EXACT_ADIABAT)
+            assert res.e_star == pytest.approx(e_star[i], abs=1e-12)
+            assert res.activationless == single[i]
+            assert res.q_r == pytest.approx(q_r[i], abs=1e-9)
+
+    def test_shallow_product_well_is_found(self):
+        # a 2001-point scan missed this product well (about 3e-10 eV deep)
+        # and returned 0; the inputs are a draw of the barrier_map
+        # benchmark workload at seed 43
+        s = DiabaticSystem(2.751311463175356, 1.359413637603892)
+        c = ConstantCoupling(0.31591450234734236)
+        res = barrier(s, c, BarrierMethod.EXACT_ADIABAT)
+        assert not res.activationless
+        assert res.e_star == pytest.approx(1.3057711841338695, abs=1e-8)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        lam=st.floats(0.5, 8.0), g=st.floats(-0.5, 0.5), shape=couplings,
+    )
+    def test_matches_dense_scan_and_brent(self, lam, g, shape):
+        s = DiabaticSystem(lam, g * lam)
+        c = PolynomialCoupling(tuple(f * lam for f in shape))
+        got = barrier(s, c, BarrierMethod.EXACT_ADIABAT).e_star
+        assert got == pytest.approx(scan_barrier(s, c), abs=1e-8)
 
 
 class TestAdiabaticDrivingForce:

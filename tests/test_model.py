@@ -16,7 +16,6 @@ from etkit.model import (
     diabat_b,
     surface_table,
 )
-from etkit.numerics import brackets_from_samples
 
 
 def random_coupling(rng):
@@ -145,12 +144,10 @@ class TestSurfaceTable:
         t = surface_table(
             DiabaticSystem(4.0, 0.3), ConstantCoupling(1.0), -0.5, 1.5, 401
         )
-        qs = t.column("q")
-        em = t.column("E_minus")
-        found = brackets_from_samples(qs, em)
-        kinds = [kind for _br, kind in found]
-        assert kinds.count("min") == 2
-        assert kinds.count("max") == 1
+        em = np.asarray(t.column("E_minus"))
+        left, mid, right = em[:-2], em[1:-1], em[2:]
+        assert np.sum((mid < left) & (mid < right)) == 2
+        assert np.sum((mid > left) & (mid > right)) == 1
 
     def test_trace_identity_rowwise(self):
         t = surface_table(

@@ -4,59 +4,21 @@ import numpy as np
 import pytest
 import scipy.special
 
+from recursive_simpson import recursive_simpson
+
 from etkit import ConstantCoupling, DiabaticSystem
+from etkit.barriers import ExactAdiabat
+from etkit.constants import beta
 from etkit.errors import AccuracyError, NumericalDomainError
 from etkit.model import lower_adiabat
-from etkit.numerics import (
-    Bracket,
-    erfc,
-    integrate,
-    maximize_1d,
-    minimize_1d,
-    scan_brackets,
-)
+from etkit.numerics import Bracket, erfc, integrate, minimize_1d
+from etkit.rates import fermi_dirac
 
 
 def adiabat_fn(lam, v, dg0):
     sys = DiabaticSystem(lam, dg0)
     c = ConstantCoupling(v)
     return lambda q: float(lower_adiabat(sys, c, q))
-
-
-class TestScanBrackets:
-    def test_parabola_single_min(self):
-        found = scan_brackets(lambda x: x * x, -1.0, 1.0, 11)
-        assert len(found) == 1
-        br, kind = found[0]
-        assert kind == "min"
-        assert br.mid == pytest.approx(0.0, abs=1e-12)
-
-    def test_sine_one_max_one_min(self):
-        found = scan_brackets(math.sin, 0.0, 2.0 * math.pi, 101)
-        kinds = [kind for _br, kind in found]
-        assert kinds == ["max", "min"]
-        assert found[0][0].mid == pytest.approx(math.pi / 2, abs=0.05)
-        assert found[1][0].mid == pytest.approx(3 * math.pi / 2, abs=0.05)
-
-    def test_lower_adiabat_double_well(self):
-        # lam=4, V=1, dg0=0: stationary analysis puts the wells at
-        # (1 -/+ sqrt(1 - 4V^2/lam^2))/2 and the barrier top at 1/2
-        found = scan_brackets(adiabat_fn(4.0, 1.0, 0.0), -0.5, 1.5, 2001)
-        mins = [br for br, kind in found if kind == "min"]
-        maxs = [br for br, kind in found if kind == "max"]
-        assert len(mins) == 2 and len(maxs) == 1
-        q_r = (1.0 - math.sqrt(1.0 - 4.0 / 16.0)) / 2.0
-        assert mins[0].mid == pytest.approx(q_r, abs=2e-3)
-        assert mins[1].mid == pytest.approx(1.0 - q_r, abs=2e-3)
-        assert maxs[0].mid == pytest.approx(0.5, abs=2e-3)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(NumericalDomainError):
-            scan_brackets(lambda x: 1.0 / x, -1.0, 1.0, 11)
-
-    def test_rejects_bad_grid(self):
-        with pytest.raises(ValueError):
-            scan_brackets(lambda x: x, 0.0, 1.0, 2)
 
 
 class TestMinimize:
@@ -101,35 +63,129 @@ class TestMinimize:
         assert not res.converged
 
 
-class TestMaximize:
-    def test_negated_parabola(self):
-        res = maximize_1d(lambda x: -(x * x), Bracket(-1.0, 0.2, 1.0))
-        assert res.x == pytest.approx(0.0, abs=1e-9)
-        assert res.fx == pytest.approx(0.0, abs=1e-15)
+def step(x):
+    return np.where(x < math.pi / 8, 0.0, 1.0)
 
-    def test_symmetric_adiabat_barrier_top(self):
-        res = maximize_1d(
-            adiabat_fn(4.0, 1.0, 0.0), Bracket(0.2, 0.4, 0.8), tol_x=1e-10
+
+def continuum_integrand():
+    """(lam, eta, half-width, f) of a Marcus-barrier continuum integrand."""
+    kt = 8.617333262e-5 * 300.0
+    b = 1.0 / kt
+    lam, eta = 4.0, -0.3
+
+    def f(x):
+        occ = 1.0 / (1.0 + np.exp(np.minimum(b * x, 700.0)))
+        return occ * np.exp(np.maximum(-b * (lam + eta - x) ** 2 / (4 * lam), -700.0))
+
+    return lam, eta, 2 * lam + abs(eta) + 40 * kt, f
+
+
+def exact_route_integrand(lam=4.0, v=0.5, eta=-0.3, T=300.0):
+    """The EXACT_ADIABAT rate integrand of mhc_rate_numeric, vectorized."""
+    b = beta(T)
+    adiabat = ExactAdiabat(lam, ConstantCoupling(v))
+
+    def f(eps):
+        e_star, _q_ts, q_r, single = adiabat.barriers(eta - eps)
+        weight = fermi_dirac(eps, T) * np.exp(np.maximum(-b * e_star, -700.0))
+        return np.where(single & (q_r < 0.5), 0.0, weight)
+
+    return f
+
+
+class Counted:
+    """Wraps a vectorized f; counts nodes, and evaluates one node as a
+    scalar for the recursive reference."""
+
+    def __init__(self, f):
+        self.f = f
+        self.nodes = 0
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        self.nodes += x.size
+        return self.f(x)
+
+    def scalar(self, x):
+        self.nodes += 1
+        return float(self.f(np.array([x]))[0])
+
+
+def _cubic(coeffs):
+    return lambda x: sum(c * x**k for k, c in enumerate(coeffs))
+
+
+class TestIntegrateMatchesRecursion:
+    """Level-at-a-time integrate against the depth-first recursion."""
+
+    def check(self, f, a, b, **kw):
+        vec, ref = Counted(f), Counted(f)
+        got = integrate(vec, a, b, **kw)
+        want = recursive_simpson(ref.scalar, a, b, **kw)
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-300)
+        assert vec.nodes == ref.nodes
+        return vec.nodes
+
+    def test_monomial(self):
+        self.check(lambda x: x * x, 0.0, 1.0)
+
+    def test_gaussian(self):
+        assert self.check(lambda x: np.exp(-x * x / 2), -40.0, 40.0) > 100
+
+    def test_random_cubics(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            a = rng.uniform(-3.0, 0.0)
+            self.check(
+                _cubic(rng.uniform(-2.0, 2.0, size=4)), a, a + rng.uniform(0.5, 4.0)
+            )
+
+    def test_continuum_integrand(self):
+        _lam, _eta, w, f = continuum_integrand()
+        assert self.check(f, -w, w, rel_tol=1e-9) > 100
+
+    def test_exact_route_integrand(self):
+        w = 2 * 4.0 + 0.3 + 40 * 8.617333262e-5 * 300.0
+        assert self.check(exact_route_integrand(), -w, w, rel_tol=1e-9) > 100
+
+    def test_depth_cap_best_estimate_and_message(self):
+        vec, ref = Counted(step), Counted(step)
+        with pytest.raises(AccuracyError) as got:
+            integrate(vec, 0.0, 1.0, rel_tol=1e-15, max_depth=20)
+        with pytest.raises(AccuracyError) as want:
+            recursive_simpson(ref.scalar, 0.0, 1.0, rel_tol=1e-15, max_depth=20)
+        assert got.value.best_estimate == pytest.approx(
+            want.value.best_estimate, rel=1e-13
         )
-        assert res.x == pytest.approx(0.5, abs=1e-8)
+        assert str(got.value) == str(want.value)
+        assert vec.nodes == ref.nodes
 
-    def test_tilted_adiabat_barrier_top_is_a_maximum(self):
-        f = adiabat_fn(4.0, 1.0, 0.3)
-        found = scan_brackets(f, -0.5, 1.5, 2001)
-        (br,) = [b for b, kind in found if kind == "max"]
-        res = maximize_1d(f, br, tol_x=1e-10)
-        h = 1e-4
-        second = (f(res.x + h) - 2 * f(res.x) + f(res.x - h)) / (h * h)
-        assert second < 0.0
 
-    def test_matches_minimize_of_negation_bitwise(self):
-        f = adiabat_fn(4.0, 1.0, 0.3)
-        br = Bracket(0.2, 0.5, 0.9)
-        res_max = maximize_1d(f, br, tol_x=1e-10)
-        res_min = minimize_1d(lambda x: -f(x), br, tol_x=1e-10)
-        assert res_max.x == res_min.x
-        assert res_max.fx == -res_min.fx
-        assert res_max.iterations == res_min.iterations
+class TestIntegrateIntervals:
+    def test_sum_of_separate_calls(self):
+        _lam, _eta, w, f = continuum_integrand()
+        vec, left, right = Counted(f), Counted(f), Counted(f)
+        both = integrate(vec, [-2 * w, w], [-w, 2 * w])
+        apart = integrate(left, -2 * w, -w) + integrate(right, w, 2 * w)
+        assert both == pytest.approx(apart, rel=1e-14)
+        assert vec.nodes == left.nodes + right.nodes
+
+    def test_each_interval_keeps_its_own_tolerance(self):
+        # next to a large integral, a tiny one is still refined to rel_tol
+        # of itself: the same nodes as when integrated alone
+        g = lambda x: np.exp(-x * x)
+        vec, big, tiny = Counted(g), Counted(g), Counted(g)
+        integrate(vec, [-1.0, 5.0], [1.0, 6.0])
+        integrate(big, -1.0, 1.0)
+        integrate(tiny, 5.0, 6.0)
+        assert tiny.nodes > 5
+        assert vec.nodes == big.nodes + tiny.nodes
+
+    def test_rejects_mismatched_ends(self):
+        with pytest.raises(ValueError):
+            integrate(lambda x: x, [0.0, 1.0], [1.0])
+        with pytest.raises(ValueError):
+            integrate(lambda x: x, [0.0, 2.0], [1.0, 1.5])
 
 
 class TestIntegrate:
@@ -139,7 +195,7 @@ class TestIntegrate:
         )
 
     def test_gaussian_normalization(self):
-        val = integrate(lambda x: math.exp(-x * x / 2), -40.0, 40.0)
+        val = integrate(lambda x: np.exp(-x * x / 2), -40.0, 40.0)
         assert val == pytest.approx(math.sqrt(2 * math.pi), abs=1e-8)
 
     def test_polynomial_exactness_random_cubics(self):
@@ -160,18 +216,9 @@ class TestIntegrate:
 
     def test_continuum_integrand_vs_dense_trapezoid(self):
         # Marcus-barrier integrand at lam=4, V=0.5, 300 K, eta=-0.3
-        kt = 8.617333262e-5 * 300.0
-        b = 1.0 / kt
-        lam, eta = 4.0, -0.3
-        w = 2 * lam + abs(eta) + 40 * kt
-
-        def f(x):
-            occ = 1.0 / (1.0 + math.exp(min(b * x, 700.0)))
-            return occ * math.exp(
-                max(-b * (lam + eta - x) ** 2 / (4 * lam), -700.0)
-            )
-
+        lam, eta, w, f = continuum_integrand()
         xs = np.linspace(-w, w, 1_000_001)
+        b = 1.0 / (8.617333262e-5 * 300.0)
         occ = 1.0 / (1.0 + np.exp(np.clip(b * xs, -700, 700)))
         dense = np.trapezoid(
             occ * np.exp(np.clip(-b * (lam + eta - xs) ** 2 / (4 * lam), -700, 0)),
@@ -181,7 +228,6 @@ class TestIntegrate:
         assert adaptive == pytest.approx(dense, rel=1e-6)
 
     def test_depth_cap_raises_accuracy_error(self):
-        step = lambda x: 0.0 if x < math.pi / 8 else 1.0
         with pytest.raises(AccuracyError) as err:
             integrate(step, 0.0, 1.0, rel_tol=1e-15, max_depth=20)
         assert err.value.best_estimate == pytest.approx(

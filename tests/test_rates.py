@@ -6,7 +6,7 @@ import scipy.special
 
 from etkit.barriers import BarrierMethod
 from etkit.constants import H, K_B, beta
-from etkit.errors import SingularRegimeError
+from etkit.errors import AccuracyError, SingularRegimeError
 from etkit.model import ConstantCoupling, DiabaticSystem, LinearCoupling
 from etkit.rates import (
     ElectrodeConditions,
@@ -102,7 +102,44 @@ def trapezoid_marcus_rate(lam, T, eta, rho=1.0, n=1_000_001):
     return (K_B * T / H) * rho * np.trapezoid(occ * np.exp(expo), x)
 
 
+def trapezoid_eff_rate(lam, v0, v1, T, eta, n=2_000_001):
+    """Dense-trapezoid oracle for the EFFECTIVE_LAMBDA continuum integral
+    with a linear coupling; nodes with lam_eff <= 0 contribute 0."""
+    b = 1.0 / (K_B * T)
+    w = 2 * lam + abs(eta) + 40 * K_B * T
+    x = np.linspace(-4 * w, 4 * w, n)
+    dg = eta - x
+    v_ts = v0 + 0.5 * (1.0 + dg / lam) * (v1 - v0)
+    lam_eff = lam - 4.0 * v_ts + 4.0 * v0 * v0 / lam
+    open_ = lam_eff > 0.0
+    safe = np.where(open_, lam_eff, 1.0)
+    expo = np.where(open_, -b * (safe + dg) ** 2 / (4.0 * safe), -np.inf)
+    weight = scipy.special.expit(-b * x) * np.exp(np.maximum(expo, -700.0))
+    return (K_B * T / H) * np.trapezoid(np.where(open_, weight, 0.0), x)
+
+
 class TestNumericRate:
+    def test_eff_route_closes_channel_where_lam_eff_not_positive(self):
+        # lam_eff(dg) = 3.24 - 0.8*(1 + dg/4) drops to 0 at dg = 4.1, a
+        # far-tail node of the window; it used to abort the whole rate
+        s = DiabaticSystem(4.0, 0.0)
+        cond = ElectrodeConditions(300.0, -0.3, 1.0)
+        req = RateRequest(
+            s, LinearCoupling(0.2, 1.0), cond, BarrierMethod.EFFECTIVE_LAMBDA
+        )
+        ref = trapezoid_eff_rate(4.0, 0.2, 1.0, 300.0, -0.3)
+        assert mhc_rate_numeric(req) == pytest.approx(ref, rel=1e-6)
+
+    def test_window_exhaustion_raises_with_best_estimate(self):
+        s = DiabaticSystem(4.0, 0.0)
+        cond = ElectrodeConditions(300.0, -0.3, 1.0)
+        req = RateRequest(s, ConstantCoupling(0.5), cond, BarrierMethod.MARCUS)
+        full = mhc_rate_numeric(req)
+        with pytest.raises(AccuracyError) as err:
+            mhc_rate_numeric(req, window_scale=1e-3)
+        assert 0.0 < err.value.best_estimate < full
+
+
     def test_marcus_route_vs_dense_trapezoid(self):
         s = DiabaticSystem(1.55, 0.0)
         cond = ElectrodeConditions(300.0, -0.2, 1.0)
