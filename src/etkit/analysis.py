@@ -20,6 +20,7 @@ from .rates import (
     ElectrodeConditions,
     PrefactorKind,
     RateRequest,
+    closed_form_rates,
     effective_lambda_overpotential,
     mhc_rate_closed_form,
     mhc_rate_numeric,
@@ -245,7 +246,8 @@ def fit_lambda_eff(eta_f, log10_k, T, rho=1.0):
     Fits log10 of the closed-form rate plus a free vertical offset to the
     (eta_f, log10_k) points. The offset is solved in closed form per
     candidate lambda_eff (mean residual); lambda_eff itself comes from a
-    log-spaced scan over [0.05, 10] eV refined by Brent's method.
+    log-spaced scan over [0.05, 10] eV refined by Brent's method. Raises
+    ValueError if the closed form underflows to 0 (very low T).
 
     The model assumes one lambda_eff that does not depend on the
     overpotential. For a q-dependent coupling lam_eff varies with eta, so
@@ -262,33 +264,33 @@ def fit_lambda_eff(eta_f, log10_k, T, rho=1.0):
         raise ValueError(f"need at least 5 finite points, got {len(eta)}")
 
     def objective(lam_eff):
-        model = np.array(
-            [
-                math.log10(
-                    mhc_rate_closed_form(
-                        lam_eff, ElectrodeConditions(T, e, rho)
-                    )
-                )
-                for e in eta
-            ]
-        )
-        s = float(np.mean(y - model))
-        rms = float(np.sqrt(np.mean((model + s - y) ** 2)))
+        # rms residual and offset for each candidate lam_eff; the last
+        # axis of the rates runs over the data points
+        k = closed_form_rates(np.expand_dims(lam_eff, -1), eta, T, rho)
+        if not np.all(k > 0.0):
+            raise ValueError(
+                "closed-form rate underflows to 0 on the lambda_eff "
+                f"search range [{_FIT_LO}, {_FIT_HI}] eV at T={T} K"
+            )
+        model = np.log10(k)
+        s = np.mean(y - model, axis=-1)
+        rms = np.sqrt(np.mean((model + s[..., None] - y) ** 2, axis=-1))
         return rms, s
 
     grid = np.geomspace(_FIT_LO, _FIT_HI, _FIT_SCAN)
-    values = np.array([objective(g)[0] for g in grid])
+    values, offsets = objective(grid)
     i = int(np.argmin(values))
     degenerate = float(np.std(y)) < 1e-12
     if i == 0 or i == len(grid) - 1 or degenerate:
-        rms, s = objective(float(grid[i]))
-        return FitResult(float(grid[i]), s, rms, len(eta), False)
+        return FitResult(
+            float(grid[i]), float(offsets[i]), float(values[i]), len(eta), False
+        )
     bracket = numerics.Bracket(grid[i - 1], grid[i], grid[i + 1])
     res = numerics.minimize_1d(
-        lambda g: objective(g)[0], bracket, tol_x=1e-9
+        lambda g: float(objective(g)[0]), bracket, tol_x=1e-9
     )
     rms, s = objective(res.x)
-    return FitResult(res.x, s, rms, len(eta), res.converged)
+    return FitResult(res.x, float(s), float(rms), len(eta), res.converged)
 
 
 def effective_activation_energy(inv_t, ln_k):

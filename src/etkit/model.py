@@ -114,20 +114,15 @@ def coupling_eval(c, q):
 def coupling_max(c):
     """max of |V(q)| over q in [0, 1].
 
-    Closed form up to quadratic polynomials, dense grid (10001 points)
-    beyond that. Used for validity heuristics only.
+    Taken over q = 0, q = 1 and the real roots of V'(q) inside (0, 1).
+    Used for validity heuristics only.
     """
     poly = as_polynomial(c)
-    coeffs = poly.coeffs
-    if len(coeffs) <= 3:
-        candidates = [0.0, 1.0]
-        if len(coeffs) == 3 and coeffs[2] != 0.0:
-            vertex = -coeffs[1] / (2.0 * coeffs[2])
-            if 0.0 < vertex < 1.0:
-                candidates.append(vertex)
-        return max(abs(float(coupling_eval(poly, q))) for q in candidates)
-    qs = np.linspace(0.0, 1.0, 10001)
-    return float(np.max(np.abs(coupling_eval(poly, qs))))
+    slope = np.polyder(poly.coeffs[::-1])
+    candidates = [0.0, 1.0] + [
+        r.real for r in np.roots(slope) if r.imag == 0.0 and 0.0 < r.real < 1.0
+    ]
+    return max(abs(float(coupling_eval(poly, q))) for q in candidates)
 
 
 def diabat_a(sys, q):

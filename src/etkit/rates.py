@@ -34,6 +34,7 @@ __all__ = [
     "mhc_rate_numeric",
     "effective_lambda_overpotential",
     "mhc_rate_closed_form",
+    "closed_form_rates",
     "extract_coupling",
 ]
 
@@ -192,29 +193,44 @@ def effective_lambda_overpotential(sys, c, eta_f):
     return effective_lambda(replace(sys, dg0=eta_f), c)
 
 
+_erfc = np.frompyfunc(numerics.erfc, 1, 1)
+
+
+def closed_form_rates(lambda_eff, eta_f, T, rho):
+    """Closed-form rates (1/s), lambda_eff broadcast against eta_f.
+
+    The array form of ``mhc_rate_closed_form``, with the same arithmetic
+    element by element. Raises SingularRegimeError if any lambda_eff is
+    not positive, and NumericalDomainError if an erfc argument is not
+    finite (e.g. a NaN lambda_eff).
+    """
+    lambda_eff = np.asarray(lambda_eff, dtype=float)
+    if np.any(lambda_eff <= 0.0):
+        raise SingularRegimeError(
+            f"lambda_eff must be positive, got {lambda_eff}"
+        )
+    b = beta(T)
+    bl = b * lambda_eff
+    be = b * np.asarray(eta_f, dtype=float)
+    arg = (bl - np.sqrt(1.0 + np.sqrt(bl) + be * be)) / (2.0 * np.sqrt(bl))
+    occupancy = 1.0 / (1.0 + np.exp(np.minimum(be, 700.0)))
+    return (
+        rho
+        * np.sqrt(math.pi * lambda_eff / b)
+        / (b * H)
+        * occupancy
+        * np.asarray(_erfc(arg), dtype=float)
+    )
+
+
 def mhc_rate_closed_form(lambda_eff, cond):
     """Closed-form rate (1/s) for a Marcus-form barrier with lambda_eff.
 
     Uses the classical attempt-frequency structure; the coupling enters
     only through lambda_eff, never the prefactor.
     """
-    if lambda_eff <= 0.0:
-        raise SingularRegimeError(
-            f"lambda_eff must be positive, got {lambda_eff}"
-        )
-    b = beta(cond.temperature)
-    bl = b * lambda_eff
-    be = b * cond.eta_f
-    arg = (bl - math.sqrt(1.0 + math.sqrt(bl) + be * be)) / (
-        2.0 * math.sqrt(bl)
-    )
-    occupancy = 1.0 / (1.0 + math.exp(min(be, 700.0)))
-    return (
-        cond.rho
-        * math.sqrt(math.pi * lambda_eff / b)
-        / (b * H)
-        * occupancy
-        * numerics.erfc(arg)
+    return float(
+        closed_form_rates(lambda_eff, cond.eta_f, cond.temperature, cond.rho)
     )
 
 

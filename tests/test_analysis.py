@@ -217,3 +217,10 @@ class TestFitLambdaEff:
     def test_rejects_too_few_points(self):
         with pytest.raises(ValueError):
             fit_lambda_eff([0.0, 0.1, 0.2], [1.0, 2.0, 3.0], 300.0)
+
+    def test_underflowing_rate_raises(self):
+        # at 20 K the closed form underflows to 0 for large lambda_eff;
+        # its log10 must not reach the scan's argmin as -inf
+        eta = np.linspace(-0.5, 0.2, 11)
+        with pytest.raises(ValueError, match="underflows"):
+            fit_lambda_eff(eta, -8.0 * eta, 20.0)

@@ -80,6 +80,12 @@ class TestCoupling:
         c = PolynomialCoupling((0.0, 0.0, 0.0, 0.0, 1.0))
         assert coupling_max(c) == pytest.approx(1.0, abs=1e-9)
 
+    def test_max_cubic_interior_root(self):
+        # V' = 0.7 - 3.8 q + 3.3 q^2 vanishes at q = 0.2302498711820794;
+        # V there from mpmath at 30 digits
+        c = PolynomialCoupling((0.1, 0.7, -1.9, 1.1))
+        assert coupling_max(c) == pytest.approx(0.17387377120470642, abs=1e-12)
+
     def test_canonicalization_is_value_identical(self):
         rng = np.random.default_rng(3)
         models = [ConstantCoupling(0.7), LinearCoupling(0.6, 1.0)]

@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,12 +10,13 @@ import scipy.special
 
 from recursive_simpson import recursive_simpson
 
+import etkit
 from etkit import ConstantCoupling, DiabaticSystem
 from etkit.barriers import ExactAdiabat
 from etkit.constants import beta
 from etkit.errors import AccuracyError, NumericalDomainError
 from etkit.model import lower_adiabat
-from etkit.numerics import Bracket, erfc, integrate, minimize_1d
+from etkit.numerics import MAX_LEVEL_NODES, Bracket, erfc, integrate, minimize_1d
 from etkit.rates import fermi_dirac
 
 
@@ -186,6 +191,67 @@ class TestIntegrateIntervals:
             integrate(lambda x: x, [0.0, 1.0], [1.0])
         with pytest.raises(ValueError):
             integrate(lambda x: x, [0.0, 2.0], [1.0, 1.5])
+
+
+def run_capped(code, limit=1 << 30):
+    """Run Python code in a child process whose address space is capped
+    at ``limit`` bytes, so that quadrature levels that keep doubling end
+    in MemoryError there instead of exhausting the machine."""
+    src = os.path.dirname(os.path.dirname(etkit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    cap = f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+    return subprocess.run(
+        [sys.executable, "-c", cap + code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+class TestLevelNodeLimit:
+    """A tolerance that cannot be met doubles the open subintervals each
+    level; integrate gives up once a level would exceed MAX_LEVEL_NODES."""
+
+    def test_unreachable_tolerance_raises_with_best_estimate(self):
+        # an eff-route rate of the rate_quadrature benchmark (seed 223)
+        out = run_capped(
+            """
+import json
+from etkit import BarrierMethod, ConstantCoupling, DiabaticSystem
+from etkit.errors import AccuracyError
+from etkit.rates import ElectrodeConditions, RateRequest, mhc_rate_numeric
+req = RateRequest(
+    DiabaticSystem(1.1075848292268755, 0.0),
+    ConstantCoupling(0.2672038315545804),
+    ElectrodeConditions(265.8311390139204, -0.9898754768788157),
+    BarrierMethod.EFFECTIVE_LAMBDA,
+)
+try:
+    mhc_rate_numeric(req)
+except AccuracyError as exc:
+    print(json.dumps([str(exc), exc.best_estimate]))
+"""
+        )
+        assert out.returncode == 0, out.stderr[-2000:]
+        message, best = json.loads(out.stdout)
+        assert f"limit MAX_LEVEL_NODES = {MAX_LEVEL_NODES}" in message
+        assert math.isfinite(best) and best > 0.0
+
+    def test_cli_warns_and_exits_zero(self):
+        argv = (
+            "tafel --lambda 0.5 --coupling const:0.1 --eta-from -1.5 "
+            "--eta-to -1.4 --n 2 --temp 250 --method marcus"
+        ).split()
+        out = run_capped(
+            f"import sys\nfrom etkit.cli import main\nsys.exit(main({argv!r}))\n"
+        )
+        assert out.returncode == 0, out.stderr[-2000:]
+        assert out.stdout.splitlines() == ["eta_f_V,log10k_marcus", "-1.5,", "-1.4,"]
+        warnings = out.stderr.splitlines()
+        assert len(warnings) == 2
+        assert all("limit MAX_LEVEL_NODES" in w for w in warnings)
 
 
 class TestIntegrate:

@@ -6,12 +6,13 @@ import scipy.special
 
 from etkit.barriers import BarrierMethod
 from etkit.constants import H, K_B, beta
-from etkit.errors import AccuracyError, SingularRegimeError
+from etkit.errors import AccuracyError, NumericalDomainError, SingularRegimeError
 from etkit.model import ConstantCoupling, DiabaticSystem, LinearCoupling
 from etkit.rates import (
     ElectrodeConditions,
     PrefactorKind,
     RateRequest,
+    closed_form_rates,
     effective_lambda_overpotential,
     extract_coupling,
     fermi_dirac,
@@ -247,6 +248,31 @@ class TestClosedForm:
     def test_rejects_non_positive_lambda(self):
         with pytest.raises(SingularRegimeError):
             mhc_rate_closed_form(0.0, ElectrodeConditions(300.0, 0.0))
+
+    @pytest.mark.parametrize("T", [300.0, 20.0])
+    def test_array_form_equals_scalar_form(self, T):
+        lam_eff = np.array([0.05, 0.8, 2.25, 10.0, 120.0])
+        eta = np.array([-1.5, -0.3, 0.0, 0.4, 20.0])
+        got = closed_form_rates(lam_eff[:, None], eta, T, 2.0)
+        assert got.shape == (5, 5)
+        # eta = 20 V clamps the occupancy's exponent; large beta*lam_eff
+        # drives erfc to underflow
+        assert beta(T) * 20.0 > 700.0
+        assert np.any(got == 0.0) and np.any(got > 0.0)
+        for i, lam in enumerate(lam_eff):
+            for j, e in enumerate(eta):
+                want = mhc_rate_closed_form(
+                    float(lam), ElectrodeConditions(T, float(e), 2.0)
+                )
+                assert got[i, j] == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_nan_lambda_raises_domain_error(self):
+        with pytest.raises(NumericalDomainError):
+            mhc_rate_closed_form(math.nan, ElectrodeConditions(300.0, 0.0))
+        with pytest.raises(NumericalDomainError):
+            closed_form_rates([1.0, math.nan], 0.0, 300.0, 1.0)
+        with pytest.raises(SingularRegimeError):
+            closed_form_rates([1.0, 0.0], 0.0, 300.0, 1.0)
 
 
 class TestExtractCoupling:
