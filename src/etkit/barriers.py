@@ -4,11 +4,14 @@ Four methods are provided: the uncoupled Marcus barrier, the traditional
 constant shift by V(1/2), a Marcus-form barrier built from a reduced
 effective reorganization energy, and exact extremum analysis of the lower
 adiabat, whose stationary points are the real roots of a polynomial.
+``ExactAdiabat`` also cuts the axis of level shifts into pieces on which
+the exact barrier is smooth.
 """
 
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,6 +34,9 @@ __all__ = [
     "effective_lambdas",
     "barrier",
     "ExactAdiabat",
+    "CLOSED",
+    "DOWNHILL",
+    "BARRIER",
     "adiabatic_driving_force",
     "validity_report",
 ]
@@ -43,6 +49,10 @@ SCAN_Q_HI = 1.5
 _KINK_V = 1e-12
 # (2q - 1)^3, ascending
 _CUBE = np.array([-1.0, 6.0, -12.0, 8.0])
+# level shifts closer than this (eV) count as one
+_SAME_SHIFT = 1e-12
+# kinds of a piece of the dg axis (ExactAdiabat.pieces)
+CLOSED, DOWNHILL, BARRIER = 0, 1, 2
 
 
 class BarrierMethod(enum.Enum):
@@ -192,6 +202,13 @@ class ExactAdiabat:
         keep &= (SCAN_Q_LO <= grid) & (grid <= SCAN_Q_HI)
         grid = np.where(keep, grid, SCAN_Q_HI)
         grid.sort(axis=1)
+        # a point found twice (a root at the kink, or both roots of a
+        # double root) is one candidate: as two with equal E_minus, the
+        # left copy would pass for an extremum where E_minus is monotone
+        twice = np.zeros_like(keep)
+        twice[:, 1:] = grid[:, 1:] - grid[:, :-1] <= 1e-12
+        grid[twice] = SCAN_Q_HI
+        grid.sort(axis=1)
         cand = grid[:, 1:-1]
         valid = (SCAN_Q_LO < cand) & (cand < SCAN_Q_HI)
         # lower_adiabat reads only lam and dg0 of a system; here dg0 is
@@ -231,6 +248,149 @@ class ExactAdiabat:
         activationless = e_ts == -np.inf
         q_ts = np.where(activationless, np.nan, q[rows, ts])
         return e_star, q_ts, q[rows, reactant], activationless
+
+    @cached_property
+    def shifts(self):
+        """Level shifts (eV), ascending, at which the exact barrier can
+        jump or kink.
+
+        They are the fold points, where two stationary points of the lower
+        adiabat meet; the kinks, where V vanishes at the diabatic
+        crossing; and ``center_shift``. The fold points are the real roots
+        in the window of the fold polynomial S(q) (the resultant in Delta
+        of P and dP/dq, stripped of its factors (2q - 1)^2 V^2
+        (lam^2 + V'^2)), polished by Newton's method. With a coupling that
+        is 0 to within 1e-12 eV the folds are -lam and +lam. Some shifts
+        may change nothing.
+        """
+        lam = self.lam
+        v = np.array(as_polynomial(self.coupling).coeffs)
+        if coupling_max(self.coupling) <= _KINK_V:
+            # E_minus = min(E_a, E_b): the reactant well turns downhill
+            # at -lam and the product well vanishes at +lam
+            folds = np.array([-lam, lam])
+        else:
+            folds = _fold_shifts(lam, v)
+        roots = np.roots(v[::-1])
+        q = roots.real[np.abs(roots.imag) <= 1e-8]
+        kinks = lam * (2.0 * q[(SCAN_Q_LO <= q) & (q <= SCAN_Q_HI)] - 1.0)
+        return _distinct(np.concatenate([folds, kinks, [self.center_shift]]))
+
+    @property
+    def center_shift(self):
+        """The level shift 2 V V' / lam (at q = 1/2), the only one at which
+        a stationary point sits at q = 1/2: P(1/2) = -h^2 there. A single
+        well passes from the product side to the reactant side there."""
+        v = as_polynomial(self.coupling).coeffs
+        return 2.0 * float(_polyval(v, 0.5) * _polyval(_derivative(v), 0.5)) / self.lam
+
+    def pieces(self):
+        """The level-shift axis cut at ``shifts``, with each piece's kind.
+
+        Returns (lo, hi, kind): the ends of the pieces in ascending order
+        (the first lo is -inf and the last hi +inf) and, from the
+        topology at each piece's midpoint (one ``barriers`` call), CLOSED
+        (a single reactant-side well: no product state), DOWNHILL (a
+        single product-side well, barrier 0) or BARRIER. Across
+        ``center_shift`` a stationary point only moves, unless V vanishes
+        at q = 1/2 (a kink), so the two pieces next to it are joined when
+        they are of the same kind.
+        """
+        edges = self.shifts
+        ends = [edges[0] - self.lam], [edges[-1] + self.lam]
+        probes = np.concatenate([ends[0], 0.5 * (edges[:-1] + edges[1:]), ends[1]])
+        _e, _q_ts, q_r, single = self.barriers(probes)
+        kind = np.where(single, np.where(q_r < 0.5, CLOSED, DOWNHILL), BARRIER)
+        i = np.abs(edges - self.center_shift).argmin()
+        if kind[i] == kind[i + 1] and abs(coupling_eval(self.coupling, 0.5)) > _KINK_V:
+            edges, kind = np.delete(edges, i), np.delete(kind, i)
+        return np.append(-np.inf, edges), np.append(edges, np.inf), kind
+
+
+def _derivative(p):
+    """Ascending coefficients of the derivative of p (at least one)."""
+    return p[1:] * np.arange(1.0, len(p)) if len(p) > 1 else np.zeros(1)
+
+
+def _polyval(p, x):
+    """p (ascending coefficients) at x, a scalar or an array."""
+    acc = 0.0 * x
+    for coef in p[::-1]:
+        acc = acc * x + coef
+    return acc
+
+
+def _padd(*polys):
+    """Sum of polynomials with ascending coefficients."""
+    out = np.zeros(max(len(p) for p in polys))
+    for p in polys:
+        out[: len(p)] += p
+    return out
+
+
+def _fold_terms(lam, v, dv, ddv, m, k, mul, add):
+    """The fold polynomial S = k (k - W')^2 + 4 lam [M' W (k - V'^2)
+    + V^2 (lam (V'^2 + lam^2) - M' V' V'')], with W = V V', from V, V',
+    V'', M' = lam*(2q - 1) and k = M'^2 - lam^2. Given as values, with
+    (np.multiply, np.add), it is S at those q; given as ascending
+    coefficients, with (np.convolve, _padd), its coefficients."""
+    dv2 = mul(dv, dv)
+    kd = add(k, -add(dv2, mul(v, ddv)))
+    middle = mul(mul(m, mul(v, dv)), add(k, -dv2))
+    outer = mul(mul(v, v), add(lam * add(dv2, [lam * lam]), -mul(m, mul(dv, ddv))))
+    return add(mul(k, mul(kd, kd)), 4.0 * lam * add(middle, outer))
+
+
+def _fold_shifts(lam, v):
+    """Level shifts of the fold points: the double roots in q of P, for
+    V with ascending coefficients v."""
+    dv = _derivative(v)
+    ddv = _derivative(dv)
+    l2 = lam * lam
+    m, k = np.array([-lam, 2.0 * lam]), np.array([0.0, -4.0 * l2, 4.0 * l2])
+    s = _fold_terms(lam, v, dv, ddv, m, k, np.convolve, _padd)
+    scale = np.abs(s).max()
+    while len(s) > 1 and abs(s[-1]) <= 1e-14 * scale:
+        s = s[:-1]
+    roots = np.roots(s[::-1])
+    q = roots.real[np.abs(roots.imag) <= 1e-3]
+    ds = _derivative(s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Newton's method on S evaluated from V, V' and V'' at q, which
+        # is better conditioned than its expanded coefficients
+        for _ in range(8):
+            m, k = lam * (2.0 * q - 1.0), 4.0 * l2 * q * (q - 1.0)
+            values = _polyval(v, q), _polyval(dv, q), _polyval(ddv, q)
+            step = _fold_terms(lam, *values, m, k, np.multiply, np.add)
+            step = step / _polyval(ds, q)
+            q = q - step
+            if not (np.abs(step) > 1e-15).any():
+                break
+        m, k = lam * (2.0 * q - 1.0), 4.0 * l2 * q * (q - 1.0)
+        vq, dvq, ddvq = _polyval(v, q), _polyval(dv, q), _polyval(ddv, q)
+        # P = a2 Delta^2 + a1 Delta + a0 and dP/dq at fixed dg,
+        # b2 Delta^2 + b1 Delta + b0, share the root Delta
+        a2, a1, a0 = 0.25 * k, -lam * vq * dvq, vq * vq * (m * m - dvq * dvq)
+        b2 = lam * m
+        b1 = -lam * (dvq * dvq + vq * ddvq) + lam * k
+        b0 = (
+            2.0 * vq * dvq * (m * m - dvq * dvq)
+            + 4.0 * lam * m * vq * vq
+            - 2.0 * vq * vq * dvq * ddvq
+            + 2.0 * lam * a1
+        )
+        delta = -(a2 * b0 - a0 * b2) / (a2 * b1 - a1 * b2)
+        dg = m - delta
+    ok = np.isfinite(dg) & (np.abs(step) <= 1e-9) & (SCAN_Q_LO <= q) & (q <= SCAN_Q_HI)
+    return dg[ok]
+
+
+def _distinct(x):
+    """Sorted x with values within _SAME_SHIFT of their predecessor dropped."""
+    x = np.sort(x)
+    keep = np.ones(len(x), dtype=bool)
+    keep[1:] = np.diff(x) > _SAME_SHIFT
+    return x[keep]
 
 
 def barrier(sys, c, method):

@@ -1,10 +1,12 @@
-"""Numerical substrate: Brent minimization, adaptive quadrature, erfc.
+"""Numerical substrate: Brent minimization, adaptive quadrature, the
+Gauss-Legendre rule, erfc.
 
 ``integrate`` takes a vectorized integrand: a function of a 1-D float
 array of abscissae that returns the values as an array of the same
 length. It calls it once per refinement level with every node of that
 level, and integrates one interval or, given arrays of interval ends,
 several intervals in the same calls. ``minimize_1d`` works on scalars.
+``gauss_legendre`` builds its nodes once per order, on first use.
 ``erfc`` is the standard library's ``math.erfc`` behind a check that
 rejects non-finite input.
 
@@ -12,6 +14,7 @@ Everything here is a pure function of its arguments and safe for
 concurrent use.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +27,7 @@ __all__ = [
     "ExtremumResult",
     "minimize_1d",
     "integrate",
+    "gauss_legendre",
     "erfc",
 ]
 
@@ -192,6 +196,38 @@ def integrate(f, a, b, rel_tol=1e-9, abs_tol=1e-300, max_depth=60):
         a, b, fa, fm, fb, whole, tol = halves
         m = 0.5 * (a + b)
         tol = 0.5 * tol
+
+
+@functools.cache
+def gauss_legendre(n):
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule
+    on [-1, 1], as read-only arrays.
+
+    Newton's method on the three-term recurrence of the Legendre
+    polynomials, from the asymptotic estimate of each node.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one node, got {n}")
+
+    def legendre(x):
+        # P_n(x) and P_n'(x)
+        p_prev, p = np.ones(n), x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        return p, n * (x * p - p_prev) / ((x - 1.0) * (x + 1.0))
+
+    x = -np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p, slope = legendre(x)
+        step = p / slope
+        x = x - step
+        if np.abs(step).max() <= 1e-15:
+            break
+    slope = legendre(x)[1]
+    weights = 2.0 / ((1.0 - x) * (1.0 + x) * slope * slope)
+    x.flags.writeable = False
+    weights.flags.writeable = False
+    return x, weights
 
 
 def erfc(x):

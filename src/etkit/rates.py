@@ -2,7 +2,9 @@
 electron with a metallic continuum.
 
 The total reduction rate integrates single-level Marcus-type rates over
-the Fermi-weighted continuum (wide-band density of states). A closed-form
+the Fermi-weighted continuum (wide-band density of states): by adaptive
+quadrature on the Marcus-form routes, and by a fixed Gauss-Legendre rule
+between the fold points of the lower adiabat on the exact route. A closed-form
 approximation of that integral is provided for the Marcus-form barrier,
 and the driving-force-dependent effective reorganization energy supplies
 the inverse problem of extracting the coupling.
@@ -16,13 +18,15 @@ import numpy as np
 
 from . import numerics
 from .barriers import (
+    BARRIER,
+    DOWNHILL,
     BarrierMethod,
     ExactAdiabat,
     effective_lambda,
     effective_lambdas,
 )
 from .constants import H, HBAR, K_B, beta
-from .errors import AccuracyError, SingularRegimeError
+from .errors import AccuracyError, SingularRegimeError, SurfaceTopologyError
 from .model import coupling_eval
 
 __all__ = [
@@ -40,6 +44,8 @@ __all__ = [
 
 # exp(-beta*E*) is clamped below at e^-700 to dodge underflow in the tails
 _EXP_FLOOR = -700.0
+# Gauss-Legendre nodes on each side of the Fermi step in a barrier piece
+_EXACT_NODES = 128
 
 
 class PrefactorKind(enum.Enum):
@@ -106,7 +112,8 @@ def prefactor(kind, sys, coupling_at_crossing, T):
 
 
 def _barrier_of_dg(sys, c, method):
-    """e_star over an array of level-shifted driving forces dg.
+    """e_star over an array of level-shifted driving forces dg, on the
+    Marcus-form routes.
 
     +inf marks a closed channel: a node whose integrand is exactly 0.
     """
@@ -129,46 +136,69 @@ def _barrier_of_dg(sys, c, method):
 
         return eff
 
-    if method is BarrierMethod.EXACT_ADIABAT:
-        adiabat = ExactAdiabat(lam, c)
-
-        def exact(dg):
-            e_star, _q_ts, q_r, activationless = adiabat.barriers(dg)
-            # a single well on the reactant side means the product well
-            # does not exist at this level shift: the channel is closed
-            # (not barrierless). Downhill single wells contribute exp(0) = 1
-            return np.where(activationless & (q_r < 0.5), np.inf, e_star)
-
-        return exact
     raise TypeError(f"unknown barrier method: {method!r}")
 
 
-def mhc_rate_numeric(req, rel_tol=1e-9, window_scale=1.0):
-    """Reduction rate in 1/s by adaptive quadrature over the continuum.
+def _exact_integral(adiabat, eta, T):
+    """integral of n(eps) * exp(-beta*E*(eta - eps)) over eps on the exact
+    route, piece by piece of the level-shift axis.
 
-    k = A * rho * integral n(eps) * exp(-beta*E*(lam, e*eta_f - eps)) deps
-    over a window [-W, W], W = 2*lam + |e*eta_f| + 40*kT (times
-    window_scale), doubled until the result is converged to 1e-6
-    relative. Nodes whose channel is closed contribute 0: on the exact
-    route a single reactant-side well, on the eff route lam_eff <= 0.
-    Raises AccuracyError, carrying the best estimate of the rate, if the
-    sixth doubling still changes the result by more than that.
+    Closed pieces contribute 0. On a downhill piece E* = 0 and the
+    integral of the Fermi function is kT*ln(1 + e^(-beta*eps)) between
+    its ends. A barrier piece (lo, hi) is mapped by
+    dg = lo + (hi - lo)*sin^2(pi*t/2), which makes the integrand analytic
+    in t at fold singularities, split at the Fermi step dg = eta (or at
+    t = 1/2), and integrated by Gauss-Legendre on each part. Every node of
+    every piece goes into one ``barriers`` call.
     """
-    sys, c, cond = req.sys, req.coupling, req.cond
-    T = cond.temperature
     b = beta(T)
-    v_half = float(coupling_eval(c, 0.5))
-    a_pref = prefactor(cond.prefactor, sys, v_half, T)
-    if a_pref == 0.0:
-        return 0.0
-    e_star = _barrier_of_dg(sys, c, req.barrier_method)
+    lo, hi, kind = adiabat.pieces()
+    down, barrier = kind == DOWNHILL, kind == BARRIER
+    if np.isinf(lo[barrier]).any() or np.isinf(hi[barrier | down]).any():
+        raise SurfaceTopologyError(
+            "a barrier piece of the level-shift axis, or a downhill one "
+            "above it, is unbounded: the exact rate integral has no end"
+        )
+    # kT*ln(1 + e^(-beta*eps)) at eps = eta - hi minus at eps = eta - lo
+    downhill = np.sum(
+        np.logaddexp(0.0, -b * (eta - hi[down]))
+        - np.logaddexp(0.0, -b * (eta - lo[down]))
+    ) / b
+    lo, hi = lo[barrier], hi[barrier]
+    if not len(lo):
+        return float(downhill)
+    width = hi - lo
+    # the t of the Fermi step, or t = 1/2 where the step lies outside
+    s = (eta - lo) / width
+    s = np.where((0.0 < s) & (s < 1.0), s, 0.5)
+    split = np.arcsin(np.sqrt(s)) / (0.5 * np.pi)
+    # t and its weights on [0, split] and [split, 1], one row per part
+    x, w = numerics.gauss_legendre(_EXACT_NODES)
+    start = np.stack([np.zeros_like(split), split], axis=1)[:, :, None]
+    half = 0.5 * np.stack([split, 1.0 - split], axis=1)[:, :, None]
+    t = start + half * (x + 1.0)
+    phase = 0.5 * np.pi * t
+    sin = np.sin(phase)
+    dg = lo[:, None, None] + width[:, None, None] * sin * sin
+    # d dg / dt = (hi - lo) * (pi/2) * sin(pi t)
+    weight = half * w * width[:, None, None] * np.pi * sin * np.cos(phase)
+    dg = dg.ravel()
+    e_star, _q_ts, q_r, single = adiabat.barriers(dg)
+    # a single reactant-side well: the product state does not exist there
+    boltzmann = np.where(
+        single & (q_r < 0.5), 0.0, np.exp(np.maximum(-b * e_star, _EXP_FLOOR))
+    )
+    nodes = weight.ravel() * fermi_dirac(eta - dg, T) * boltzmann
+    return float(downhill + np.sum(nodes))
 
-    def integrand(eps):
-        e = e_star(cond.eta_f - eps)
-        boltzmann = np.exp(np.maximum(-b * e, _EXP_FLOOR))
-        return np.where(np.isinf(e), 0.0, fermi_dirac(eps, T) * boltzmann)
 
-    w = (2.0 * sys.lam + abs(cond.eta_f) + 40.0 * K_B * T) * window_scale
+def _window_integral(integrand, w, rel_tol):
+    """Adaptive integral of the integrand over [-w, w], then over windows
+    doubled until one doubling changes it by at most 1e-6 relative.
+
+    Raises AccuracyError, carrying the best estimate of the integral, if
+    the sixth doubling still changes it by more than that.
+    """
     total = numerics.integrate(integrand, -w, w, rel_tol=rel_tol)
     for _ in range(6):
         # both extensions, [-2w, -w] and [w, 2w], in the same calls
@@ -180,11 +210,56 @@ def mhc_rate_numeric(req, rel_tol=1e-9, window_scale=1.0):
         total = new_total
         w *= 2.0
         if converged:
-            return a_pref * cond.rho * total
+            return total
     raise AccuracyError(
         f"rate window still changing after 6 doublings (to +-{w:.6g} eV)",
-        best_estimate=a_pref * cond.rho * total,
+        best_estimate=total,
     )
+
+
+def mhc_rate_numeric(req, rel_tol=1e-9, window_scale=1.0):
+    """Reduction rate in 1/s, integrated over the continuum.
+
+    k = A * rho * integral n(eps) * exp(-beta*E*(lam, e*eta_f - eps)) deps.
+    Nodes whose channel is closed contribute 0: on the exact route a
+    single reactant-side well, on the eff route lam_eff <= 0.
+
+    On the EXACT_ADIABAT route the integral has no window and no
+    adaptivity: closed forms on the downhill pieces of the level-shift
+    axis and a fixed Gauss-Legendre rule on its barrier pieces (see
+    ``ExactAdiabat.pieces``); rel_tol and window_scale do not apply. It
+    raises SurfaceTopologyError if a barrier piece is unbounded.
+
+    On the other routes, adaptive quadrature (``numerics.integrate`` at
+    rel_tol) runs over a window [-W, W], W = 2*lam + |e*eta_f| + 40*kT
+    (times window_scale), doubled until the result is converged to 1e-6
+    relative. Raises AccuracyError, carrying the best estimate of the
+    rate, if the sixth doubling still changes the result by more than
+    that, or if a quadrature gives up.
+    """
+    sys, c, cond = req.sys, req.coupling, req.cond
+    T = cond.temperature
+    b = beta(T)
+    v_half = float(coupling_eval(c, 0.5))
+    a_pref = prefactor(cond.prefactor, sys, v_half, T)
+    if a_pref == 0.0:
+        return 0.0
+    scale = a_pref * cond.rho
+    if req.barrier_method is BarrierMethod.EXACT_ADIABAT:
+        return scale * _exact_integral(ExactAdiabat(sys.lam, c), cond.eta_f, T)
+    e_star = _barrier_of_dg(sys, c, req.barrier_method)
+
+    def integrand(eps):
+        e = e_star(cond.eta_f - eps)
+        boltzmann = np.exp(np.maximum(-b * e, _EXP_FLOOR))
+        return np.where(np.isinf(e), 0.0, fermi_dirac(eps, T) * boltzmann)
+
+    w = (2.0 * sys.lam + abs(cond.eta_f) + 40.0 * K_B * T) * window_scale
+    try:
+        total = _window_integral(integrand, w, rel_tol)
+    except AccuracyError as exc:
+        raise AccuracyError(str(exc), best_estimate=scale * exc.best_estimate) from exc
+    return scale * total
 
 
 def effective_lambda_overpotential(sys, c, eta_f):

@@ -10,8 +10,9 @@ import math
 
 import mpmath as mp
 import numpy as np
+from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
-from scipy.special import erfc
+from scipy.special import erfc, expit
 
 import etkit as ek
 from etkit.barriers import BarrierMethod
@@ -77,6 +78,79 @@ def trapezoid_exact_rate(lam, c, T, eta, rho=1.0, n=40001):
                 max(-b * res.e_star, -700)
             )
     return (K_B * T / H) * rho * np.trapezoid(vals, xs)
+
+
+def topology_flag(lam, c, dg):
+    """Topology of the lower adiabat at level shift dg, from the scalar
+    exact barrier: "closed" (a single reactant-side well), "downhill" (a
+    single product-side well) or "barrier"."""
+    res = ek.barrier(ek.DiabaticSystem(lam, dg), c, BarrierMethod.EXACT_ADIABAT)
+    if res.activationless:
+        return "closed" if res.q_r < 0.5 else "downhill"
+    return "barrier"
+
+
+def flag_changes(lam, c, lo, hi, n=4001, tol=1e-13):
+    """Level shifts in [lo, hi] where topology_flag changes: a scan on n
+    points, then bisection of each change to tol."""
+    grid = np.linspace(lo, hi, n)
+    flags = [topology_flag(lam, c, float(g)) for g in grid]
+    changes = []
+    for a, b, fa, fb in zip(grid[:-1], grid[1:], flags[:-1], flags[1:]):
+        if fa == fb:
+            continue
+        while b - a > tol:
+            mid = 0.5 * (a + b)
+            if topology_flag(lam, c, mid) == fa:
+                a = mid
+            else:
+                b = mid
+        changes.append(0.5 * (a + b))
+    return changes
+
+
+def kink_shifts(lam, coeffs):
+    """Level shifts lam*(2q - 1) at the real roots q in [-0.5, 1.5] of V,
+    where the exact barrier has a kink."""
+    if not any(coeffs):
+        return []
+    roots = np.roots(list(coeffs)[::-1])
+    q = roots.real[np.abs(roots.imag) <= 1e-12]
+    return [lam * (2.0 * x - 1.0) for x in q if -0.5 <= x <= 1.5]
+
+
+def quad_exact_rate(lam, coeffs, T, eta, rho=1.0):
+    """EXACT_ADIABAT rate (1/s, adiabatic prefactor) by scipy's adaptive
+    quad over eps.
+
+    The eps axis is cut at the Fermi step and at eta - dg for every fold
+    and kink shift dg: the folds where the topology flags of the scalar
+    ``ek.barrier`` change, found by bisection on a scan over
+    dg in eta +- (2*lam + |eta| + 40*kT), and the kinks from the roots
+    of V. Each piece is one quad call at epsrel 1e-12; the pieces past
+    the outermost cuts run to +-inf.
+    """
+    c = ek.PolynomialCoupling(tuple(coeffs))
+    b = 1.0 / (K_B * T)
+    w = 2 * lam + abs(eta) + 40 * K_B * T
+    shifts = flag_changes(lam, c, eta - w, eta + w) + kink_shifts(lam, coeffs)
+    assert topology_flag(lam, c, eta + w) == "closed"
+    assert topology_flag(lam, c, eta - w) != "barrier"
+
+    def integrand(eps):
+        res = ek.barrier(
+            ek.DiabaticSystem(lam, eta - eps), c, BarrierMethod.EXACT_ADIABAT
+        )
+        if res.activationless and res.q_r < 0.5:
+            return 0.0
+        return float(expit(-b * eps)) * math.exp(-b * res.e_star)
+
+    cuts = sorted({0.0, *(eta - s for s in shifts)})
+    total = 0.0
+    for lo, hi in zip([-math.inf] + cuts, cuts + [math.inf]):
+        val, _err = quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-12, limit=500)
+        total += val
+    return (K_B * T / H) * rho * total
 
 
 def closed_vs_trapezoid_max_dev():
@@ -150,6 +224,23 @@ def theory_curve_fit_linear(v0, v1, lam=4.0, T=300.0, n=31):
     return float(res.x)
 
 
+# (lam, ascending coefficients of V, T, eta) of the quad_exact_rate pins:
+# the worst stall of the adaptive exact route, couplings that cross 0 at
+# q = 1/2 and q = 0.3 (kinks at dg = 0 and -1.6), and zero and sub-kink
+# couplings
+EXACT_QUAD_CASES = (
+    (4.0, (0.6, 0.4), 400.0, 0.4),
+    (4.0, (0.2, -0.4), 300.0, -0.3),
+    (4.0, (0.2, -0.4), 300.0, 0.0),
+    (4.0, (0.2, -0.4), 300.0, -0.6),
+    (4.0, (0.15, -0.5), 300.0, -1.5),
+    (4.0, (0.0,), 300.0, -0.3),
+    (4.0, (1e-13,), 300.0, -0.3),
+    (2.0, (0.0,), 300.0, -0.2),
+    (2.0, (1e-13,), 300.0, -0.2),
+)
+
+
 def main():
     print("E_minus(q=0; lam=4, dg=0.3, V=1):",
           mp.nstr(pin_lower_adiabat_at_zero(), 17))
@@ -160,6 +251,9 @@ def main():
           mp.nstr(pin_nonadiabatic_prefactor(), 17))
     print("exact rate (lam=4, V=0.5, 300 K, -0.3 V):",
           trapezoid_exact_rate(4.0, ek.ConstantCoupling(0.5), 300.0, -0.3))
+    for lam, coeffs, T, eta in EXACT_QUAD_CASES:
+        print(f"exact rate by quad (lam={lam}, V={coeffs}, {T} K, {eta} V):",
+              quad_exact_rate(lam, coeffs, T, eta))
     print("closed-vs-quadrature max dev (dex):", closed_vs_trapezoid_max_dev())
     print("closed-vs-exact max dev (dex):", closed_vs_exact_max_dev())
     for v0, v1 in ((0.1, 0.5), (0.2, 1.0), (0.6, 1.0)):

@@ -1,12 +1,17 @@
 import math
 
+import mpmath as mp
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etkit.barriers import (
+    BARRIER,
+    CLOSED,
+    DOWNHILL,
     BarrierMethod,
     ExactAdiabat,
     adiabatic_driving_force,
@@ -236,6 +241,17 @@ class TestAlgebraicExtrema:
             assert res.activationless == single[i]
             assert res.q_r == pytest.approx(q_r[i], abs=1e-9)
 
+    @pytest.mark.parametrize("c", [ConstantCoupling(0.0), ConstantCoupling(1e-13)])
+    def test_kink_below_minus_lam_is_no_well(self, c):
+        # for -2*lam < dg0 < -lam the crossing lies in the window at q < 0,
+        # where E_minus = min(E_a, E_b) falls through it: the one well is
+        # the product's, at q = 1. The crossing used to be found twice (a
+        # root of P and the kink candidate) and pass for a reactant well
+        for dg0 in (-7.5, -6.0, -4.5):
+            res = barrier(DiabaticSystem(4.0, dg0), c, BarrierMethod.EXACT_ADIABAT)
+            assert res.activationless
+            assert res.q_r == pytest.approx(1.0, abs=1e-12)
+
     def test_shallow_product_well_is_found(self):
         # a 2001-point scan missed this product well (about 3e-10 eV deep)
         # and returned 0; the inputs are a draw of the barrier_map
@@ -255,6 +271,163 @@ class TestAlgebraicExtrema:
         c = PolynomialCoupling(tuple(f * lam for f in shape))
         got = barrier(s, c, BarrierMethod.EXACT_ADIABAT).e_star
         assert got == pytest.approx(scan_barrier(s, c), abs=1e-8)
+
+
+def stationarity_polynomial(lam, coeffs, dg, mul, sub):
+    """(P, M', h) as ascending coefficients: P = M'^2 g - h^2 with
+    M' = lam*(2q - 1), Delta = M' - dg, g = Delta^2/4 + V^2 and
+    h = lam*Delta/2 + V V'."""
+    v = list(coeffs)
+    dv = [k * c for k, c in enumerate(v)][1:] or [0 * v[0]]
+    slope = [-lam, 2 * lam]
+    delta = [-lam - dg, 2 * lam]
+    g = npoly.polyadd([d / 4 for d in mul(delta, delta)], mul(v, v))
+    h = npoly.polyadd([lam * d / 2 for d in delta], mul(v, dv))
+    return sub(mul(mul(slope, slope), g), mul(h, h)), slope, h
+
+
+def count_float(lam, coeffs, dg):
+    """Stationary points of E_minus in (-0.5, 1.5) at dg, in floats."""
+    p, slope, h = stationarity_polynomial(
+        lam, [float(c) for c in coeffs], dg, npoly.polymul, npoly.polysub
+    )
+    r = npoly.polyroots(p)
+    q = r.real[(np.abs(r.imag) < 1e-9) & (r.real > -0.5) & (r.real < 1.5)]
+    q = q[npoly.polyval(q, slope) * npoly.polyval(q, h) > 0]
+    return len(np.unique(np.round(q, 12)))
+
+
+def count_mp(lam, coeffs, dg):
+    """Stationary points of E_minus in (-0.5, 1.5) at dg: the distinct
+    real roots of P where M' h > 0, in 40-digit mpmath."""
+
+    def mul(a, b):
+        out = [mp.mpf(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    def sub(a, b):
+        n = max(len(a), len(b))
+        a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+        return [x - y for x, y in zip(a, b)]
+
+    with mp.workdps(40):
+        p, slope, h = stationarity_polynomial(
+            mp.mpf(lam), [mp.mpf(c) for c in coeffs], mp.mpf(dg), mul, sub
+        )
+        while p[-1] == 0:
+            p.pop()
+        real = sorted(
+            mp.re(r)
+            for r in mp.polyroots(p[::-1], maxsteps=200, extraprec=200)
+            if abs(mp.im(r)) < 1e-20 and -0.5 < mp.re(r) < 1.5
+        )
+        val = lambda c, x: sum(a * x**k for k, a in enumerate(c))
+        genuine = [x for x in real if val(slope, x) * val(h, x) > 0]
+        # both roots of a double root count once
+        return len(genuine) - sum(b - a <= 1e-15 for a, b in zip(genuine, genuine[1:]))
+
+
+def bisect(flag, a, b, tol=1e-13):
+    """A bracket of width <= tol where flag changes, inside [a, b]."""
+    fa = flag(a)
+    assert flag(b) != fa
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if flag(mid) == fa:
+            a = mid
+        else:
+            b = mid
+    return a, b
+
+
+def topology_flag(lam, c, dg):
+    res = barrier(DiabaticSystem(lam, dg), c, BarrierMethod.EXACT_ADIABAT)
+    return (res.activationless, res.q_r < 0.5)
+
+
+class TestShifts:
+    """Fold points against bisections of the topology of the lower
+    adiabat, independent of the fold polynomial."""
+
+    @pytest.mark.parametrize(
+        "lam, coeffs",
+        [
+            (4.0, (0.5,)),
+            (4.0, (0.6, 0.4)),
+            (4.0, (0.3, 0.5, -0.4)),
+            # V changes sign inside the window
+            (4.0, (0.2, -0.4)),
+            (2.0, (0.1, -0.5, 0.3)),
+        ],
+    )
+    def test_folds_where_stationary_points_appear(self, lam, coeffs):
+        # a float scan finds where the number of stationary points
+        # changes; each change is bisected in floats to 1e-7 eV, where
+        # the two roots that meet are still 1e-4 apart, then in 40-digit
+        # arithmetic
+        shifts = ExactAdiabat(lam, PolynomialCoupling(coeffs)).shifts
+        grid = np.linspace(-3.0 * lam, 3.0 * lam, 401) + 1e-3 * math.pi
+        counts = [count_float(lam, coeffs, d) for d in grid]
+        changes = []
+        for a, b, ca, cb in zip(grid[:-1], grid[1:], counts[:-1], counts[1:]):
+            if ca != cb:
+                a, b = bisect(lambda d: count_float(lam, coeffs, d), a, b, 1e-7)
+                a, b = bisect(lambda d: count_mp(lam, coeffs, d), a, b)
+                changes.append(0.5 * (a + b))
+        assert len(changes) >= 2
+        for x in changes:
+            assert np.abs(shifts - x).min() <= 1e-12, (x, shifts)
+
+    @pytest.mark.parametrize(
+        "c",
+        [
+            ConstantCoupling(0.0),
+            ConstantCoupling(1e-13),
+            LinearCoupling(1e-13, -1e-13),
+            PolynomialCoupling((-1e-13, 0.0, 4e-13)),
+        ],
+    )
+    def test_zero_coupling_folds_at_plus_minus_lam(self, c):
+        # E_minus = min(E_a, E_b): both diabat minima lie on it exactly
+        # when -lam < dg < lam
+        lam = 4.0
+        wells = lambda dg: (0.0 <= lam + dg) + (dg <= lam)
+        adiabat = ExactAdiabat(lam, c)
+        for ends in ((-2.0 * lam, 0.0), (0.0, 2.0 * lam)):
+            x = 0.5 * sum(bisect(wells, *ends))
+            assert np.abs(adiabat.shifts - x).min() <= 1e-12
+        lo, hi, kind = adiabat.pieces()
+        barrier_piece = kind == BARRIER
+        assert lo[barrier_piece][0] == pytest.approx(-lam, abs=1e-12)
+        assert hi[barrier_piece][-1] == pytest.approx(lam, abs=1e-12)
+        assert kind[0] == DOWNHILL and kind[-1] == CLOSED
+
+    def test_single_well_crossing_the_middle(self):
+        # for V >= lam/2 the adiabat has one well for every dg; it moves
+        # from the product side to the reactant side at dg = 2 V V'/lam = 0
+        c = ConstantCoupling(2.5)
+        x = 0.5 * sum(bisect(lambda d: topology_flag(4.0, c, d), -1.0, 1.0))
+        adiabat = ExactAdiabat(4.0, c)
+        assert np.abs(adiabat.shifts - x).min() <= 1e-12
+        lo, hi, kind = adiabat.pieces()
+        assert list(kind) == [DOWNHILL, CLOSED]
+
+    @pytest.mark.parametrize("v0, v1, kink", [(0.2, -0.2, 0.0), (0.15, -0.35, -1.6)])
+    def test_kink_splits_the_barrier_piece(self, v0, v1, kink):
+        # V vanishes at q = (1 + kink/lam)/2: E*(dg) has a kink there
+        lo, hi, kind = ExactAdiabat(4.0, LinearCoupling(v0, v1)).pieces()
+        assert list(kind) == [DOWNHILL, BARRIER, BARRIER, CLOSED]
+        assert hi[1] == pytest.approx(kink, abs=1e-12)
+
+    def test_middle_shift_inside_a_barrier_piece_is_dropped(self):
+        # the transition state passes q = 1/2 at dg = 0 without a change
+        adiabat = ExactAdiabat(4.0, ConstantCoupling(0.5))
+        lo, hi, kind = adiabat.pieces()
+        assert list(kind) == [DOWNHILL, BARRIER, CLOSED]
+        assert 0.0 in adiabat.shifts and 0.0 not in hi
 
 
 class TestAdiabaticDrivingForce:

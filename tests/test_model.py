@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etkit.model import (
     ConstantCoupling,
@@ -137,6 +139,24 @@ class TestAdiabats:
             )
             # gap lower bound from the off-diagonal element
             assert sm.e_plus - sm.e_minus >= 2 * abs(sm.v) - 1e-12
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        lam=st.floats(0.5, 8.0),
+        dg0=st.floats(-2.0, 2.0),
+        coeffs=st.one_of(
+            st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+            st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        ),
+        q=st.floats(-1.0, 2.0),
+    )
+    def test_trace_and_discriminant_identities(self, lam, dg0, coeffs, q):
+        # criterion 11's bounds, for linear and quadratic couplings
+        sm = adiabats(DiabaticSystem(lam, dg0), PolynomialCoupling(coeffs), q)
+        assert abs(sm.e_plus + sm.e_minus - sm.e_a - sm.e_b) <= 1e-10
+        assert abs(
+            (sm.e_plus - sm.e_minus) ** 2 - ((sm.e_a - sm.e_b) ** 2 + 4 * sm.v**2)
+        ) <= 1e-8
 
 
 class TestSurfaceTable:

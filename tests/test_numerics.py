@@ -16,7 +16,14 @@ from etkit.barriers import ExactAdiabat
 from etkit.constants import beta
 from etkit.errors import AccuracyError, NumericalDomainError
 from etkit.model import lower_adiabat
-from etkit.numerics import MAX_LEVEL_NODES, Bracket, erfc, integrate, minimize_1d
+from etkit.numerics import (
+    MAX_LEVEL_NODES,
+    Bracket,
+    erfc,
+    gauss_legendre,
+    integrate,
+    minimize_1d,
+)
 from etkit.rates import fermi_dirac
 
 
@@ -238,6 +245,9 @@ except AccuracyError as exc:
         message, best = json.loads(out.stdout)
         assert f"limit MAX_LEVEL_NODES = {MAX_LEVEL_NODES}" in message
         assert math.isfinite(best) and best > 0.0
+        # a rate in 1/s: the integral's best estimate (0.292 eV) times
+        # the prefactor kT/h (5.54e12 1/s at 265.8 K) and rho = 1
+        assert best == pytest.approx(1.6e12, rel=0.05)
 
     def test_cli_warns_and_exits_zero(self):
         argv = (
@@ -303,6 +313,31 @@ class TestIntegrate:
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
             integrate(lambda x: x, 1.0, 0.0)
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [1, 2, 5, 128])
+    def test_matches_numpy_leggauss(self, n):
+        x, w = gauss_legendre(n)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        assert x == pytest.approx(ref_x, abs=1e-15)
+        assert w == pytest.approx(ref_w, rel=1e-10)
+
+    def test_exact_through_degree_2n_minus_1(self):
+        x, w = gauss_legendre(128)
+        for k in (0, 2, 10, 100, 254):
+            assert np.dot(w, x**k) == pytest.approx(2.0 / (k + 1), rel=1e-13)
+        assert np.dot(w, x**255) == pytest.approx(0.0, abs=1e-15)
+
+    def test_built_once_and_read_only(self):
+        x, w = gauss_legendre(128)
+        assert gauss_legendre(128)[0] is x
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+    def test_rejects_no_nodes(self):
+        with pytest.raises(ValueError):
+            gauss_legendre(0)
 
 
 class TestErfc:

@@ -3,11 +3,24 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from etkit.barriers import BarrierMethod
+from etkit import numerics
+from etkit.barriers import BARRIER, BarrierMethod, ExactAdiabat
 from etkit.constants import H, K_B, beta
-from etkit.errors import AccuracyError, NumericalDomainError, SingularRegimeError
-from etkit.model import ConstantCoupling, DiabaticSystem, LinearCoupling
+from etkit.errors import (
+    AccuracyError,
+    NumericalDomainError,
+    SingularRegimeError,
+    SurfaceTopologyError,
+)
+from etkit.model import (
+    ConstantCoupling,
+    DiabaticSystem,
+    LinearCoupling,
+    PolynomialCoupling,
+)
 from etkit.rates import (
     ElectrodeConditions,
     PrefactorKind,
@@ -190,6 +203,101 @@ class TestNumericRate:
             for eta in (-0.6, -0.3, 0.0, 0.3)
         ]
         assert ks == sorted(ks, reverse=True)
+
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="adaptive Simpson's tolerance comes from a 3-point estimate "
+        "of each interval; at rel_tol 1e-9 this shift-route rate is 4.2e-6 "
+        "off",
+    )
+    def test_shift_route_vs_dense_trapezoid(self):
+        # a draw of the rate_quadrature benchmark workload at seed 9; the
+        # shift barrier is the Marcus one minus V, so the rate is the
+        # Marcus-route integral times e^(beta*V). rel_tol=1e-12 gives
+        # 96160448079.63, the default 96160039821.34
+        lam, v = 4.987393786768216, 0.8657449674903248
+        eta, T = -0.7091994146215426, 326.0451677699748
+        req = RateRequest(
+            DiabaticSystem(lam, 0.0), ConstantCoupling(v),
+            ElectrodeConditions(T, eta, 1.0), BarrierMethod.CONSTANT_SHIFT,
+        )
+        ref = trapezoid_marcus_rate(lam, T, eta) * math.exp(beta(T) * v)
+        assert ref == pytest.approx(96160448079.34, rel=1e-12)
+        assert mhc_rate_numeric(req) == pytest.approx(ref, rel=1e-6)
+
+
+def exact_rate(lam, coeffs, T, eta):
+    return mhc_rate_numeric(
+        RateRequest(
+            DiabaticSystem(lam, 0.0), PolynomialCoupling(tuple(coeffs)),
+            ElectrodeConditions(T, eta, 1.0), BarrierMethod.EXACT_ADIABAT,
+        )
+    )
+
+
+class TestExactRouteFixedRule:
+    # tests/pin_oracles.py::quad_exact_rate: scipy's adaptive quad over
+    # eps at epsrel 1e-12, cut at the fold shifts bisected on the topology
+    # flags of the scalar barrier and at the kinks from the roots of V
+    @pytest.mark.parametrize(
+        "lam, coeffs, T, eta, pin",
+        [
+            # the adaptive route took seconds here: the product well
+            # vanishes at a level shift where E* is about 0.65 eV
+            (4.0, (0.6, 0.4), 400.0, 0.4, 912940.7991629516),
+            # V crosses 0 at q = 1/2: E*(dg) has a kink at dg = 0
+            (4.0, (0.2, -0.4), 300.0, -0.3, 0.0024867253378102866),
+            (4.0, (0.2, -0.4), 300.0, 0.0, 6.070179310991449e-06),
+            (4.0, (0.2, -0.4), 300.0, -0.6, 0.7392744921296626),
+            # and at q = 0.3: a kink at dg = -1.6; without that cut the
+            # rule is 2.4e-5 off
+            (4.0, (0.15, -0.5), 300.0, -1.5, 163680.95376436974),
+            # zero coupling, and one below the kink threshold of 1e-12 eV
+            (4.0, (0.0,), 300.0, -0.3, 0.0021274090970449786),
+            (4.0, (1e-13,), 300.0, -0.3, 0.002127409097053191),
+            (2.0, (0.0,), 300.0, -0.2, 78274.95700481138),
+            (2.0, (1e-13,), 300.0, -0.2, 78274.95700511338),
+        ],
+    )
+    def test_against_quad_pins(self, lam, coeffs, T, eta, pin):
+        assert exact_rate(lam, coeffs, T, eta) == pytest.approx(pin, rel=1e-9)
+
+    @pytest.mark.parametrize("lam, eta", [(4.0, -0.3), (2.0, -0.2)])
+    def test_zero_coupling_is_the_marcus_route(self, lam, eta):
+        ref = trapezoid_marcus_rate(lam, 300.0, eta)
+        for v in (0.0, 1e-13):
+            assert exact_rate(lam, (v,), 300.0, eta) == pytest.approx(ref, rel=1e-9)
+
+    def test_no_adaptive_quadrature(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the exact route called numerics.integrate")
+
+        monkeypatch.setattr(numerics, "integrate", refuse)
+        assert exact_rate(4.0, (0.5,), 300.0, -0.3) > 0.0
+
+    def test_unbounded_barrier_piece_raises(self, monkeypatch):
+        def open_ended(self):
+            return np.array([-np.inf]), np.array([np.inf]), np.array([BARRIER])
+
+        monkeypatch.setattr(ExactAdiabat, "pieces", open_ended)
+        with pytest.raises(SurfaceTopologyError):
+            exact_rate(4.0, (0.5,), 300.0, -0.3)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        lam=st.floats(1.0, 6.0),
+        shape=st.one_of(
+            st.tuples(st.floats(0.02, 0.25), st.floats(-0.2, 0.2)),
+            st.tuples(st.floats(0.02, 0.2), st.floats(-0.2, 0.2), st.floats(-0.2, 0.2)),
+        ),
+        T=st.floats(250.0, 400.0),
+    )
+    def test_tafel_branch_monotone_in_eta(self, lam, shape, T):
+        # the reduction rate grows with the cathodic driving -eta
+        coeffs = tuple(f * lam for f in shape)
+        ks = [exact_rate(lam, coeffs, T, eta) for eta in np.linspace(-1.0, 0.5, 7)]
+        assert all(a > b for a, b in zip(ks, ks[1:]))
 
 
 class TestEffectiveLambdaOverpotential:
