@@ -202,13 +202,14 @@ class ExactAdiabat:
         keep &= (SCAN_Q_LO <= grid) & (grid <= SCAN_Q_HI)
         grid = np.where(keep, grid, SCAN_Q_HI)
         grid.sort(axis=1)
-        # a point found twice (a root at the kink, or both roots of a
-        # double root) is one candidate: as two with equal E_minus, the
-        # left copy would pass for an extremum where E_minus is monotone
-        twice = np.zeros_like(keep)
-        twice[:, 1:] = grid[:, 1:] - grid[:, :-1] <= 1e-12
-        grid[twice] = SCAN_Q_HI
-        grid.sort(axis=1)
+        if kink.any():
+            # a root of P at the kink candidate is one point: as two with
+            # equal E_minus, the left copy would pass for an extremum
+            # where E_minus is monotone (V = 0, dg outside (-lam, lam))
+            twice = np.zeros_like(keep)
+            twice[:, 1:] = grid[:, 1:] - grid[:, :-1] <= 1e-12
+            grid[twice] = SCAN_Q_HI
+            grid.sort(axis=1)
         cand = grid[:, 1:-1]
         valid = (SCAN_Q_LO < cand) & (cand < SCAN_Q_HI)
         # lower_adiabat reads only lam and dg0 of a system; here dg0 is
