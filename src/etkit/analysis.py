@@ -7,8 +7,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import numerics
-from .barriers import BarrierMethod, barrier
+from .barriers import (
+    BarrierMethod,
+    barrier,
+    effective_lambdas,
+    positive_effective_lambda,
+)
 from .constants import K_B
 from .errors import EtkitError
 from .model import (
@@ -21,8 +25,6 @@ from .rates import (
     PrefactorKind,
     RateRequest,
     closed_form_rates,
-    effective_lambda_overpotential,
-    mhc_rate_closed_form,
     mhc_rate_numeric,
 )
 from .tables import SweepTable
@@ -67,8 +69,8 @@ class SweepVariable(enum.Enum):
 class SweepSpec:
     """One swept variable plus the fixed bundle everything else uses.
 
-    ``start``/``stop`` bound the sweep (must differ), ``n`` >= 2 points.
-    ``conditions`` may be None for pure barrier sweeps.
+    ``start``/``stop`` bound the sweep (finite, must differ), ``n`` >= 2
+    points. ``conditions`` may be None for pure barrier sweeps.
     """
 
     variable: SweepVariable
@@ -81,6 +83,10 @@ class SweepSpec:
     conditions: ElectrodeConditions = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(
+                f"sweep bounds must be finite, got {self.start}, {self.stop}"
+            )
         if self.start == self.stop:
             raise ValueError("sweep needs start != stop")
         if self.n < 2:
@@ -147,36 +153,49 @@ def barrier_sweep(spec):
 
 
 def _rate_for_method(spec, method, eta_f, temperature):
-    """One rate evaluation following the per-method route conventions."""
-    cond = replace(
-        spec.conditions, eta_f=float(eta_f), temperature=float(temperature)
+    """One quadrature rate following the per-method route conventions."""
+    prefactor = (
+        PrefactorKind.NON_ADIABATIC
+        if method is BarrierMethod.MARCUS
+        else PrefactorKind.ADIABATIC
     )
-    if method is BarrierMethod.EFFECTIVE_LAMBDA:
-        lam_eff = effective_lambda_overpotential(
-            spec.system, spec.coupling, cond.eta_f
-        )
-        return mhc_rate_closed_form(lam_eff, cond)
-    if method is BarrierMethod.MARCUS:
-        cond = replace(cond, prefactor=PrefactorKind.NON_ADIABATIC)
-    else:
-        cond = replace(cond, prefactor=PrefactorKind.ADIABATIC)
-    req = RateRequest(spec.system, spec.coupling, cond, method)
-    return mhc_rate_numeric(req)
+    cond = replace(
+        spec.conditions,
+        eta_f=float(eta_f),
+        temperature=float(temperature),
+        prefactor=prefactor,
+    )
+    return mhc_rate_numeric(RateRequest(spec.system, spec.coupling, cond, method))
 
 
-def _rate_sweep(spec, xs, eta_of_x, temp_of_x, log_fn, prefix):
-    if spec.conditions is None:
-        raise ValueError("rate sweeps need electrode conditions")
+def _rate_sweep(spec, xs, eta, T, log_fn, prefix):
+    """Rates at the points (eta[i], T[i]) of a sweep over xs.
+
+    The eff column is the closed form at the overpotential-level lam_eff,
+    in one call for the whole sweep; the other methods take one
+    quadrature per point.
+    """
     columns = [_X_COLUMN[spec.variable.value]] + [
         f"{prefix}{METHOD_NAMES[m]}" for m in spec.methods
     ]
+    if BarrierMethod.EFFECTIVE_LAMBDA in spec.methods:
+        lam_eff = effective_lambdas(spec.system.lam, spec.coupling, eta)
+        open_ = lam_eff > 0.0
+        k_eff = np.full(len(xs), math.nan)
+        k_eff[open_] = closed_form_rates(
+            lam_eff[open_], eta[open_], T[open_], spec.conditions.rho
+        )
     rows = []
     warnings = []
-    for x in xs:
+    for i, x in enumerate(xs):
         row = [float(x)]
         for m in spec.methods:
             try:
-                k = _rate_for_method(spec, m, eta_of_x(x), temp_of_x(x))
+                if m is BarrierMethod.EFFECTIVE_LAMBDA:
+                    positive_effective_lambda(lam_eff[i])
+                    k = k_eff[i]
+                else:
+                    k = _rate_for_method(spec, m, eta[i], T[i])
                 if k <= 0.0:
                     raise EtkitError("rate is zero; log undefined")
                 row.append(log_fn(k))
@@ -201,10 +220,9 @@ def tafel_sweep(spec):
         raise ValueError("tafel_sweep sweeps eta_f")
     if spec.conditions is None:
         raise ValueError("rate sweeps need electrode conditions")
-    t0 = spec.conditions.temperature
-    return _rate_sweep(
-        spec, spec.grid(), lambda x: x, lambda x: t0, math.log10, "log10k_"
-    )
+    eta = spec.grid()
+    T = np.full_like(eta, spec.conditions.temperature)
+    return _rate_sweep(spec, eta, eta, T, math.log10, "log10k_")
 
 
 def arrhenius_sweep(spec):
@@ -213,15 +231,11 @@ def arrhenius_sweep(spec):
         raise ValueError("arrhenius_sweep sweeps inv_temperature")
     if spec.conditions is None:
         raise ValueError("rate sweeps need electrode conditions")
-    eta0 = spec.conditions.eta_f
-    return _rate_sweep(
-        spec,
-        spec.grid(),
-        lambda x: eta0,
-        lambda x: 1.0 / x,
-        math.log,
-        "lnk_",
-    )
+    inv_t = spec.grid()
+    if not inv_t[0] > 0.0:
+        raise ValueError(f"inverse temperatures must be positive, got {inv_t[0]}")
+    eta = np.full_like(inv_t, spec.conditions.eta_f)
+    return _rate_sweep(spec, inv_t, eta, 1.0 / inv_t, math.log, "lnk_")
 
 
 @dataclass(frozen=True)
@@ -238,6 +252,8 @@ class FitResult:
 _FIT_LO = 0.05
 _FIT_HI = 10.0
 _FIT_SCAN = 200
+# width (eV) of the bracket at which the refinement of the scan stops
+_FIT_TOL = 1e-9
 
 
 def fit_lambda_eff(eta_f, log10_k, T, rho=1.0):
@@ -246,8 +262,9 @@ def fit_lambda_eff(eta_f, log10_k, T, rho=1.0):
     Fits log10 of the closed-form rate plus a free vertical offset to the
     (eta_f, log10_k) points. The offset is solved in closed form per
     candidate lambda_eff (mean residual); lambda_eff itself comes from a
-    log-spaced scan over [0.05, 10] eV refined by Brent's method. Raises
-    ValueError if the closed form underflows to 0 (very low T).
+    log-spaced scan over [0.05, 10] eV, refined by zooming into the
+    bracket of the best scan point. Raises ValueError if T or rho is not
+    positive, or if the closed form underflows to 0 (very low T).
 
     The model assumes one lambda_eff that does not depend on the
     overpotential. For a q-dependent coupling lam_eff varies with eta, so
@@ -256,6 +273,10 @@ def fit_lambda_eff(eta_f, log10_k, T, rho=1.0):
     mismatch (0.28-0.63 dex for exact-adiabat data with linear couplings
     at lam=4 on eta in [-1, 0.5], 0.11 dex for the Condon case).
     """
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"temperature must be positive, got {T}")
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError(f"rho must be positive, got {rho}")
     eta = np.asarray(eta_f, dtype=float)
     y = np.asarray(log10_k, dtype=float)
     keep = np.isfinite(eta) & np.isfinite(y)
@@ -285,12 +306,17 @@ def fit_lambda_eff(eta_f, log10_k, T, rho=1.0):
         return FitResult(
             float(grid[i]), float(offsets[i]), float(values[i]), len(eta), False
         )
-    bracket = numerics.Bracket(grid[i - 1], grid[i], grid[i + 1])
-    res = numerics.minimize_1d(
-        lambda g: float(objective(g)[0]), bracket, tol_x=1e-9
+    # keep the best of 9 evenly spaced interior points and its two
+    # neighbours: each level narrows the bracket by a factor of 5
+    lo, hi = grid[i - 1], grid[i + 1]
+    while hi - lo > _FIT_TOL:
+        points = np.linspace(lo, hi, 11)
+        values, offsets = objective(points[1:-1])
+        j = int(np.argmin(values))
+        lo, hi = points[j], points[j + 2]
+    return FitResult(
+        float(points[j + 1]), float(offsets[j]), float(values[j]), len(eta), True
     )
-    rms, s = objective(res.x)
-    return FitResult(res.x, float(s), float(rms), len(eta), res.converged)
 
 
 def effective_activation_energy(inv_t, ln_k):

@@ -32,6 +32,7 @@ __all__ = [
     "marcus_barrier",
     "effective_lambda",
     "effective_lambdas",
+    "positive_effective_lambda",
     "barrier",
     "ExactAdiabat",
     "CLOSED",
@@ -96,7 +97,13 @@ def effective_lambda(sys, c):
     Raises SingularRegimeError when the result is non-positive (the
     Marcus-form barrier diverges there).
     """
-    lam_eff = float(effective_lambdas(sys.lam, c, sys.dg0))
+    return positive_effective_lambda(effective_lambdas(sys.lam, c, sys.dg0))
+
+
+def positive_effective_lambda(lam_eff):
+    """lam_eff as a float; raises SingularRegimeError if it is not
+    positive."""
+    lam_eff = float(lam_eff)
     if lam_eff <= 0.0:
         raise SingularRegimeError(
             f"effective reorganization energy non-positive ({lam_eff:.6g} eV)"

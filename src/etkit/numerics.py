@@ -1,14 +1,13 @@
-"""Numerical substrate: Brent minimization, adaptive quadrature, the
-Gauss-Legendre rule, erfc.
+"""Numerical substrate: adaptive quadrature, the Gauss-Legendre rule,
+erfc.
 
 ``integrate`` takes a vectorized integrand: a function of a 1-D float
 array of abscissae that returns the values as an array of the same
 length. It calls it once per refinement level with every node of that
 level, and integrates one interval or, given arrays of interval ends,
-several intervals in the same calls. ``minimize_1d`` works on scalars.
-``gauss_legendre`` builds its nodes once per order, on first use.
-``erfc`` is the standard library's ``math.erfc`` behind a check that
-rejects non-finite input.
+several intervals in the same calls. ``gauss_legendre`` builds its nodes
+once per order, on first use. ``erfc`` is the standard library's
+``math.erfc`` behind a check that rejects non-finite input.
 
 Everything here is a pure function of its arguments and safe for
 concurrent use.
@@ -16,108 +15,21 @@ concurrent use.
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AccuracyError, NumericalDomainError
 
 __all__ = [
-    "Bracket",
-    "ExtremumResult",
-    "minimize_1d",
     "integrate",
     "gauss_legendre",
     "erfc",
 ]
 
-_GOLDEN = 0.3819660112501051  # 2 - golden ratio
-
 # integrate holds every open subinterval of a level at once; a tolerance
 # that cannot be met doubles them each level until memory runs out. The
 # widest level of any integral that converges is about 2.2e5 nodes.
 MAX_LEVEL_NODES = 2**20
-
-
-@dataclass(frozen=True)
-class Bracket:
-    """Three abscissae lo < mid < hi enclosing an extremum."""
-
-    lo: float
-    mid: float
-    hi: float
-
-    def __post_init__(self):
-        if not (self.lo < self.mid < self.hi):
-            raise ValueError(f"bracket must satisfy lo < mid < hi, got {self}")
-
-
-@dataclass(frozen=True)
-class ExtremumResult:
-    x: float
-    fx: float
-    iterations: int
-    converged: bool
-
-
-def minimize_1d(f, bracket, tol_x=1e-10, max_iter=200):
-    """Refine a minimum bracket to width <= tol_x (Brent's method).
-
-    Combines golden-section steps with parabolic interpolation. Returns
-    ``converged=False`` if the iteration cap is hit first.
-    """
-    if tol_x <= 0:
-        raise ValueError(f"tol_x must be positive, got {tol_x}")
-    a, b = bracket.lo, bracket.hi
-    x = w = v = bracket.mid
-    fx = fw = fv = f(x)
-    d = e = 0.0
-    for it in range(1, max_iter + 1):
-        m = 0.5 * (a + b)
-        tol1 = 0.5 * tol_x
-        tol2 = 2.0 * tol1
-        if abs(x - m) <= tol2 - 0.5 * (b - a):
-            return ExtremumResult(x, fx, it, True)
-        use_golden = True
-        if abs(e) > tol1:
-            # trial parabolic fit through (v, w, x)
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            e_prev, e = e, d
-            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
-                d = p / q
-                u = x + d
-                if u - a < tol2 or b - u < tol2:
-                    d = tol1 if x < m else -tol1
-                use_golden = False
-        if use_golden:
-            e = (b if x < m else a) - x
-            d = _GOLDEN * e
-        u = x + d if abs(d) >= tol1 else x + (tol1 if d > 0 else -tol1)
-        fu = f(u)
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, w, x = w, x, u
-            fv, fw, fx = fw, fx, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, w = w, u
-                fv, fw = fw, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    return ExtremumResult(x, fx, max_iter, False)
 
 
 def _simpson(fa, fm, fb, h):

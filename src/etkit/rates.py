@@ -272,19 +272,21 @@ _erfc = np.frompyfunc(numerics.erfc, 1, 1)
 
 
 def closed_form_rates(lambda_eff, eta_f, T, rho):
-    """Closed-form rates (1/s), lambda_eff broadcast against eta_f.
+    """Closed-form rates (1/s), lambda_eff, eta_f and T broadcast against
+    each other.
 
     The array form of ``mhc_rate_closed_form``, with the same arithmetic
-    element by element. Raises SingularRegimeError if any lambda_eff is
-    not positive, and NumericalDomainError if an erfc argument is not
-    finite (e.g. a NaN lambda_eff).
+    element by element. T is taken as valid (finite and positive), as
+    ``ElectrodeConditions`` makes it. Raises SingularRegimeError if any
+    lambda_eff is not positive, and NumericalDomainError if an erfc
+    argument is not finite (e.g. a NaN lambda_eff).
     """
     lambda_eff = np.asarray(lambda_eff, dtype=float)
     if np.any(lambda_eff <= 0.0):
         raise SingularRegimeError(
             f"lambda_eff must be positive, got {lambda_eff}"
         )
-    b = beta(T)
+    b = 1.0 / (K_B * np.asarray(T, dtype=float))
     bl = b * lambda_eff
     be = b * np.asarray(eta_f, dtype=float)
     arg = (bl - np.sqrt(1.0 + np.sqrt(bl) + be * be)) / (2.0 * np.sqrt(bl))
@@ -312,6 +314,8 @@ def mhc_rate_closed_form(lambda_eff, cond):
 def extract_coupling(lam, lambda_eff):
     """Condon coupling recovered from (lam, lambda_eff):
     V = lam/2 - sqrt(lam*lambda_eff)/2."""
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"lam must be positive and finite, got {lam}")
     if not lambda_eff > 0.0:
         raise ValueError(f"lambda_eff must be positive, got {lambda_eff}")
     if lambda_eff > lam:

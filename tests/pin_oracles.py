@@ -183,45 +183,55 @@ def closed_vs_exact_max_dev():
     return worst
 
 
-def theory_curve_fit_linear(v0, v1, lam=4.0, T=300.0, n=31):
-    """Single lambda_eff fitted to the reduced-lambda theory's own Tafel
-    curve for the linear coupling V(q) = v0 + (v1 - v0)*q.
-
-    The curve is log10 of the closed form at
-    lam_eff(eta) = lam - 4*V((lam + eta)/(2*lam)) + 4*V(0)^2/lam on the
-    criterion-10 grid (eta in [-1, 0.5], n points). The closed form is
-    evaluated with scipy's erfc, and the fit (log10 closed form plus a
-    free offset, least squares) is a dense log scan refined by
-    scipy.optimize.minimize_scalar; no etkit routine is called.
-    """
-    eta = np.linspace(-1.0, 0.5, n)
+def log10_closed_form(lam_eff, eta, T, rho=1.0):
+    """log10 of the closed-form rate, evaluated with scipy's erfc."""
     b = 1.0 / (K_B * T)
+    bl, be = b * lam_eff, b * eta
+    arg = (bl - np.sqrt(1 + np.sqrt(bl) + be * be)) / (2 * np.sqrt(bl))
+    return (
+        np.log10(rho)
+        + 0.5 * np.log10(np.pi * lam_eff / b)
+        - np.log10(b * H)
+        - np.log10(1 + np.exp(be))
+        + np.log10(erfc(arg))
+    )
 
-    def log10_closed(lam_eff):
-        bl, be = b * lam_eff, b * eta
-        arg = (bl - np.sqrt(1 + np.sqrt(bl) + be * be)) / (2 * np.sqrt(bl))
-        return (
-            0.5 * np.log10(np.pi * lam_eff / b)
-            - np.log10(b * H)
-            - np.log10(1 + np.exp(be))
-            + np.log10(erfc(arg))
-        )
 
-    q_star = (lam + eta) / (2 * lam)
-    lam_eff_eta = lam - 4 * (v0 + (v1 - v0) * q_star) + 4 * v0 * v0 / lam
-    y = log10_closed(lam_eff_eta)
+def fit_closed_form(eta, y, T, rho=1.0, n_scan=4001):
+    """Single lambda_eff of the least-squares fit of log10 closed form
+    plus a free offset to the points (eta, y).
+
+    A dense log scan over [0.05, 10] eV refined by
+    scipy.optimize.minimize_scalar (Brent); no etkit routine is called.
+    """
+    eta, y = np.asarray(eta, dtype=float), np.asarray(y, dtype=float)
 
     def rms(lam_eff):
-        r = log10_closed(lam_eff) - y
+        r = log10_closed_form(lam_eff, eta, T, rho) - y
         return float(np.sqrt(np.mean((r - r.mean()) ** 2)))
 
-    grid = np.geomspace(0.05, 10.0, 4001)
+    grid = np.geomspace(0.05, 10.0, n_scan)
     i = int(np.argmin([rms(g) for g in grid]))
     res = minimize_scalar(
         rms, bracket=(grid[i - 1], grid[i], grid[i + 1]),
         options={"xtol": 1e-12},
     )
     return float(res.x)
+
+
+def theory_curve_fit_linear(v0, v1, lam=4.0, T=300.0, n=31):
+    """Single lambda_eff fitted to the reduced-lambda theory's own Tafel
+    curve for the linear coupling V(q) = v0 + (v1 - v0)*q.
+
+    The curve is log10 of the closed form at
+    lam_eff(eta) = lam - 4*V((lam + eta)/(2*lam)) + 4*V(0)^2/lam on the
+    criterion-10 grid (eta in [-1, 0.5], n points), fitted by
+    ``fit_closed_form``.
+    """
+    eta = np.linspace(-1.0, 0.5, n)
+    q_star = (lam + eta) / (2 * lam)
+    lam_eff_eta = lam - 4 * (v0 + (v1 - v0) * q_star) + 4 * v0 * v0 / lam
+    return fit_closed_form(eta, log10_closed_form(lam_eff_eta, eta, T), T)
 
 
 # (lam, ascending coefficients of V, T, eta) of the quad_exact_rate pins:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from pin_oracles import fit_closed_form
 
 from etkit.analysis import (
     SweepSpec,
@@ -13,7 +14,7 @@ from etkit.analysis import (
     tafel_sweep,
 )
 from etkit.barriers import BarrierMethod
-from etkit.model import ConstantCoupling, DiabaticSystem
+from etkit.model import ConstantCoupling, DiabaticSystem, LinearCoupling
 from etkit.rates import ElectrodeConditions, mhc_rate_closed_form
 
 ALL_METHODS = (
@@ -37,6 +38,11 @@ class TestSweepSpec:
     def test_rejects_degenerate_range(self):
         with pytest.raises(ValueError):
             spec(SweepVariable.DG0, 0.0, 0.0, 5)
+
+    @pytest.mark.parametrize("start, stop", [(-1.0, math.inf), (math.nan, 0.5)])
+    def test_rejects_non_finite_bounds(self, start, stop):
+        with pytest.raises(ValueError, match="finite"):
+            spec(SweepVariable.ETA_F, start, stop, 5)
 
     def test_rejects_single_point(self):
         with pytest.raises(ValueError):
@@ -110,6 +116,21 @@ class TestTafelSweep:
         col = list(t.column("log10k_eff"))
         assert col == sorted(col, reverse=True)
 
+    def test_zero_rate_leaves_empty_cell_and_warns(self):
+        # at 68 K and lam_eff = 18.05 eV the closed form underflows to 0
+        # for eta above about -0.5 V
+        cond = ElectrodeConditions(68.0, 0.0, 1.0)
+        t = tafel_sweep(
+            spec(SweepVariable.ETA_F, -1.0, 0.5, 7, lam=20.0,
+                 methods=(BarrierMethod.EFFECTIVE_LAMBDA,), conditions=cond)
+        )
+        col = t.column("log10k_eff")
+        assert np.isfinite(col[:3]).all() and np.isnan(col[3:]).all()
+        assert t.warnings == [
+            f"eff failed at eta_f_V={eta:.6g}: rate is zero; log undefined"
+            for eta in t.column("eta_f_V")[3:]
+        ]
+
     def test_requires_conditions(self):
         with pytest.raises(ValueError):
             tafel_sweep(spec(SweepVariable.ETA_F, -0.5, 0.2, 5))
@@ -134,6 +155,18 @@ class TestArrheniusSweep:
         )
         # lam_eff/4 = 0.5625 at eta=0; prefactor T-dependence shifts it
         assert ea == pytest.approx(0.5625, rel=0.15)
+
+    @pytest.mark.parametrize("start", [-1.0 / 300.0, 0.0])
+    def test_rejects_non_positive_inverse_temperature(self, start):
+        # the eff column builds no ElectrodeConditions per point to catch
+        # T <= 0 or T = inf
+        cond = ElectrodeConditions(300.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="must be positive"):
+            arrhenius_sweep(
+                spec(SweepVariable.INV_TEMPERATURE, start, 1.0 / 300.0, 2,
+                     methods=(BarrierMethod.EFFECTIVE_LAMBDA,),
+                     conditions=cond)
+            )
 
     def test_rejects_wrong_variable(self):
         cond = ElectrodeConditions(300.0, 0.0, 1.0)
@@ -167,24 +200,26 @@ class TestEffectiveActivationEnergy:
             effective_activation_energy([1 / 300.0, 1 / 310.0], [1.0, 2.0])
 
 
-class TestFitLambdaEff:
-    def synthetic(self, lam_eff, offset, n=31):
-        eta = np.linspace(-0.8, 0.4, n)
-        y = np.array(
-            [
-                math.log10(
-                    mhc_rate_closed_form(
-                        lam_eff, ElectrodeConditions(300.0, float(e), 1.0)
-                    )
+def synthetic(lam_eff, offset, n=31, T=300.0, rho=1.0):
+    # log10 of the closed form plus offset, on eta in [-0.8, 0.4]
+    eta = np.linspace(-0.8, 0.4, n)
+    y = np.array(
+        [
+            math.log10(
+                mhc_rate_closed_form(
+                    lam_eff, ElectrodeConditions(T, float(e), rho)
                 )
-                + offset
-                for e in eta
-            ]
-        )
-        return eta, y
+            )
+            + offset
+            for e in eta
+        ]
+    )
+    return eta, y
 
+
+class TestFitLambdaEff:
     def test_self_consistent_recovery(self):
-        eta, y = self.synthetic(1.0, 3.5)
+        eta, y = synthetic(1.0, 3.5)
         res = fit_lambda_eff(eta, y, 300.0)
         assert res.converged
         assert res.lambda_eff == pytest.approx(1.0, abs=1e-6)
@@ -194,7 +229,7 @@ class TestFitLambdaEff:
 
     def test_recovery_with_noise(self):
         rng = np.random.default_rng(42)
-        eta, y = self.synthetic(2.25, -1.0)
+        eta, y = synthetic(2.25, -1.0)
         y = y + rng.normal(0.0, 0.02, size=len(y))
         res = fit_lambda_eff(eta, y, 300.0)
         assert res.converged
@@ -208,7 +243,7 @@ class TestFitLambdaEff:
         assert not res.converged
 
     def test_drops_non_finite_and_counts_rest(self):
-        eta, y = self.synthetic(1.0, 0.0, n=12)
+        eta, y = synthetic(1.0, 0.0, n=12)
         y[3] = math.nan
         res = fit_lambda_eff(eta, y, 300.0)
         assert res.n_points == 11
@@ -218,9 +253,71 @@ class TestFitLambdaEff:
         with pytest.raises(ValueError):
             fit_lambda_eff([0.0, 0.1, 0.2], [1.0, 2.0, 3.0], 300.0)
 
+    @pytest.mark.parametrize(
+        "T, rho, match",
+        [
+            (math.nan, 1.0, "temperature"),
+            (0.0, 1.0, "temperature"),
+            (-300.0, 1.0, "temperature"),
+            (300.0, -1.0, "rho"),
+            (300.0, 0.0, "rho"),
+            (300.0, math.inf, "rho"),
+        ],
+    )
+    def test_rejects_bad_temperature_or_rho(self, T, rho, match):
+        eta, y = synthetic(1.0, 0.0)
+        with pytest.raises(ValueError, match=f"{match} must be positive"):
+            fit_lambda_eff(eta, y, T, rho)
+
     def test_underflowing_rate_raises(self):
         # at 20 K the closed form underflows to 0 for large lambda_eff;
         # its log10 must not reach the scan's argmin as -inf
         eta = np.linspace(-0.5, 0.2, 11)
         with pytest.raises(ValueError, match="underflows"):
             fit_lambda_eff(eta, -8.0 * eta, 20.0)
+
+
+def exact_tafel_line(coupling):
+    # criterion 10's data: exact-route Tafel line at lam = 4, 300 K
+    t = tafel_sweep(
+        SweepSpec(
+            variable=SweepVariable.ETA_F, start=-1.0, stop=0.5, n=31,
+            system=DiabaticSystem(4.0, 0.0), coupling=coupling,
+            methods=(BarrierMethod.EXACT_ADIABAT,),
+            conditions=ElectrodeConditions(300.0, 0.0, 1.0),
+        )
+    )
+    return t.column("eta_f_V"), t.column("log10k_exact")
+
+
+class TestFitAgainstScipyOracle:
+    # tests/pin_oracles.py::fit_closed_form: the same least-squares
+    # objective with scipy's erfc, minimized by scipy's Brent
+    def check(self, eta, y, T=300.0, rho=1.0):
+        res = fit_lambda_eff(eta, y, T, rho)
+        assert res.converged
+        ref = fit_closed_form(eta, y, T, rho)
+        assert res.lambda_eff == pytest.approx(ref, rel=1e-7)
+
+    @pytest.mark.parametrize("lam_eff", [0.3, 1.0, 2.25, 6.0])
+    def test_clean_lines(self, lam_eff):
+        eta, y = synthetic(lam_eff, 1.5)
+        self.check(eta, y)
+
+    @pytest.mark.parametrize("lam_eff, seed", [(0.6, 1), (2.25, 2), (4.5, 3)])
+    def test_noisy_lines(self, lam_eff, seed):
+        eta, y = synthetic(lam_eff, -0.5)
+        y = y + np.random.default_rng(seed).normal(0.0, 0.05, size=len(y))
+        self.check(eta, y)
+
+    def test_other_temperature_and_rho(self):
+        eta, y = synthetic(1.7, 0.0, n=25, T=380.0, rho=2.5)
+        self.check(eta, y, 380.0, 2.5)
+
+    @pytest.mark.parametrize(
+        "coupling",
+        [ConstantCoupling(0.5), LinearCoupling(0.1, 0.5),
+         LinearCoupling(0.2, 1.0), LinearCoupling(0.6, 1.0)],
+    )
+    def test_criterion_10_exact_route_data(self, coupling):
+        self.check(*exact_tafel_line(coupling))

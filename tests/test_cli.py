@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from etkit.cli import main, parse_coupling
 from etkit.model import ConstantCoupling, LinearCoupling, PolynomialCoupling
 from etkit.rates import ElectrodeConditions, mhc_rate_closed_form
 from etkit.tables import SweepTable
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -180,6 +184,29 @@ class TestTafel:
             assert logk == pytest.approx(math.log10(ref), abs=1e-7)
 
 
+class TestEffColumnGolden:
+    # stdout and stderr of the per-point closed-form loop that the batched
+    # eff column replaced, byte for byte
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            # lam_eff = 0 at every point
+            ("tafel_eff_singular",
+             "tafel --lambda 1 --coupling const:0.5 --method eff"),
+            # lam_eff <= 0 on part of the line
+            ("tafel_eff_mixed",
+             "tafel --lambda 4 --coupling linear:0.2,1.9 --method eff"),
+            ("arrhenius_eff",
+             "arrhenius --lambda 4 --coupling linear:0.6,1.0 --method eff"),
+        ],
+    )
+    def test_csv_and_warnings_unchanged(self, capsys, name, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 0
+        assert out == (GOLDEN / f"{name}.csv").read_text()
+        assert err == (GOLDEN / f"{name}.err").read_text()
+
+
 class TestArrhenius:
     def test_runs_and_is_monotone(self, capsys):
         code, out, _err = run(
@@ -291,3 +318,12 @@ class TestExtractV:
             capsys, "extract-v", "--lambda", "4", "--lambda-eff", "5",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_exits_2(self, capsys, lam):
+        code, out, err = run(
+            capsys, "extract-v", "--lambda", lam, "--lambda-eff", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "lam must be positive and finite" in err

@@ -11,68 +11,17 @@ import scipy.special
 from recursive_simpson import recursive_simpson
 
 import etkit
-from etkit import ConstantCoupling, DiabaticSystem
+from etkit import ConstantCoupling
 from etkit.barriers import ExactAdiabat
 from etkit.constants import beta
 from etkit.errors import AccuracyError, NumericalDomainError
-from etkit.model import lower_adiabat
 from etkit.numerics import (
     MAX_LEVEL_NODES,
-    Bracket,
     erfc,
     gauss_legendre,
     integrate,
-    minimize_1d,
 )
 from etkit.rates import fermi_dirac
-
-
-def adiabat_fn(lam, v, dg0):
-    sys = DiabaticSystem(lam, dg0)
-    c = ConstantCoupling(v)
-    return lambda q: float(lower_adiabat(sys, c, q))
-
-
-class TestMinimize:
-    def test_shifted_parabola(self):
-        res = minimize_1d(
-            lambda x: (x - 0.3) ** 2, Bracket(-1.0, 0.0, 1.0), tol_x=1e-10
-        )
-        assert res.converged
-        assert res.x == pytest.approx(0.3, abs=1e-10)
-
-    def test_quartic_flat_minimum(self):
-        res = minimize_1d(lambda x: x**4, Bracket(-1.0, 0.3, 1.0))
-        assert res.converged
-        assert res.x == pytest.approx(0.0, abs=1e-6)
-
-    def test_adiabat_reactant_well(self):
-        # closed-form stationary point of the symmetric double well
-        res = minimize_1d(
-            adiabat_fn(4.0, 1.0, 0.0), Bracket(-0.2, 0.05, 0.4), tol_x=1e-10
-        )
-        expected = (1.0 - math.sqrt(1.0 - 4.0 / 16.0)) / 2.0
-        assert res.x == pytest.approx(expected, abs=1e-8)
-
-    def test_random_convex_quadratics(self):
-        rng = np.random.default_rng(20240817)
-        for _ in range(1000):
-            a = rng.uniform(0.1, 5.0)
-            b = rng.uniform(-3.0, 3.0)
-            c = rng.uniform(-3.0, 3.0)
-            vertex = -b / (2 * a)
-            br = Bracket(vertex - 2.0, vertex + rng.uniform(-1.0, 1.0), vertex + 2.0)
-            res = minimize_1d(lambda x: a * x * x + b * x + c, br, tol_x=1e-10)
-            assert res.converged
-            # abscissa accuracy is limited by sqrt(machine eps) near a
-            # quadratic minimum, not by tol_x
-            assert abs(res.x - vertex) <= 1e-7 * (1.0 + abs(vertex))
-
-    def test_iteration_cap(self):
-        res = minimize_1d(
-            lambda x: x * x, Bracket(-1.0, 0.1, 1.0), tol_x=1e-10, max_iter=3
-        )
-        assert not res.converged
 
 
 def step(x):
@@ -369,10 +318,3 @@ class TestErfc:
         with pytest.raises(NumericalDomainError):
             erfc(math.nan)
 
-
-class TestBracket:
-    def test_invariant(self):
-        with pytest.raises(ValueError):
-            Bracket(0.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            Bracket(1.0, 0.5, 0.0)

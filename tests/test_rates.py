@@ -300,6 +300,62 @@ class TestExactRouteFixedRule:
         assert all(a > b for a, b in zip(ks, ks[1:]))
 
 
+def adiabatic_rate(lam, coeffs, T, eta, method):
+    return mhc_rate_numeric(
+        RateRequest(
+            DiabaticSystem(lam, 0.0), PolynomialCoupling(tuple(coeffs)),
+            ElectrodeConditions(T, eta, 1.0, PrefactorKind.ADIABATIC), method,
+        )
+    )
+
+
+class TestMarcusFormRouteProperties:
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        lam=st.floats(0.5, 8.0),
+        coeffs=st.one_of(
+            st.just((0.0,)),
+            st.tuples(st.floats(-1e-12, 1e-12)),
+            st.tuples(st.floats(-1e-12, 1e-12), st.floats(-1e-12, 1e-12)),
+        ),
+        T=st.floats(250.0, 400.0),
+        eta=st.floats(-1.0, 0.5),
+    )
+    def test_zero_coupling_is_the_marcus_route(self, lam, coeffs, T, eta):
+        ref = adiabatic_rate(lam, (0.0,), T, eta, BarrierMethod.MARCUS)
+        for method in (BarrierMethod.CONSTANT_SHIFT, BarrierMethod.EFFECTIVE_LAMBDA):
+            got = adiabatic_rate(lam, coeffs, T, eta, method)
+            assert got == pytest.approx(ref, rel=1e-9)
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(
+        lam=st.floats(1.0, 6.0),
+        shape=st.one_of(
+            st.tuples(st.floats(0.0, 0.1)),
+            st.builds(
+                lambda f0, f1: (f0, f1 - f0), st.floats(0.0, 0.1), st.floats(0.0, 0.1)
+            ),
+        ),
+        T=st.floats(250.0, 400.0),
+    )
+    def test_tafel_branch_monotone_in_eta(self, lam, shape, T):
+        # the reduction rate grows with the cathodic driving -eta; with
+        # |V| <= 0.1*lam on q in [0, 1], lam_eff >= 0.6 eV > |eta|, so
+        # every eta is on the activated branch, and 0.2 V steps change the
+        # rate far more than the quadrature error
+        coeffs = tuple(f * lam for f in shape)
+        for method in (
+            BarrierMethod.MARCUS,
+            BarrierMethod.CONSTANT_SHIFT,
+            BarrierMethod.EFFECTIVE_LAMBDA,
+        ):
+            ks = [
+                adiabatic_rate(lam, coeffs, T, eta, method)
+                for eta in np.linspace(-0.5, 0.5, 6)
+            ]
+            assert all(a > b for a, b in zip(ks, ks[1:])), method
+
+
 class TestEffectiveLambdaOverpotential:
     def test_condon_at_equilibrium(self):
         assert effective_lambda_overpotential(
@@ -374,6 +430,14 @@ class TestClosedForm:
                 )
                 assert got[i, j] == pytest.approx(want, rel=1e-15, abs=0.0)
 
+    def test_temperature_array_equals_scalar_form(self):
+        # the arrhenius eff column: one eta, one temperature per point
+        T = np.array([250.0, 300.0, 350.0])
+        got = closed_form_rates(np.array([0.9, 2.25, 4.0]), -0.3, T, 1.5)
+        for k, lam, t in zip(got, (0.9, 2.25, 4.0), T):
+            want = mhc_rate_closed_form(lam, ElectrodeConditions(t, -0.3, 1.5))
+            assert k == want
+
     def test_nan_lambda_raises_domain_error(self):
         with pytest.raises(NumericalDomainError):
             mhc_rate_closed_form(math.nan, ElectrodeConditions(300.0, 0.0))
@@ -406,3 +470,8 @@ class TestExtractCoupling:
             extract_coupling(4.0, 0.0)
         with pytest.raises(ValueError):
             extract_coupling(4.0, 4.5)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -4.0, 0.0])
+    def test_rejects_non_finite_or_non_positive_lam(self, lam):
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            extract_coupling(lam, 1.0)
