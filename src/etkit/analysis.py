@@ -13,7 +13,7 @@ from .barriers import (
     effective_lambdas,
     positive_effective_lambda,
 )
-from .constants import K_B
+from .constants import K_B, beta
 from .errors import EtkitError
 from .model import (
     ConstantCoupling,
@@ -114,6 +114,32 @@ def _with_coupling_scalar(c, x):
     raise TypeError(f"not a coupling model: {c!r}")
 
 
+def _table(spec, xs, column, cell):
+    """SweepTable of cell(i, method) at each point xs[i] of the sweep,
+    one column per method (column.format(method name)).
+
+    A method that fails at a point leaves an empty cell plus a warning.
+    """
+    columns = [_X_COLUMN[spec.variable.value]] + [
+        column.format(METHOD_NAMES[m]) for m in spec.methods
+    ]
+    rows = []
+    warnings = []
+    for i, x in enumerate(xs):
+        row = [float(x)]
+        for m in spec.methods:
+            try:
+                row.append(cell(i, m))
+            except EtkitError as exc:
+                warnings.append(
+                    f"{METHOD_NAMES[m]} failed at "
+                    f"{columns[0]}={x:.6g}: {exc}"
+                )
+                row.append(math.nan)
+        rows.append(row)
+    return SweepTable(columns=columns, rows=rows, warnings=warnings)
+
+
 def barrier_sweep(spec):
     """Barrier E* (eV) for each method against dg0, a coupling scalar,
     or lam. Method failures leave an empty cell plus a warning."""
@@ -125,88 +151,65 @@ def barrier_sweep(spec):
         raise ValueError(
             f"barrier_sweep cannot sweep {spec.variable.value}"
         )
-    columns = [_X_COLUMN[spec.variable.value]] + [
-        f"Estar_{METHOD_NAMES[m]}_eV" for m in spec.methods
-    ]
-    rows = []
-    warnings = []
-    for x in spec.grid():
-        sys, c = spec.system, spec.coupling
+    xs = spec.grid()
+
+    def cell(i, method):
+        sys, c, x = spec.system, spec.coupling, float(xs[i])
         if spec.variable is SweepVariable.DG0:
-            sys = replace(sys, dg0=float(x))
+            sys = replace(sys, dg0=x)
         elif spec.variable is SweepVariable.LAMBDA:
-            sys = replace(sys, lam=float(x))
+            sys = replace(sys, lam=x)
         else:
-            c = _with_coupling_scalar(c, float(x))
-        row = [float(x)]
-        for m in spec.methods:
-            try:
-                row.append(barrier(sys, c, m).e_star)
-            except EtkitError as exc:
-                warnings.append(
-                    f"{METHOD_NAMES[m]} failed at "
-                    f"{columns[0]}={x:.6g}: {exc}"
-                )
-                row.append(math.nan)
-        rows.append(row)
-    return SweepTable(columns=columns, rows=rows, warnings=warnings)
+            c = _with_coupling_scalar(c, x)
+        return barrier(sys, c, method).e_star
+
+    return _table(spec, xs, "Estar_{}_eV", cell)
 
 
-def _rate_for_method(spec, method, eta_f, temperature):
-    """One quadrature rate following the per-method route conventions."""
-    prefactor = (
-        PrefactorKind.NON_ADIABATIC
-        if method is BarrierMethod.MARCUS
-        else PrefactorKind.ADIABATIC
-    )
-    cond = replace(
-        spec.conditions,
-        eta_f=float(eta_f),
-        temperature=float(temperature),
-        prefactor=prefactor,
-    )
-    return mhc_rate_numeric(RateRequest(spec.system, spec.coupling, cond, method))
-
-
-def _rate_sweep(spec, xs, eta, T, log_fn, prefix):
-    """Rates at the points (eta[i], T[i]) of a sweep over xs.
+def _rate_sweep(spec):
+    """Rates against eta_f (log10 k) or inverse temperature (ln k).
 
     The eff column is the closed form at the overpotential-level lam_eff,
     in one call for the whole sweep; the other methods take one
     quadrature per point.
     """
-    columns = [_X_COLUMN[spec.variable.value]] + [
-        f"{prefix}{METHOD_NAMES[m]}" for m in spec.methods
-    ]
+    cond = spec.conditions
+    if cond is None:
+        raise ValueError("rate sweeps need electrode conditions")
+    xs = spec.grid()
+    if spec.variable is SweepVariable.ETA_F:
+        eta, T = xs, np.full_like(xs, cond.temperature)
+        log_fn, column = math.log10, "log10k_{}"
+    else:
+        if not xs[0] > 0.0:
+            raise ValueError(f"inverse temperatures must be positive, got {xs[0]}")
+        eta, T = np.full_like(xs, cond.eta_f), 1.0 / xs
+        log_fn, column = math.log, "lnk_{}"
     if BarrierMethod.EFFECTIVE_LAMBDA in spec.methods:
         lam_eff = effective_lambdas(spec.system.lam, spec.coupling, eta)
         open_ = lam_eff > 0.0
         k_eff = np.full(len(xs), math.nan)
-        k_eff[open_] = closed_form_rates(
-            lam_eff[open_], eta[open_], T[open_], spec.conditions.rho
-        )
-    rows = []
-    warnings = []
-    for i, x in enumerate(xs):
-        row = [float(x)]
-        for m in spec.methods:
-            try:
-                if m is BarrierMethod.EFFECTIVE_LAMBDA:
-                    positive_effective_lambda(lam_eff[i])
-                    k = k_eff[i]
-                else:
-                    k = _rate_for_method(spec, m, eta[i], T[i])
-                if k <= 0.0:
-                    raise EtkitError("rate is zero; log undefined")
-                row.append(log_fn(k))
-            except EtkitError as exc:
-                warnings.append(
-                    f"{METHOD_NAMES[m]} failed at "
-                    f"{columns[0]}={x:.6g}: {exc}"
-                )
-                row.append(math.nan)
-        rows.append(row)
-    return SweepTable(columns=columns, rows=rows, warnings=warnings)
+        k_eff[open_] = closed_form_rates(lam_eff[open_], eta[open_], T[open_], cond.rho)
+
+    def cell(i, method):
+        if method is BarrierMethod.EFFECTIVE_LAMBDA:
+            positive_effective_lambda(lam_eff[i])
+            k = k_eff[i]
+        else:
+            kind = (
+                PrefactorKind.NON_ADIABATIC
+                if method is BarrierMethod.MARCUS
+                else PrefactorKind.ADIABATIC
+            )
+            point = replace(
+                cond, eta_f=float(eta[i]), temperature=float(T[i]), prefactor=kind
+            )
+            k = mhc_rate_numeric(RateRequest(spec.system, spec.coupling, point, method))
+        if k <= 0.0:
+            raise EtkitError("rate is zero; log undefined")
+        return log_fn(k)
+
+    return _table(spec, xs, column, cell)
 
 
 def tafel_sweep(spec):
@@ -218,24 +221,14 @@ def tafel_sweep(spec):
     """
     if spec.variable is not SweepVariable.ETA_F:
         raise ValueError("tafel_sweep sweeps eta_f")
-    if spec.conditions is None:
-        raise ValueError("rate sweeps need electrode conditions")
-    eta = spec.grid()
-    T = np.full_like(eta, spec.conditions.temperature)
-    return _rate_sweep(spec, eta, eta, T, math.log10, "log10k_")
+    return _rate_sweep(spec)
 
 
 def arrhenius_sweep(spec):
     """ln(k * 1 s) per method against inverse temperature (1/K)."""
     if spec.variable is not SweepVariable.INV_TEMPERATURE:
         raise ValueError("arrhenius_sweep sweeps inv_temperature")
-    if spec.conditions is None:
-        raise ValueError("rate sweeps need electrode conditions")
-    inv_t = spec.grid()
-    if not inv_t[0] > 0.0:
-        raise ValueError(f"inverse temperatures must be positive, got {inv_t[0]}")
-    eta = np.full_like(inv_t, spec.conditions.eta_f)
-    return _rate_sweep(spec, inv_t, eta, 1.0 / inv_t, math.log, "lnk_")
+    return _rate_sweep(spec)
 
 
 @dataclass(frozen=True)
@@ -273,8 +266,7 @@ def fit_lambda_eff(eta_f, log10_k, T, rho=1.0):
     mismatch (0.28-0.63 dex for exact-adiabat data with linear couplings
     at lam=4 on eta in [-1, 0.5], 0.11 dex for the Condon case).
     """
-    if not (math.isfinite(T) and T > 0):
-        raise ValueError(f"temperature must be positive, got {T}")
+    beta(T)  # raises unless finite and positive
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError(f"rho must be positive, got {rho}")
     eta = np.asarray(eta_f, dtype=float)

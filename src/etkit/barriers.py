@@ -9,7 +9,6 @@ the exact barrier is smooth.
 """
 
 import enum
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
@@ -22,6 +21,8 @@ from .model import (
     as_polynomial,
     coupling_eval,
     coupling_max,
+    derivative,
+    horner,
     lower_adiabat,
 )
 
@@ -30,6 +31,7 @@ __all__ = [
     "BarrierResult",
     "marcus_ts",
     "marcus_barrier",
+    "marcus_form",
     "effective_lambda",
     "effective_lambdas",
     "positive_effective_lambda",
@@ -79,7 +81,37 @@ def marcus_ts(sys):
 
 def marcus_barrier(sys):
     """Uncoupled barrier (lam + dg0)^2 / (4*lam)."""
-    return (sys.lam + sys.dg0) ** 2 / (4.0 * sys.lam)
+    return _marcus(sys.lam, sys.dg0)
+
+
+def _marcus(lam, dg):
+    return (lam + dg) ** 2 / (4.0 * lam)
+
+
+def marcus_form(lam, c, method):
+    """The barrier of a Marcus-form method (MARCUS, CONSTANT_SHIFT or
+    EFFECTIVE_LAMBDA) as a function of the driving force dg, a float or
+    an array; built once, called per batch of driving forces.
+
+    +inf marks a closed channel: where lam_eff is not positive, the
+    Marcus-form barrier diverges."""
+    if method is BarrierMethod.MARCUS:
+        return lambda dg: _marcus(lam, dg)
+    if method is BarrierMethod.CONSTANT_SHIFT:
+        v_half = float(coupling_eval(c, 0.5))
+        return lambda dg: _marcus(lam, dg) - v_half
+    if method is BarrierMethod.EFFECTIVE_LAMBDA:
+
+        def eff(dg):
+            lam_eff = effective_lambdas(lam, c, dg)
+            open_ = lam_eff > 0.0
+            # [()] leaves an array as it is and makes a float a numpy
+            # scalar, whose ** 2 is the float's (a 0-d array's is x*x)
+            lam_eff = np.where(open_, lam_eff, 1.0)[()]
+            return np.where(open_, _marcus(lam_eff, dg), np.inf)[()]
+
+        return eff
+    raise TypeError(f"not a Marcus-form barrier method: {method!r}")
 
 
 def effective_lambdas(lam, c, dg0):
@@ -133,12 +165,12 @@ class ExactAdiabat:
         # 1 + degree of P: max(4, 2d + 2, 4d - 2) for a coupling of degree d
         n = max(5, 2 * len(v) + 1, 4 * len(v) - 5)
         # V, V' and V'' as rows of ascending coefficients
+        dv = derivative(v)
+        ddv = derivative(dv)
         taylor = np.zeros((3, len(v)))
-        taylor[0] = v
-        taylor[1, :-1] = v[1:] * np.arange(1.0, len(v))
-        taylor[2, :-1] = taylor[1, 1:] * np.arange(1.0, len(v))
-        # Horner coefficients from the top power down, each a (3, 1, 1) column
-        self._horner = taylor.T[::-1, :, None, None]
+        taylor[0], taylor[1, : len(dv)], taylor[2, : len(ddv)] = v, dv, ddv
+        # for horner: ascending coefficients, each a (3, 1, 1) column
+        self._taylor = taylor.T[:, :, None, None]
         l2 = lam * lam
         m2 = np.zeros(n)  # M'^2 = lam^2 (2q - 1)^2
         m2[:3] = l2, -4.0 * l2, 4.0 * l2
@@ -176,11 +208,7 @@ class ExactAdiabat:
         companion[:, :, -1] = p[:, :-1] / -p[:, -1:]
         roots = np.linalg.eigvals(companion)
         q = roots.real
-        # V, V' and V'' at the roots, by Horner's rule
-        v = self._horner[0] + 0.0 * q
-        for coef in self._horner[1:]:
-            v = v * q + coef
-        v, dv, ddv = v
+        v, dv, ddv = horner(self._taylor, q)
         slope = lam * (2.0 * q - 1.0)
         delta = slope - column
         h = 0.5 * lam * delta + v * dv
@@ -290,7 +318,7 @@ class ExactAdiabat:
         a stationary point sits at q = 1/2: P(1/2) = -h^2 there. A single
         well passes from the product side to the reactant side there."""
         v = as_polynomial(self.coupling).coeffs
-        return 2.0 * float(_polyval(v, 0.5) * _polyval(_derivative(v), 0.5)) / self.lam
+        return 2.0 * float(horner(v, 0.5) * horner(derivative(v), 0.5)) / self.lam
 
     def pieces(self):
         """The level-shift axis cut at ``shifts``, with each piece's kind.
@@ -313,19 +341,6 @@ class ExactAdiabat:
         if kind[i] == kind[i + 1] and abs(coupling_eval(self.coupling, 0.5)) > _KINK_V:
             edges, kind = np.delete(edges, i), np.delete(kind, i)
         return np.append(-np.inf, edges), np.append(edges, np.inf), kind
-
-
-def _derivative(p):
-    """Ascending coefficients of the derivative of p (at least one)."""
-    return p[1:] * np.arange(1.0, len(p)) if len(p) > 1 else np.zeros(1)
-
-
-def _polyval(p, x):
-    """p (ascending coefficients) at x, a scalar or an array."""
-    acc = 0.0 * x
-    for coef in p[::-1]:
-        acc = acc * x + coef
-    return acc
 
 
 def _padd(*polys):
@@ -352,8 +367,8 @@ def _fold_terms(lam, v, dv, ddv, m, k, mul, add):
 def _fold_shifts(lam, v):
     """Level shifts of the fold points: the double roots in q of P, for
     V with ascending coefficients v."""
-    dv = _derivative(v)
-    ddv = _derivative(dv)
+    dv = derivative(v)
+    ddv = derivative(dv)
     l2 = lam * lam
     m, k = np.array([-lam, 2.0 * lam]), np.array([0.0, -4.0 * l2, 4.0 * l2])
     s = _fold_terms(lam, v, dv, ddv, m, k, np.convolve, _padd)
@@ -362,20 +377,20 @@ def _fold_shifts(lam, v):
         s = s[:-1]
     roots = np.roots(s[::-1])
     q = roots.real[np.abs(roots.imag) <= 1e-3]
-    ds = _derivative(s)
+    ds = derivative(s)
     with np.errstate(divide="ignore", invalid="ignore"):
         # Newton's method on S evaluated from V, V' and V'' at q, which
         # is better conditioned than its expanded coefficients
         for _ in range(8):
             m, k = lam * (2.0 * q - 1.0), 4.0 * l2 * q * (q - 1.0)
-            values = _polyval(v, q), _polyval(dv, q), _polyval(ddv, q)
+            values = horner(v, q), horner(dv, q), horner(ddv, q)
             step = _fold_terms(lam, *values, m, k, np.multiply, np.add)
-            step = step / _polyval(ds, q)
+            step = step / horner(ds, q)
             q = q - step
             if not (np.abs(step) > 1e-15).any():
                 break
         m, k = lam * (2.0 * q - 1.0), 4.0 * l2 * q * (q - 1.0)
-        vq, dvq, ddvq = _polyval(v, q), _polyval(dv, q), _polyval(ddv, q)
+        vq, dvq, ddvq = horner(v, q), horner(dv, q), horner(ddv, q)
         # P = a2 Delta^2 + a1 Delta + a0 and dP/dq at fixed dg,
         # b2 Delta^2 + b1 Delta + b0, share the root Delta
         a2, a1, a0 = 0.25 * k, -lam * vq * dvq, vq * vq * (m * m - dvq * dvq)
@@ -408,24 +423,18 @@ def barrier(sys, c, method):
     barriers it predicts for strongly exothermic reactions are part of
     its known pathology.
     """
-    q_star = marcus_ts(sys)
-    if method is BarrierMethod.MARCUS:
-        e = marcus_barrier(sys)
-        return BarrierResult(e, q_star, 0.0, sys.lam, e == 0.0)
-    if method is BarrierMethod.CONSTANT_SHIFT:
-        e = marcus_barrier(sys) - float(coupling_eval(c, 0.5))
-        return BarrierResult(e, q_star, 0.0, sys.lam, False)
-    if method is BarrierMethod.EFFECTIVE_LAMBDA:
-        lam_eff = effective_lambda(sys, c)
-        e = (lam_eff + sys.dg0) ** 2 / (4.0 * lam_eff)
-        return BarrierResult(e, q_star, 0.0, lam_eff, e == 0.0)
     if method is BarrierMethod.EXACT_ADIABAT:
         e, q_ts, q_r, activationless = ExactAdiabat(sys.lam, c).barriers(sys.dg0)
         return BarrierResult(
             float(e[0]), float(q_ts[0]), float(q_r[0]), sys.lam,
             bool(activationless[0]),
         )
-    raise TypeError(f"unknown barrier method: {method!r}")
+    lam_used = sys.lam
+    if method is BarrierMethod.EFFECTIVE_LAMBDA:
+        lam_used = effective_lambda(sys, c)
+    e = float(marcus_form(sys.lam, c, method)(sys.dg0))
+    activationless = method is not BarrierMethod.CONSTANT_SHIFT and e == 0.0
+    return BarrierResult(e, marcus_ts(sys), 0.0, lam_used, activationless)
 
 
 def adiabatic_driving_force(sys, c):

@@ -12,6 +12,6 @@ HBAR = 6.582119569e-16
 
 def beta(temperature):
     """Inverse thermal energy 1/k_B*T in 1/eV for a temperature in K."""
-    if temperature <= 0:
+    if not 0.0 < temperature < float("inf"):
         raise ValueError(f"temperature must be positive, got {temperature}")
     return 1.0 / (K_B * temperature)

@@ -25,6 +25,8 @@ __all__ = [
     "coupling_eval",
     "coupling_max",
     "as_polynomial",
+    "horner",
+    "derivative",
     "diabat_a",
     "diabat_b",
     "adiabats",
@@ -88,27 +90,42 @@ class PolynomialCoupling:
 
 def as_polynomial(c):
     """Canonical polynomial form; value-identical to the original model."""
-    if isinstance(c, ConstantCoupling):
-        return PolynomialCoupling((c.v,))
-    if isinstance(c, LinearCoupling):
-        return PolynomialCoupling((c.v0, c.v1 - c.v0))
+    return c if isinstance(c, PolynomialCoupling) else PolynomialCoupling(_coeffs(c))
+
+
+def _coeffs(c):
+    """Ascending coefficients of V(q) for any coupling model."""
     if isinstance(c, PolynomialCoupling):
-        return c
+        return c.coeffs
+    if isinstance(c, ConstantCoupling):
+        return (c.v,)
+    if isinstance(c, LinearCoupling):
+        return (c.v0, c.v1 - c.v0)
     raise TypeError(f"not a coupling model: {c!r}")
+
+
+def horner(p, x):
+    """The polynomial with ascending coefficients p at x, by Horner's rule.
+
+    x may be an array, and so may each coefficient (a stack of polynomials
+    evaluated in one pass), as long as they broadcast."""
+    if len(p) == 1:
+        return p[0] + 0.0 * x  # a constant, in the shape of x
+    acc = p[-1]
+    for coef in p[-2::-1]:
+        acc = acc * x + coef
+    return acc
+
+
+def derivative(p):
+    """Ascending coefficients of the derivative of the polynomial with
+    ascending coefficients p (at least one coefficient)."""
+    return p[1:] * np.arange(1.0, len(p)) if len(p) > 1 else np.zeros(1)
 
 
 def coupling_eval(c, q):
     """V(q) for any coupling model; q may be a scalar or array."""
-    if isinstance(c, ConstantCoupling):
-        return c.v + 0.0 * q
-    if isinstance(c, LinearCoupling):
-        return c.v0 + q * (c.v1 - c.v0)
-    if isinstance(c, PolynomialCoupling):
-        acc = 0.0 * q
-        for coef in reversed(c.coeffs):
-            acc = acc * q + coef
-        return acc
-    raise TypeError(f"not a coupling model: {c!r}")
+    return horner(_coeffs(c), q)
 
 
 def coupling_max(c):
@@ -117,12 +134,12 @@ def coupling_max(c):
     Taken over q = 0, q = 1 and the real roots of V'(q) inside (0, 1).
     Used for validity heuristics only.
     """
-    poly = as_polynomial(c)
-    slope = np.polyder(poly.coeffs[::-1])
+    v = np.array(_coeffs(c))
+    slope = np.roots(derivative(v)[::-1])
     candidates = [0.0, 1.0] + [
-        r.real for r in np.roots(slope) if r.imag == 0.0 and 0.0 < r.real < 1.0
+        r.real for r in slope if r.imag == 0.0 and 0.0 < r.real < 1.0
     ]
-    return max(abs(float(coupling_eval(poly, q))) for q in candidates)
+    return max(abs(float(horner(v, q))) for q in candidates)
 
 
 def diabat_a(sys, q):
@@ -175,8 +192,8 @@ def surface_table(sys, c, q_lo=-0.5, q_hi=1.5, n=401):
     """Uniform sampling of the surfaces on [q_lo, q_hi] as a SweepTable."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if not q_lo < q_hi:
-        raise ValueError(f"need q_lo < q_hi, got {q_lo}, {q_hi}")
+    if not (math.isfinite(q_lo) and math.isfinite(q_hi) and q_lo < q_hi):
+        raise ValueError(f"need finite q_lo < q_hi, got {q_lo}, {q_hi}")
     qs = np.linspace(q_lo, q_hi, n)
     ea, eb, em, ep, v = adiabat_energies(sys, c, qs)
     v = v + 0.0 * qs  # broadcast for constant couplings

@@ -1,13 +1,11 @@
-"""Numerical substrate: adaptive quadrature, the Gauss-Legendre rule,
-erfc.
+"""Numerical substrate: adaptive quadrature and the Gauss-Legendre rule.
 
 ``integrate`` takes a vectorized integrand: a function of a 1-D float
 array of abscissae that returns the values as an array of the same
 length. It calls it once per refinement level with every node of that
 level, and integrates one interval or, given arrays of interval ends,
 several intervals in the same calls. ``gauss_legendre`` builds its nodes
-once per order, on first use. ``erfc`` is the standard library's
-``math.erfc`` behind a check that rejects non-finite input.
+once per order, on first use.
 
 Everything here is a pure function of its arguments and safe for
 concurrent use.
@@ -18,12 +16,11 @@ import math
 
 import numpy as np
 
-from .errors import AccuracyError, NumericalDomainError
+from .errors import AccuracyError
 
 __all__ = [
     "integrate",
     "gauss_legendre",
-    "erfc",
 ]
 
 # integrate holds every open subinterval of a level at once; a tolerance
@@ -141,12 +138,3 @@ def gauss_legendre(n):
     weights.flags.writeable = False
     return x, weights
 
-
-def erfc(x):
-    """Complementary error function of a finite float (``math.erfc``).
-
-    Underflows to 0 for x above about 27.2.
-    """
-    if not math.isfinite(x):
-        raise NumericalDomainError(f"erfc requires finite x, got {x}")
-    return math.erfc(x)

@@ -23,10 +23,15 @@ from .barriers import (
     BarrierMethod,
     ExactAdiabat,
     effective_lambda,
-    effective_lambdas,
+    marcus_form,
 )
 from .constants import H, HBAR, K_B, beta
-from .errors import AccuracyError, SingularRegimeError, SurfaceTopologyError
+from .errors import (
+    AccuracyError,
+    NumericalDomainError,
+    SingularRegimeError,
+    SurfaceTopologyError,
+)
 from .model import coupling_eval
 
 __all__ = [
@@ -46,6 +51,11 @@ __all__ = [
 _EXP_FLOOR = -700.0
 # Gauss-Legendre nodes on each side of the Fermi step in a barrier piece
 _EXACT_NODES = 128
+# Marcus-form routes: integrate's rel_tol, the first window's half-width
+# in units of 2*lam + |e*eta_f| + 40*kT, and the most window doublings
+_REL_TOL = 1e-9
+_WINDOW_SCALE = 1.0
+_DOUBLINGS = 6
 
 
 class PrefactorKind(enum.Enum):
@@ -68,10 +78,7 @@ class ElectrodeConditions:
     prefactor: PrefactorKind = PrefactorKind.ADIABATIC
 
     def __post_init__(self):
-        if not (math.isfinite(self.temperature) and self.temperature > 0):
-            raise ValueError(
-                f"temperature must be positive, got {self.temperature}"
-            )
+        beta(self.temperature)  # raises unless finite and positive
         if not (math.isfinite(self.rho) and self.rho > 0):
             raise ValueError(f"rho must be positive, got {self.rho}")
         if not math.isfinite(self.eta_f):
@@ -103,40 +110,13 @@ def prefactor(kind, sys, coupling_at_crossing, T):
     rule form (V^2/hbar)*sqrt(pi*beta/lam) with V the coupling at the
     crossing.
     """
+    b = beta(T)  # also rejects a temperature that is not finite and positive
     if kind is PrefactorKind.ADIABATIC:
         return K_B * T / H
     if kind is PrefactorKind.NON_ADIABATIC:
         v = coupling_at_crossing
-        return (v * v / HBAR) * math.sqrt(math.pi * beta(T) / sys.lam)
+        return (v * v / HBAR) * math.sqrt(math.pi * b / sys.lam)
     raise TypeError(f"unknown prefactor kind: {kind!r}")
-
-
-def _barrier_of_dg(sys, c, method):
-    """e_star over an array of level-shifted driving forces dg, on the
-    Marcus-form routes.
-
-    +inf marks a closed channel: a node whose integrand is exactly 0.
-    """
-    lam = sys.lam
-    if method is BarrierMethod.MARCUS:
-        return lambda dg: (lam + dg) ** 2 / (4.0 * lam)
-    if method is BarrierMethod.CONSTANT_SHIFT:
-        v_half = float(coupling_eval(c, 0.5))
-        return lambda dg: (lam + dg) ** 2 / (4.0 * lam) - v_half
-
-    if method is BarrierMethod.EFFECTIVE_LAMBDA:
-
-        def eff(dg):
-            # where lam_eff is not positive the Marcus-form barrier
-            # diverges: the channel is closed, as on the exact route
-            lam_eff = effective_lambdas(lam, c, dg)
-            open_ = lam_eff > 0.0
-            lam_eff = np.where(open_, lam_eff, 1.0)
-            return np.where(open_, (lam_eff + dg) ** 2 / (4.0 * lam_eff), np.inf)
-
-        return eff
-
-    raise TypeError(f"unknown barrier method: {method!r}")
 
 
 def _exact_integral(adiabat, eta, T):
@@ -192,18 +172,18 @@ def _exact_integral(adiabat, eta, T):
     return float(downhill + np.sum(nodes))
 
 
-def _window_integral(integrand, w, rel_tol):
+def _window_integral(integrand, w):
     """Adaptive integral of the integrand over [-w, w], then over windows
     doubled until one doubling changes it by at most 1e-6 relative.
 
     Raises AccuracyError, carrying the best estimate of the integral, if
-    the sixth doubling still changes it by more than that.
+    the last of _DOUBLINGS doublings still changes it by more than that.
     """
-    total = numerics.integrate(integrand, -w, w, rel_tol=rel_tol)
-    for _ in range(6):
+    total = numerics.integrate(integrand, -w, w, rel_tol=_REL_TOL)
+    for _ in range(_DOUBLINGS):
         # both extensions, [-2w, -w] and [w, 2w], in the same calls
         extension = numerics.integrate(
-            integrand, [-2.0 * w, w], [-w, 2.0 * w], rel_tol=rel_tol
+            integrand, [-2.0 * w, w], [-w, 2.0 * w], rel_tol=_REL_TOL
         )
         new_total = total + extension
         converged = abs(new_total - total) <= 1e-6 * abs(new_total)
@@ -212,12 +192,13 @@ def _window_integral(integrand, w, rel_tol):
         if converged:
             return total
     raise AccuracyError(
-        f"rate window still changing after 6 doublings (to +-{w:.6g} eV)",
+        f"rate window still changing after {_DOUBLINGS} doublings "
+        f"(to +-{w:.6g} eV)",
         best_estimate=total,
     )
 
 
-def mhc_rate_numeric(req, rel_tol=1e-9, window_scale=1.0):
+def mhc_rate_numeric(req):
     """Reduction rate in 1/s, integrated over the continuum.
 
     k = A * rho * integral n(eps) * exp(-beta*E*(lam, e*eta_f - eps)) deps.
@@ -227,14 +208,14 @@ def mhc_rate_numeric(req, rel_tol=1e-9, window_scale=1.0):
     On the EXACT_ADIABAT route the integral has no window and no
     adaptivity: closed forms on the downhill pieces of the level-shift
     axis and a fixed Gauss-Legendre rule on its barrier pieces (see
-    ``ExactAdiabat.pieces``); rel_tol and window_scale do not apply. It
-    raises SurfaceTopologyError if a barrier piece is unbounded.
+    ``ExactAdiabat.pieces``). It raises SurfaceTopologyError if a barrier
+    piece is unbounded.
 
     On the other routes, adaptive quadrature (``numerics.integrate`` at
-    rel_tol) runs over a window [-W, W], W = 2*lam + |e*eta_f| + 40*kT
-    (times window_scale), doubled until the result is converged to 1e-6
-    relative. Raises AccuracyError, carrying the best estimate of the
-    rate, if the sixth doubling still changes the result by more than
+    relative tolerance 1e-9) runs over a window [-W, W],
+    W = 2*lam + |e*eta_f| + 40*kT, doubled until the result is converged
+    to 1e-6 relative. Raises AccuracyError, carrying the best estimate of
+    the rate, if the sixth doubling still changes the result by more than
     that, or if a quadrature gives up.
     """
     sys, c, cond = req.sys, req.coupling, req.cond
@@ -247,16 +228,16 @@ def mhc_rate_numeric(req, rel_tol=1e-9, window_scale=1.0):
     scale = a_pref * cond.rho
     if req.barrier_method is BarrierMethod.EXACT_ADIABAT:
         return scale * _exact_integral(ExactAdiabat(sys.lam, c), cond.eta_f, T)
-    e_star = _barrier_of_dg(sys, c, req.barrier_method)
+    e_star = marcus_form(sys.lam, c, req.barrier_method)
 
     def integrand(eps):
         e = e_star(cond.eta_f - eps)
         boltzmann = np.exp(np.maximum(-b * e, _EXP_FLOOR))
         return np.where(np.isinf(e), 0.0, fermi_dirac(eps, T) * boltzmann)
 
-    w = (2.0 * sys.lam + abs(cond.eta_f) + 40.0 * K_B * T) * window_scale
+    w = (2.0 * sys.lam + abs(cond.eta_f) + 40.0 * K_B * T) * _WINDOW_SCALE
     try:
-        total = _window_integral(integrand, w, rel_tol)
+        total = _window_integral(integrand, w)
     except AccuracyError as exc:
         raise AccuracyError(str(exc), best_estimate=scale * exc.best_estimate) from exc
     return scale * total
@@ -268,7 +249,7 @@ def effective_lambda_overpotential(sys, c, eta_f):
     return effective_lambda(replace(sys, dg0=eta_f), c)
 
 
-_erfc = np.frompyfunc(numerics.erfc, 1, 1)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def closed_form_rates(lambda_eff, eta_f, T, rho):
@@ -290,6 +271,11 @@ def closed_form_rates(lambda_eff, eta_f, T, rho):
     bl = b * lambda_eff
     be = b * np.asarray(eta_f, dtype=float)
     arg = (bl - np.sqrt(1.0 + np.sqrt(bl) + be * be)) / (2.0 * np.sqrt(bl))
+    finite = np.isfinite(arg)
+    if not finite.all():
+        raise NumericalDomainError(
+            f"erfc requires finite x, got {float(arg[~finite][0])}"
+        )
     occupancy = 1.0 / (1.0 + np.exp(np.minimum(be, 700.0)))
     return (
         rho

@@ -48,7 +48,7 @@ class SweepTable:
 
     @classmethod
     def from_csv(cls, text):
-        lines = [ln for ln in text.split("\n") if ln != ""]
+        lines = [ln for ln in text.splitlines() if ln != ""]
         if not lines:
             raise ValueError("empty CSV")
         columns = lines[0].split(",")

@@ -64,6 +64,15 @@ class TestSurface:
         assert out == ""
         assert path.read_text().startswith("q,E_a,")
 
+    @pytest.mark.parametrize("bound", ["--qmax=inf", "--qmin=-inf"])
+    def test_non_finite_bound_exits_2(self, capsys, bound):
+        code, out, err = run(
+            capsys, "surface", "--lambda", "4", "--coupling", "const:0.5", bound,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: need finite q_lo < q_hi")
+
 
 class TestBarrier:
     def test_all_methods_fixed_order(self, capsys):

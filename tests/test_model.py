@@ -189,3 +189,10 @@ class TestSurfaceTable:
             surface_table(s, ConstantCoupling(0.5), 0.0, 1.0, 1)
         with pytest.raises(ValueError):
             surface_table(s, ConstantCoupling(0.5), 1.0, 0.0, 10)
+
+    @pytest.mark.parametrize(
+        "q_lo, q_hi", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)]
+    )
+    def test_rejects_non_finite_bounds(self, q_lo, q_hi):
+        with pytest.raises(ValueError, match="finite"):
+            surface_table(DiabaticSystem(4.0, 0.0), ConstantCoupling(0.5), q_lo, q_hi)

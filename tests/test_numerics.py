@@ -6,7 +6,6 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.special
 
 from recursive_simpson import recursive_simpson
 
@@ -14,10 +13,9 @@ import etkit
 from etkit import ConstantCoupling
 from etkit.barriers import ExactAdiabat
 from etkit.constants import beta
-from etkit.errors import AccuracyError, NumericalDomainError
+from etkit.errors import AccuracyError
 from etkit.numerics import (
     MAX_LEVEL_NODES,
-    erfc,
     gauss_legendre,
     integrate,
 )
@@ -289,32 +287,15 @@ class TestGaussLegendre:
             gauss_legendre(0)
 
 
-class TestErfc:
-    def test_at_zero(self):
-        assert erfc(0.0) == 1.0
-
-    def test_reflection_at_three_halves(self):
-        assert erfc(-1.5) == pytest.approx(2.0 - erfc(1.5), abs=1e-14)
-
-    def test_pinned_value_at_one(self):
-        # mpmath 30-digit evaluation
-        assert erfc(1.0) == pytest.approx(0.15729920705028513, rel=1e-13)
-
-    def test_reflection_identity_random(self):
-        rng = np.random.default_rng(99)
-        for x in rng.uniform(-6.0, 6.0, size=1000):
-            assert abs(erfc(float(x)) + erfc(float(-x)) - 2.0) <= 1e-13
-
-    def test_against_scipy_across_range(self):
-        for x in np.linspace(-10.0, 10.0, 4001):
-            ref = scipy.special.erfc(float(x))
-            assert erfc(float(x)) == pytest.approx(ref, rel=5e-13)
-
-    def test_underflow_region(self):
-        assert erfc(30.0) == 0.0
-        assert erfc(-30.0) == 2.0
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(NumericalDomainError):
-            erfc(math.nan)
-
+class TestImport:
+    def test_import_loads_no_scipy_mpmath_or_numpy_polynomial(self):
+        # etkit depends on numpy alone (scipy and mpmath are test oracles),
+        # and every module it loads adds to its start-up time
+        out = run_capped(
+            "import sys\n"
+            "import etkit\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'mpmath') or m.startswith('numpy.polynomial')))\n"
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "[]\n"

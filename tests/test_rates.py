@@ -6,7 +6,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etkit import numerics
+from etkit import numerics, rates
 from etkit.barriers import BARRIER, BarrierMethod, ExactAdiabat
 from etkit.constants import H, K_B, beta
 from etkit.errors import (
@@ -100,6 +100,17 @@ class TestConditionsValidation:
         with pytest.raises(ValueError):
             ElectrodeConditions(300.0, math.inf)
 
+    @pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -300.0])
+    def test_beta_rejects_non_finite_or_non_positive_temperature(self, T):
+        # NaN and inf used to pass (nan <= 0 is False) and give NaN rates
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            beta(T)
+        with pytest.raises(ValueError):
+            fermi_dirac(0.1, T)
+        for kind in PrefactorKind:
+            with pytest.raises(ValueError):
+                prefactor(kind, DiabaticSystem(4.0, 0.0), 0.5, T)
+
 
 def trapezoid_marcus_rate(lam, T, eta, rho=1.0, n=1_000_001):
     """Dense-trapezoid oracle for the Marcus-barrier continuum integral."""
@@ -144,13 +155,17 @@ class TestNumericRate:
         ref = trapezoid_eff_rate(4.0, 0.2, 1.0, 300.0, -0.3)
         assert mhc_rate_numeric(req) == pytest.approx(ref, rel=1e-6)
 
-    def test_window_exhaustion_raises_with_best_estimate(self):
+    def test_window_exhaustion_raises_with_best_estimate(self, monkeypatch):
         s = DiabaticSystem(4.0, 0.0)
         cond = ElectrodeConditions(300.0, -0.3, 1.0)
         req = RateRequest(s, ConstantCoupling(0.5), cond, BarrierMethod.MARCUS)
         full = mhc_rate_numeric(req)
+        # six doublings of a window 1000 times too narrow stop short of
+        # the rate; fewer doublings of the full window would not, because
+        # its first integral already equals the rate to the last bit
+        monkeypatch.setattr(rates, "_WINDOW_SCALE", 1e-3)
         with pytest.raises(AccuracyError) as err:
-            mhc_rate_numeric(req, window_scale=1e-3)
+            mhc_rate_numeric(req)
         assert 0.0 < err.value.best_estimate < full
 
 
@@ -439,9 +454,10 @@ class TestClosedForm:
             assert k == want
 
     def test_nan_lambda_raises_domain_error(self):
-        with pytest.raises(NumericalDomainError):
+        message = "^erfc requires finite x, got nan$"
+        with pytest.raises(NumericalDomainError, match=message):
             mhc_rate_closed_form(math.nan, ElectrodeConditions(300.0, 0.0))
-        with pytest.raises(NumericalDomainError):
+        with pytest.raises(NumericalDomainError, match=message):
             closed_form_rates([1.0, math.nan], 0.0, 300.0, 1.0)
         with pytest.raises(SingularRegimeError):
             closed_form_rates([1.0, 0.0], 0.0, 300.0, 1.0)

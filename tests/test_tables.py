@@ -47,6 +47,11 @@ class TestSweepTable:
         assert back.rows[0] == [0.0, 1.0]
         assert math.isnan(back.rows[1][1])
 
+    def test_from_csv_splits_crlf_lines(self):
+        back = SweepTable.from_csv("eta_f_V,log10k_eff\r\n-1.0,2.0\r\n")
+        assert back.columns == ["eta_f_V", "log10k_eff"]
+        assert back.rows == [[-1.0, 2.0]]
+
     def test_from_csv_rejects_malformed(self):
         with pytest.raises(ValueError):
             SweepTable.from_csv("x,y\n1,2,3\n")
