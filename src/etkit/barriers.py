@@ -18,7 +18,7 @@ import numpy as np
 from .constants import K_B
 from .errors import SingularRegimeError, SurfaceTopologyError
 from .model import (
-    as_polynomial,
+    _coeffs,
     coupling_eval,
     coupling_max,
     derivative,
@@ -156,12 +156,16 @@ class ExactAdiabat:
     solves every dg of a batch. Where V vanishes at the diabatic
     crossing, E_minus has a kink there that is no root of E_minus', so
     the crossing is added as a candidate.
+
+    ``shifts``, ``center_shift`` and ``pieces`` depend on (lam, c) only:
+    each is computed on first use and kept, its arrays read-only.
     """
 
     def __init__(self, lam, c):
         self.lam = lam
         self.coupling = c
-        v = np.array(as_polynomial(c).coeffs)
+        # ascending coefficients of V
+        self._v = v = np.array(_coeffs(c), dtype=float)
         # 1 + degree of P: max(4, 2d + 2, 4d - 2) for a coupling of degree d
         n = max(5, 2 * len(v) + 1, 4 * len(v) - 5)
         # V, V' and V'' as rows of ascending coefficients
@@ -300,7 +304,7 @@ class ExactAdiabat:
         may change nothing.
         """
         lam = self.lam
-        v = np.array(as_polynomial(self.coupling).coeffs)
+        v = self._v
         if coupling_max(self.coupling) <= _KINK_V:
             # E_minus = min(E_a, E_b): the reactant well turns downhill
             # at -lam and the product well vanishes at +lam
@@ -310,14 +314,16 @@ class ExactAdiabat:
         roots = np.roots(v[::-1])
         q = roots.real[np.abs(roots.imag) <= 1e-8]
         kinks = lam * (2.0 * q[(SCAN_Q_LO <= q) & (q <= SCAN_Q_HI)] - 1.0)
-        return _distinct(np.concatenate([folds, kinks, [self.center_shift]]))
+        shifts = _distinct(np.concatenate([folds, kinks, [self.center_shift]]))
+        shifts.flags.writeable = False
+        return shifts
 
-    @property
+    @cached_property
     def center_shift(self):
         """The level shift 2 V V' / lam (at q = 1/2), the only one at which
         a stationary point sits at q = 1/2: P(1/2) = -h^2 there. A single
         well passes from the product side to the reactant side there."""
-        v = as_polynomial(self.coupling).coeffs
+        v = self._v
         return 2.0 * float(horner(v, 0.5) * horner(derivative(v), 0.5)) / self.lam
 
     def pieces(self):
@@ -332,6 +338,10 @@ class ExactAdiabat:
         at q = 1/2 (a kink), so the two pieces next to it are joined when
         they are of the same kind.
         """
+        return self._pieces
+
+    @cached_property
+    def _pieces(self):
         edges = self.shifts
         ends = [edges[0] - self.lam], [edges[-1] + self.lam]
         probes = np.concatenate([ends[0], 0.5 * (edges[:-1] + edges[1:]), ends[1]])
@@ -340,7 +350,10 @@ class ExactAdiabat:
         i = np.abs(edges - self.center_shift).argmin()
         if kind[i] == kind[i + 1] and abs(coupling_eval(self.coupling, 0.5)) > _KINK_V:
             edges, kind = np.delete(edges, i), np.delete(kind, i)
-        return np.append(-np.inf, edges), np.append(edges, np.inf), kind
+        out = np.append(-np.inf, edges), np.append(edges, np.inf), kind
+        for x in out:
+            x.flags.writeable = False
+        return out
 
 
 def _padd(*polys):

@@ -11,6 +11,7 @@ the inverse problem of extracting the coupling.
 """
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -51,6 +52,8 @@ __all__ = [
 _EXP_FLOOR = -700.0
 # Gauss-Legendre nodes on each side of the Fermi step in a barrier piece
 _EXACT_NODES = 128
+# (lam, coupling) pairs whose ExactAdiabat the exact route keeps
+_ADIABAT_CACHE_SIZE = 64
 # Marcus-form routes: integrate's rel_tol, the first window's half-width
 # in units of 2*lam + |e*eta_f| + 40*kT, and the most window doublings
 _REL_TOL = 1e-9
@@ -117,6 +120,13 @@ def prefactor(kind, sys, coupling_at_crossing, T):
         v = coupling_at_crossing
         return (v * v / HBAR) * math.sqrt(math.pi * b / sys.lam)
     raise TypeError(f"unknown prefactor kind: {kind!r}")
+
+
+@functools.lru_cache(maxsize=_ADIABAT_CACHE_SIZE)
+def _exact_adiabat(lam, c):
+    """The ExactAdiabat of (lam, c), shared by every exact rate of that
+    pair: its fold points and pieces depend on neither eta nor T."""
+    return ExactAdiabat(lam, c)
 
 
 def _exact_integral(adiabat, eta, T):
@@ -208,8 +218,11 @@ def mhc_rate_numeric(req):
     On the EXACT_ADIABAT route the integral has no window and no
     adaptivity: closed forms on the downhill pieces of the level-shift
     axis and a fixed Gauss-Legendre rule on its barrier pieces (see
-    ``ExactAdiabat.pieces``). It raises SurfaceTopologyError if a barrier
-    piece is unbounded.
+    ``ExactAdiabat.pieces``). The pieces depend on (lam, coupling) only,
+    so the ``ExactAdiabat`` of a pair is built once and reused by every
+    later rate of that pair, at any eta and T (a bounded cache of
+    _ADIABAT_CACHE_SIZE pairs). It raises SurfaceTopologyError if a
+    barrier piece is unbounded.
 
     On the other routes, adaptive quadrature (``numerics.integrate`` at
     relative tolerance 1e-9) runs over a window [-W, W],
@@ -227,7 +240,7 @@ def mhc_rate_numeric(req):
         return 0.0
     scale = a_pref * cond.rho
     if req.barrier_method is BarrierMethod.EXACT_ADIABAT:
-        return scale * _exact_integral(ExactAdiabat(sys.lam, c), cond.eta_f, T)
+        return scale * _exact_integral(_exact_adiabat(sys.lam, c), cond.eta_f, T)
     e_star = marcus_form(sys.lam, c, req.barrier_method)
 
     def integrand(eps):
@@ -260,7 +273,7 @@ def closed_form_rates(lambda_eff, eta_f, T, rho):
     element by element. T is taken as valid (finite and positive), as
     ``ElectrodeConditions`` makes it. Raises SingularRegimeError if any
     lambda_eff is not positive, and NumericalDomainError if an erfc
-    argument is not finite (e.g. a NaN lambda_eff).
+    argument is not finite (e.g. a NaN or infinite lambda_eff).
     """
     lambda_eff = np.asarray(lambda_eff, dtype=float)
     if np.any(lambda_eff <= 0.0):
@@ -270,7 +283,9 @@ def closed_form_rates(lambda_eff, eta_f, T, rho):
     b = 1.0 / (K_B * np.asarray(T, dtype=float))
     bl = b * lambda_eff
     be = b * np.asarray(eta_f, dtype=float)
-    arg = (bl - np.sqrt(1.0 + np.sqrt(bl) + be * be)) / (2.0 * np.sqrt(bl))
+    # an infinite lambda_eff makes inf - inf: NaN, reported below
+    with np.errstate(invalid="ignore"):
+        arg = (bl - np.sqrt(1.0 + np.sqrt(bl) + be * be)) / (2.0 * np.sqrt(bl))
     finite = np.isfinite(arg)
     if not finite.all():
         raise NumericalDomainError(

@@ -20,6 +20,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_golden(capsys, name, argv):
+    """Exit 0, with stdout and stderr equal to tests/golden/<name>.csv and
+    .err byte for byte."""
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.csv").read_text()
+    assert err == (GOLDEN / f"{name}.err").read_text()
+
+
 class TestParseCoupling:
     def test_constant(self):
         assert parse_coupling("const:0.5") == ConstantCoupling(0.5)
@@ -210,10 +219,25 @@ class TestEffColumnGolden:
         ],
     )
     def test_csv_and_warnings_unchanged(self, capsys, name, argv):
-        code, out, err = run(capsys, *argv.split())
-        assert code == 0
-        assert out == (GOLDEN / f"{name}.csv").read_text()
-        assert err == (GOLDEN / f"{name}.err").read_text()
+        assert_golden(capsys, name, argv)
+
+
+class TestExactColumnGolden:
+    # stdout and stderr of the exact column with one ExactAdiabat built
+    # per rate, before one was shared by every rate of a line
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("tafel_exact_const",
+             "tafel --lambda 4 --coupling const:0.5 --method exact --n 21"),
+            ("tafel_exact_poly",
+             "tafel --lambda 4 --coupling poly:0.3,0.5,-0.4 --method exact --n 21"),
+            ("arrhenius_exact",
+             "arrhenius --lambda 4 --coupling linear:0.6,1.0 --method exact"),
+        ],
+    )
+    def test_csv_and_warnings_unchanged(self, capsys, name, argv):
+        assert_golden(capsys, name, argv)
 
 
 class TestArrhenius:

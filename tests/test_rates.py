@@ -315,6 +315,86 @@ class TestExactRouteFixedRule:
         assert all(a > b for a, b in zip(ks, ks[1:]))
 
 
+class TestExactAdiabatCache:
+    # mhc_rate_numeric keeps one ExactAdiabat per (lam, coupling): its
+    # fold points and pieces do not depend on eta or T
+
+    def test_same_pair_same_instance(self):
+        c = LinearCoupling(0.6, 1.0)
+        adiabat = rates._exact_adiabat(4.0, c)
+        assert rates._exact_adiabat(4.0, LinearCoupling(0.6, 1.0)) is adiabat
+        assert rates._exact_adiabat(3.0, c) is not adiabat
+        assert adiabat.pieces() is adiabat.pieces()
+        assert rates._exact_adiabat.cache_info().maxsize == rates._ADIABAT_CACHE_SIZE
+
+    def test_cached_arrays_are_read_only(self):
+        adiabat = rates._exact_adiabat(4.0, PolynomialCoupling((0.3, 0.5, -0.4)))
+        for x in (adiabat.shifts, *adiabat.pieces()):
+            assert not x.flags.writeable
+            with pytest.raises(ValueError):
+                x[0] = 0
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(
+        lam=st.floats(1.0, 6.0),
+        shape=st.one_of(
+            st.tuples(st.floats(0.02, 0.25)),
+            st.tuples(st.floats(0.02, 0.25), st.floats(-0.2, 0.2)),
+            st.tuples(st.floats(0.02, 0.2), st.floats(-0.2, 0.2), st.floats(-0.2, 0.2)),
+        ),
+        points=st.lists(
+            st.tuples(st.floats(-1.0, 0.5), st.floats(250.0, 400.0)),
+            min_size=2, max_size=4,
+        ),
+    )
+    def test_warm_cache_rates_equal_cold_cache_rates(self, lam, shape, points):
+        # one adiabat serves every (eta, T) of a (lam, c)
+        v = [f * lam for f in shape]
+        if len(v) == 1:
+            c = ConstantCoupling(v[0])
+        elif len(v) == 2:
+            c = LinearCoupling(v[0], v[0] + v[1])
+        else:
+            c = PolynomialCoupling(tuple(v))
+
+        def rate(eta, T):
+            return mhc_rate_numeric(
+                RateRequest(
+                    DiabaticSystem(lam, 0.0), c, ElectrodeConditions(T, eta, 1.0),
+                    BarrierMethod.EXACT_ADIABAT,
+                )
+            )
+
+        cold = []
+        for point in points:
+            rates._exact_adiabat.cache_clear()
+            cold.append(rate(*point))
+        assert [rate(*point) for point in points] == cold
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (ConstantCoupling(0.5), PolynomialCoupling((0.5,))),
+            (LinearCoupling(0.6, 1.0), PolynomialCoupling((0.6, 1.0 - 0.6))),
+        ],
+    )
+    def test_equal_valued_couplings_of_other_types(self, a, b):
+        # distinct keys (the dataclasses compare unequal), equal rates
+        assert a != b
+        assert rates._exact_adiabat(4.0, a) is not rates._exact_adiabat(4.0, b)
+        for eta in (-0.6, -0.3, 0.2):
+            k = [
+                mhc_rate_numeric(
+                    RateRequest(
+                        DiabaticSystem(4.0, 0.0), c, ElectrodeConditions(300.0, eta),
+                        BarrierMethod.EXACT_ADIABAT,
+                    )
+                )
+                for c in (a, b)
+            ]
+            assert k[0] == k[1]
+
+
 def adiabatic_rate(lam, coeffs, T, eta, method):
     return mhc_rate_numeric(
         RateRequest(
@@ -461,6 +541,14 @@ class TestClosedForm:
             closed_form_rates([1.0, math.nan], 0.0, 300.0, 1.0)
         with pytest.raises(SingularRegimeError):
             closed_form_rates([1.0, 0.0], 0.0, 300.0, 1.0)
+
+    def test_infinite_lambda_raises_domain_error(self):
+        # inf - inf in the erfc argument is NaN: the error, not a warning
+        message = "^erfc requires finite x, got nan$"
+        with pytest.raises(NumericalDomainError, match=message):
+            mhc_rate_closed_form(math.inf, ElectrodeConditions(300.0, 0.0))
+        with pytest.raises(NumericalDomainError, match=message):
+            closed_form_rates([1.0, math.inf], -0.3, 300.0, 1.0)
 
 
 class TestExtractCoupling:
