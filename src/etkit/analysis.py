@@ -33,20 +33,12 @@ __all__ = [
     "SweepVariable",
     "SweepSpec",
     "FitResult",
-    "METHOD_NAMES",
     "barrier_sweep",
     "tafel_sweep",
     "arrhenius_sweep",
     "fit_lambda_eff",
     "effective_activation_energy",
 ]
-
-METHOD_NAMES = {
-    BarrierMethod.MARCUS: "marcus",
-    BarrierMethod.CONSTANT_SHIFT: "shift",
-    BarrierMethod.EFFECTIVE_LAMBDA: "eff",
-    BarrierMethod.EXACT_ADIABAT: "exact",
-}
 
 _X_COLUMN = {
     "dg0": "dG0_eV",
@@ -121,7 +113,7 @@ def _table(spec, xs, column, cell):
     A method that fails at a point leaves an empty cell plus a warning.
     """
     columns = [_X_COLUMN[spec.variable.value]] + [
-        column.format(METHOD_NAMES[m]) for m in spec.methods
+        column.format(m.value) for m in spec.methods
     ]
     rows = []
     warnings = []
@@ -132,7 +124,7 @@ def _table(spec, xs, column, cell):
                 row.append(cell(i, m))
             except EtkitError as exc:
                 warnings.append(
-                    f"{METHOD_NAMES[m]} failed at "
+                    f"{m.value} failed at "
                     f"{columns[0]}={x:.6g}: {exc}"
                 )
                 row.append(math.nan)

@@ -390,6 +390,9 @@ def _fold_shifts(lam, v):
         s = s[:-1]
     roots = np.roots(s[::-1])
     q = roots.real[np.abs(roots.imag) <= 1e-3]
+    # a root far outside the window is rejected below anyway, and its
+    # Newton iterates can overflow
+    q = q[(SCAN_Q_LO - 1.0 <= q) & (q <= SCAN_Q_HI + 1.0)]
     ds = derivative(s)
     with np.errstate(divide="ignore", invalid="ignore"):
         # Newton's method on S evaluated from V, V' and V'' at q, which

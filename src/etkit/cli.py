@@ -11,11 +11,9 @@ or domain error, 3 model error under --strict, 4 fit non-convergence.
 
 import argparse
 import json
-import math
 import sys as _sys
 
 from .analysis import (
-    METHOD_NAMES,
     SweepSpec,
     SweepVariable,
     arrhenius_sweep,
@@ -34,14 +32,6 @@ from .model import (
 )
 from .rates import ElectrodeConditions, extract_coupling
 from .tables import SweepTable, format_number
-
-_METHOD_ORDER = [
-    BarrierMethod.MARCUS,
-    BarrierMethod.CONSTANT_SHIFT,
-    BarrierMethod.EFFECTIVE_LAMBDA,
-    BarrierMethod.EXACT_ADIABAT,
-]
-_METHOD_BY_NAME = {v: k for k, v in METHOD_NAMES.items()}
 
 
 class UsageError(Exception):
@@ -69,12 +59,13 @@ def parse_coupling(spec):
 
 def _parse_methods(name):
     if name == "all":
-        return tuple(_METHOD_ORDER)
-    if name in _METHOD_BY_NAME:
-        return (_METHOD_BY_NAME[name],)
-    raise UsageError(
-        f"unknown method {name!r}; expected all, marcus, shift, eff or exact"
-    )
+        return tuple(BarrierMethod)
+    try:
+        return (BarrierMethod(name),)
+    except ValueError:
+        raise UsageError(
+            f"unknown method {name!r}; expected all, marcus, shift, eff or exact"
+        ) from None
 
 
 # (flag, json key, type, built-in default) per subcommand; None default
@@ -235,10 +226,8 @@ def _cmd_barrier(opt, args):
     methods = _parse_methods(opt["method"])
     lines = ["method,E_star_eV,q_ts,q_r,lambda_used_eV,activationless"]
     warnings = []
-    for m in _METHOD_ORDER:
-        if m not in methods:
-            continue
-        name = METHOD_NAMES[m]
+    for m in methods:
+        name = m.value
         try:
             res = barrier(sys_, c, m)
         except EtkitError as exc:
@@ -399,11 +388,8 @@ def main(argv=None):
               file=_sys.stderr)
         return 2
     except (EtkitError, ValueError) as exc:
-        if args.strict:
-            print(f"error: {exc}", file=_sys.stderr)
-            return 3
         print(f"error: {exc}", file=_sys.stderr)
-        return 2
+        return 3 if args.strict else 2
 
 
 if __name__ == "__main__":

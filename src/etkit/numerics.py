@@ -3,9 +3,7 @@
 ``integrate`` takes a vectorized integrand: a function of a 1-D float
 array of abscissae that returns the values as an array of the same
 length. It calls it once per refinement level with every node of that
-level, and integrates one interval or, given arrays of interval ends,
-several intervals in the same calls. ``gauss_legendre`` builds its nodes
-once per order, on first use.
+level. ``gauss_legendre`` builds its nodes once per order, on first use.
 
 Everything here is a pure function of its arguments and safe for
 concurrent use.
@@ -37,33 +35,26 @@ def integrate(f, a, b, rel_tol=1e-9, abs_tol=1e-300, max_depth=60):
     """Adaptive Simpson quadrature of a vectorized f on [a, b].
 
     ``f`` takes a 1-D float array of abscissae and returns the values as
-    an array of the same length. ``a`` and ``b`` are floats, or
-    equal-length 1-D arrays of interval ends; the result is then the sum
-    of the integrals over the intervals [a[i], b[i]], each refined with
-    its own tolerance as if integrated alone.
+    an array of the same length; ``a`` and ``b`` are floats.
 
     A subinterval is accepted once splitting it changes its Simpson value
     by at most 15*tol, and contributes the split value plus the
     Richardson term; otherwise both halves are refined with tol/2. The
-    starting tol of an interval is max(abs_tol, rel_tol*|S|), with S its
-    three-point Simpson value. All open subintervals of one depth are
+    starting tol is max(abs_tol, rel_tol*|S|), with S the three-point
+    Simpson value of [a, b]. All open subintervals of one depth are
     evaluated in a single call to f, so f sees the nodes of the
     depth-first recursion, in batches. Raises AccuracyError (carrying the
     best estimate) if a subinterval is still open at depth max_depth, or
     before a depth that would evaluate more than MAX_LEVEL_NODES nodes.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ValueError("a and b must be floats or equal-length 1-D arrays")
-    if not np.all(a < b):
+    if not a < b:
         raise ValueError(f"need a < b, got {a}, {b}")
     if rel_tol <= 0 or abs_tol <= 0:
         raise ValueError("tolerances must be positive")
+    # the open subintervals of a level, as arrays: one to start with
+    a, b = np.array([a], dtype=float), np.array([b], dtype=float)
     m = 0.5 * (a + b)
-    n = len(a)
-    fx = np.asarray(f(np.concatenate([a, m, b])))
-    fa, fm, fb = fx[:n], fx[n : 2 * n], fx[2 * n :]
+    fa, fm, fb = np.asarray(f(np.concatenate([a, m, b]))).reshape(3, 1)
     whole = _simpson(fa, fm, fb, b - a)
     tol = np.maximum(abs_tol, rel_tol * np.abs(whole))
     parts = []

@@ -54,11 +54,9 @@ _EXP_FLOOR = -700.0
 _EXACT_NODES = 128
 # (lam, coupling) pairs whose ExactAdiabat the exact route keeps
 _ADIABAT_CACHE_SIZE = 64
-# Marcus-form routes: integrate's rel_tol, the first window's half-width
-# in units of 2*lam + |e*eta_f| + 40*kT, and the most window doublings
+# Marcus-form routes: integrate's rel_tol, and the most the mass outside
+# the window may be, relative to the window's integral
 _REL_TOL = 1e-9
-_WINDOW_SCALE = 1.0
-_DOUBLINGS = 6
 
 
 class PrefactorKind(enum.Enum):
@@ -182,32 +180,6 @@ def _exact_integral(adiabat, eta, T):
     return float(downhill + np.sum(nodes))
 
 
-def _window_integral(integrand, w):
-    """Adaptive integral of the integrand over [-w, w], then over windows
-    doubled until one doubling changes it by at most 1e-6 relative.
-
-    Raises AccuracyError, carrying the best estimate of the integral, if
-    the last of _DOUBLINGS doublings still changes it by more than that.
-    """
-    total = numerics.integrate(integrand, -w, w, rel_tol=_REL_TOL)
-    for _ in range(_DOUBLINGS):
-        # both extensions, [-2w, -w] and [w, 2w], in the same calls
-        extension = numerics.integrate(
-            integrand, [-2.0 * w, w], [-w, 2.0 * w], rel_tol=_REL_TOL
-        )
-        new_total = total + extension
-        converged = abs(new_total - total) <= 1e-6 * abs(new_total)
-        total = new_total
-        w *= 2.0
-        if converged:
-            return total
-    raise AccuracyError(
-        f"rate window still changing after {_DOUBLINGS} doublings "
-        f"(to +-{w:.6g} eV)",
-        best_estimate=total,
-    )
-
-
 def mhc_rate_numeric(req):
     """Reduction rate in 1/s, integrated over the continuum.
 
@@ -224,12 +196,19 @@ def mhc_rate_numeric(req):
     _ADIABAT_CACHE_SIZE pairs). It raises SurfaceTopologyError if a
     barrier piece is unbounded.
 
-    On the other routes, adaptive quadrature (``numerics.integrate`` at
-    relative tolerance 1e-9) runs over a window [-W, W],
-    W = 2*lam + |e*eta_f| + 40*kT, doubled until the result is converged
-    to 1e-6 relative. Raises AccuracyError, carrying the best estimate of
-    the rate, if the sixth doubling still changes the result by more than
-    that, or if a quadrature gives up.
+    On the Marcus-form routes, one adaptive quadrature
+    (``numerics.integrate`` at relative tolerance 1e-9) runs over the
+    window [-W, W], W = 2*lam + |e*eta_f| + 40*kT. The mass outside it is
+    bounded in closed form: every Marcus-form barrier has
+    E*(dg) >= dg - v_s and E* >= -v_s, with v_s = max(V(1/2), 0) on the
+    shift route and 0 on the others, because (l + dg)^2/(4 l) - dg =
+    (l - dg)^2/(4 l) >= 0 for every l > 0. With n(eps) <= e^(-beta*eps)
+    above the window and n <= 1 below it, the tails hold at most
+    B = kT (e^(beta(v_s - W)) + e^(beta(v_s - e*eta_f - W))). Raises
+    AccuracyError, carrying the best estimate of the rate, unless
+    B <= 1e-9 times the window's integral (a rate whose every node is
+    closed, e.g. lam_eff = 0 everywhere, has integral 0 and raises with
+    0), or if the quadrature gives up.
     """
     sys, c, cond = req.sys, req.coupling, req.cond
     T = cond.temperature
@@ -248,11 +227,23 @@ def mhc_rate_numeric(req):
         boltzmann = np.exp(np.maximum(-b * e, _EXP_FLOOR))
         return np.where(np.isinf(e), 0.0, fermi_dirac(eps, T) * boltzmann)
 
-    w = (2.0 * sys.lam + abs(cond.eta_f) + 40.0 * K_B * T) * _WINDOW_SCALE
+    w = 2.0 * sys.lam + abs(cond.eta_f) + 40.0 * K_B * T
     try:
-        total = _window_integral(integrand, w)
+        total = numerics.integrate(integrand, -w, w, rel_tol=_REL_TOL)
     except AccuracyError as exc:
         raise AccuracyError(str(exc), best_estimate=scale * exc.best_estimate) from exc
+    v_s = 0.0
+    if req.barrier_method is BarrierMethod.CONSTANT_SHIFT:
+        v_s = max(v_half, 0.0)
+    # each term in one exponent, which w >= |eta| + 40 kT keeps below
+    # beta*v_s - 40
+    tail = K_B * T * (np.exp(b * (v_s - w)) + np.exp(b * (v_s - cond.eta_f - w)))
+    if not tail <= _REL_TOL * total:
+        raise AccuracyError(
+            f"tail bound {tail:.3g} eV outside the window +-{w:.6g} eV exceeds "
+            f"{_REL_TOL:g} of the window's integral {total:.3g} eV",
+            best_estimate=scale * total,
+        )
     return scale * total
 
 

@@ -6,6 +6,7 @@ oracles in tests/pin_oracles.py before this suite was written.
 """
 
 import math
+import os
 import subprocess
 import sys
 
@@ -313,10 +314,14 @@ def test_criterion_11_invariant_bundle():
         "barrier", "--lambda", "4", "--dg", "0.3",
         "--coupling", "linear:0.6,1.0",
     ]
+    # the child imports the etkit under test, installed or not
+    src = os.path.dirname(os.path.dirname(ek.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outs = [
         subprocess.run(
             [sys.executable, "-m", "etkit.cli"] + argv,
             capture_output=True,
+            env=dict(os.environ, PYTHONPATH=path),
         ).stdout
         for _ in range(2)
     ]

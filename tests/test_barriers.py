@@ -361,6 +361,17 @@ class TestShifts:
             # V changes sign inside the window
             (4.0, (0.2, -0.4)),
             (2.0, (0.1, -0.5, 0.3)),
+            # S has real roots near q = -1772, 1744 and 1.2e5, whose
+            # Newton iterates overflowed (a RuntimeWarning)
+            (
+                4.4130502741804705,
+                (
+                    -0.018439452543070407,
+                    -0.08707572239492894,
+                    -0.04452721529016039,
+                    -0.0010246964728557546,
+                ),
+            ),
         ],
     )
     def test_folds_where_stationary_points_appear(self, lam, coeffs):

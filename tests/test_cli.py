@@ -240,6 +240,24 @@ class TestExactColumnGolden:
         assert_golden(capsys, name, argv)
 
 
+class TestMarcusFormColumnGolden:
+    # stdout and stderr of the Marcus-form columns when a rate doubled its
+    # window until the integral stopped changing
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("tafel_marcus_const",
+             "tafel --lambda 4 --coupling const:0.5 --method marcus"),
+            ("tafel_shift_linear",
+             "tafel --lambda 4 --coupling linear:0.6,1.0 --method shift"),
+            ("arrhenius_shift",
+             "arrhenius --lambda 4 --coupling linear:0.6,1.0 --method shift"),
+        ],
+    )
+    def test_csv_and_warnings_unchanged(self, capsys, name, argv):
+        assert_golden(capsys, name, argv)
+
+
 class TestArrhenius:
     def test_runs_and_is_monotone(self, capsys):
         code, out, _err = run(

@@ -120,33 +120,6 @@ class TestIntegrateMatchesRecursion:
         assert vec.nodes == ref.nodes
 
 
-class TestIntegrateIntervals:
-    def test_sum_of_separate_calls(self):
-        _lam, _eta, w, f = continuum_integrand()
-        vec, left, right = Counted(f), Counted(f), Counted(f)
-        both = integrate(vec, [-2 * w, w], [-w, 2 * w])
-        apart = integrate(left, -2 * w, -w) + integrate(right, w, 2 * w)
-        assert both == pytest.approx(apart, rel=1e-14)
-        assert vec.nodes == left.nodes + right.nodes
-
-    def test_each_interval_keeps_its_own_tolerance(self):
-        # next to a large integral, a tiny one is still refined to rel_tol
-        # of itself: the same nodes as when integrated alone
-        g = lambda x: np.exp(-x * x)
-        vec, big, tiny = Counted(g), Counted(g), Counted(g)
-        integrate(vec, [-1.0, 5.0], [1.0, 6.0])
-        integrate(big, -1.0, 1.0)
-        integrate(tiny, 5.0, 6.0)
-        assert tiny.nodes > 5
-        assert vec.nodes == big.nodes + tiny.nodes
-
-    def test_rejects_mismatched_ends(self):
-        with pytest.raises(ValueError):
-            integrate(lambda x: x, [0.0, 1.0], [1.0])
-        with pytest.raises(ValueError):
-            integrate(lambda x: x, [0.0, 2.0], [1.0, 1.5])
-
-
 def run_capped(code, limit=1 << 30):
     """Run Python code in a child process whose address space is capped
     at ``limit`` bytes, so that quadrature levels that keep doubling end

@@ -155,20 +155,6 @@ class TestNumericRate:
         ref = trapezoid_eff_rate(4.0, 0.2, 1.0, 300.0, -0.3)
         assert mhc_rate_numeric(req) == pytest.approx(ref, rel=1e-6)
 
-    def test_window_exhaustion_raises_with_best_estimate(self, monkeypatch):
-        s = DiabaticSystem(4.0, 0.0)
-        cond = ElectrodeConditions(300.0, -0.3, 1.0)
-        req = RateRequest(s, ConstantCoupling(0.5), cond, BarrierMethod.MARCUS)
-        full = mhc_rate_numeric(req)
-        # six doublings of a window 1000 times too narrow stop short of
-        # the rate; fewer doublings of the full window would not, because
-        # its first integral already equals the rate to the last bit
-        monkeypatch.setattr(rates, "_WINDOW_SCALE", 1e-3)
-        with pytest.raises(AccuracyError) as err:
-            mhc_rate_numeric(req)
-        assert 0.0 < err.value.best_estimate < full
-
-
     def test_marcus_route_vs_dense_trapezoid(self):
         s = DiabaticSystem(1.55, 0.0)
         cond = ElectrodeConditions(300.0, -0.2, 1.0)
@@ -240,6 +226,83 @@ class TestNumericRate:
         ref = trapezoid_marcus_rate(lam, T, eta) * math.exp(beta(T) * v)
         assert ref == pytest.approx(96160448079.34, rel=1e-12)
         assert mhc_rate_numeric(req) == pytest.approx(ref, rel=1e-6)
+
+
+MARCUS_FORM = (
+    BarrierMethod.MARCUS,
+    BarrierMethod.CONSTANT_SHIFT,
+    BarrierMethod.EFFECTIVE_LAMBDA,
+)
+
+
+class TestTailBound:
+    # a Marcus-form rate integrates one window and bounds the mass outside
+    # it in closed form
+
+    def test_narrow_open_channel_raises_naming_the_bound(self):
+        # Condon lam_eff = 1e-4 eV: the channel is 3e-3 eV wide and the
+        # quadrature's first nodes miss it, so the window's integral is
+        # the e^-700 floor; the closed form puts the rate near 3.6e10 1/s
+        cond = ElectrodeConditions(300.0, -0.3)
+        closed = mhc_rate_closed_form(
+            effective_lambda_overpotential(
+                DiabaticSystem(4.0, 0.0), ConstantCoupling(1.99), -0.3
+            ),
+            cond,
+        )
+        assert closed == pytest.approx(3.6e10, rel=0.02)
+        with pytest.raises(AccuracyError, match="^tail bound .* exceeds 1e-09 of"):
+            adiabatic_rate(4.0, (1.99,), 300.0, -0.3, BarrierMethod.EFFECTIVE_LAMBDA)
+
+    def test_channel_closed_everywhere_raises_with_zero(self):
+        # V = lam/2 makes lam_eff = 0 at every driving force: the window's
+        # integral is 0, which no tail bound can certify
+        with pytest.raises(AccuracyError, match="^tail bound") as err:
+            adiabatic_rate(4.0, (2.0,), 300.0, -0.3, BarrierMethod.EFFECTIVE_LAMBDA)
+        assert err.value.best_estimate == 0.0
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        method=st.sampled_from(MARCUS_FORM),
+        lam=st.floats(1.0, 6.0),
+        shape=st.one_of(
+            st.tuples(st.floats(0.02, 0.25)),
+            st.builds(
+                lambda f0, f1: (f0, f1 - f0),
+                st.floats(0.02, 0.25), st.floats(0.02, 0.25),
+            ),
+        ),
+        T=st.floats(250.0, 350.0),
+        eta=st.floats(-1.0, 0.5),
+    )
+    def test_bound_holds_on_the_benchmark_ranges(self, method, lam, shape, T, eta):
+        # rate_quadrature's draws: constant V = f*lam, or linear from
+        # f0*lam at q = 0 to f1*lam at q = 1
+        coeffs = tuple(f * lam for f in shape)
+        try:
+            k = adiabatic_rate(lam, coeffs, T, eta, method)
+        except AccuracyError as exc:
+            # the quadrature may give up on its own (its tolerance comes
+            # from a 3-point estimate: lam 1, V 0.25, 250 K, eta -1 on the
+            # eff route reaches MAX_LEVEL_NODES); the bound must not
+            assert not str(exc).startswith("tail bound"), str(exc)
+        else:
+            assert math.isfinite(k) and k > 0.0
+
+    @pytest.mark.parametrize("method", MARCUS_FORM)
+    def test_one_quadrature_per_rate(self, monkeypatch, method):
+        calls = []
+        integrate = numerics.integrate
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:])
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, "integrate", counted)
+        for eta in (-0.6, 0.2):
+            adiabatic_rate(4.0, (0.6, 0.4), 300.0, eta, method)
+        w = [2.0 * 4.0 + abs(eta) + 40.0 * K_B * 300.0 for eta in (-0.6, 0.2)]
+        assert calls == [(-w[0], w[0]), (-w[1], w[1])]
 
 
 def exact_rate(lam, coeffs, T, eta):
