@@ -10,7 +10,7 @@ the exact barrier is smooth.
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,6 +37,8 @@ __all__ = [
     "positive_effective_lambda",
     "barrier",
     "ExactAdiabat",
+    "exact_adiabat",
+    "closed_channel",
     "CLOSED",
     "DOWNHILL",
     "BARRIER",
@@ -93,8 +95,8 @@ def marcus_form(lam, c, method):
     EFFECTIVE_LAMBDA) as a function of the driving force dg, a float or
     an array; built once, called per batch of driving forces.
 
-    +inf marks a closed channel: where lam_eff is not positive, the
-    Marcus-form barrier diverges."""
+    +inf marks a closed channel, as on the exact route: where lam_eff is
+    not positive, the Marcus-form barrier diverges."""
     if method is BarrierMethod.MARCUS:
         return lambda dg: _marcus(lam, dg)
     if method is BarrierMethod.CONSTANT_SHIFT:
@@ -158,7 +160,8 @@ class ExactAdiabat:
     the crossing is added as a candidate.
 
     ``shifts``, ``center_shift`` and ``pieces`` depend on (lam, c) only:
-    each is computed on first use and kept, its arrays read-only.
+    each is computed on first use and kept, its arrays read-only. Callers
+    share one instance per pair through ``exact_adiabat``.
     """
 
     def __init__(self, lam, c):
@@ -326,34 +329,68 @@ class ExactAdiabat:
         v = self._v
         return 2.0 * float(horner(v, 0.5) * horner(derivative(v), 0.5)) / self.lam
 
+    @cached_property
     def pieces(self):
         """The level-shift axis cut at ``shifts``, with each piece's kind.
 
-        Returns (lo, hi, kind): the ends of the pieces in ascending order
-        (the first lo is -inf and the last hi +inf) and, from the
-        topology at each piece's midpoint (one ``barriers`` call), CLOSED
-        (a single reactant-side well: no product state), DOWNHILL (a
-        single product-side well, barrier 0) or BARRIER. Across
-        ``center_shift`` a stationary point only moves, unless V vanishes
-        at q = 1/2 (a kink), so the two pieces next to it are joined when
-        they are of the same kind.
+        (lo, hi, kind): the ends of the pieces in ascending order (the
+        first lo is -inf and the last hi +inf) and, from the topology at
+        each piece's midpoint (one ``barriers`` call), CLOSED (see
+        ``closed_channel``), DOWNHILL (a single product-side well, barrier
+        0) or BARRIER. Across ``center_shift`` a stationary point only
+        moves, unless V vanishes at q = 1/2 (a kink), so the two pieces
+        next to it are joined when they are of the same kind. Raises
+        SurfaceTopologyError if a stationary point crosses an end of the
+        scan window inside a BARRIER piece: the barrier can jump there,
+        and no shift cuts the piece.
         """
-        return self._pieces
-
-    @cached_property
-    def _pieces(self):
         edges = self.shifts
         ends = [edges[0] - self.lam], [edges[-1] + self.lam]
         probes = np.concatenate([ends[0], 0.5 * (edges[:-1] + edges[1:]), ends[1]])
         _e, _q_ts, q_r, single = self.barriers(probes)
-        kind = np.where(single, np.where(q_r < 0.5, CLOSED, DOWNHILL), BARRIER)
+        kind = np.where(single, DOWNHILL, BARRIER)
+        kind[closed_channel(q_r, single)] = CLOSED
         i = np.abs(edges - self.center_shift).argmin()
         if kind[i] == kind[i + 1] and abs(coupling_eval(self.coupling, 0.5)) > _KINK_V:
             edges, kind = np.delete(edges, i), np.delete(kind, i)
         out = np.append(-np.inf, edges), np.append(edges, np.inf), kind
+        inner = kind == BARRIER
+        for dg in self._edge_crossings():
+            if ((out[0][inner] < dg) & (dg < out[1][inner])).any():
+                raise SurfaceTopologyError(
+                    "a stationary point of the lower adiabat crosses an end of the "
+                    f"scan window at level shift {dg:.6g} eV, inside a barrier piece"
+                )
         for x in out:
             x.flags.writeable = False
         return out
+
+    def _edge_crossings(self):
+        """Level shifts at which a stationary point crosses an end q of the
+        window: the real roots in dg of P = A + dg*B + dg^2*C there (with
+        C = lam^2 q (q - 1) > 0) at which M'*h >= 0."""
+        q = np.repeat([SCAN_Q_LO, SCAN_Q_HI], 2)
+        a, b, c2 = (horner(p, q) for p in self._abc)
+        root = np.emath.sqrt(b * b - 4.0 * a * c2) * [-1.0, 1.0, -1.0, 1.0]
+        dg = (root - b) / (2.0 * c2)
+        real = dg.imag == 0.0
+        q, dg = q[real], dg.real[real]
+        v, dv, _ddv = horner(self._taylor[:, :, 0], q)
+        slope = self.lam * (2.0 * q - 1.0)
+        return dg[slope * (0.5 * self.lam * (slope - dg) + v * dv) >= 0.0]
+
+
+@lru_cache(maxsize=64)
+def exact_adiabat(lam, c):
+    """The ExactAdiabat of (lam, c), one per pair for every caller (the
+    last 64 are kept): its set-up depends on neither dg0, eta nor T."""
+    return ExactAdiabat(lam, c)
+
+
+def closed_channel(q_r, activationless):
+    """Where ``ExactAdiabat.barriers`` reads a closed channel: a single
+    reactant-side well (q_r < 1/2), no product state; rates use E* = +inf."""
+    return activationless & (q_r < 0.5)
 
 
 def _padd(*polys):
@@ -440,7 +477,7 @@ def barrier(sys, c, method):
     its known pathology.
     """
     if method is BarrierMethod.EXACT_ADIABAT:
-        e, q_ts, q_r, activationless = ExactAdiabat(sys.lam, c).barriers(sys.dg0)
+        e, q_ts, q_r, activationless = exact_adiabat(sys.lam, c).barriers(sys.dg0)
         return BarrierResult(
             float(e[0]), float(q_ts[0]), float(q_r[0]), sys.lam,
             bool(activationless[0]),
@@ -459,7 +496,7 @@ def adiabatic_driving_force(sys, c):
     Diagnostic only; with coupling on, this deviates from dg0 at second
     order. Raises SurfaceTopologyError for a single-well surface.
     """
-    _q, e, is_min, _ = ExactAdiabat(sys.lam, c).extrema(np.array([float(sys.dg0)]))
+    _q, e, is_min, _ = exact_adiabat(sys.lam, c).extrema(np.array([float(sys.dg0)]))
     minima = e[is_min]
     if len(minima) < 2:
         raise SurfaceTopologyError(

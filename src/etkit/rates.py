@@ -11,7 +11,6 @@ the inverse problem of extracting the coupling.
 """
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -22,8 +21,9 @@ from .barriers import (
     BARRIER,
     DOWNHILL,
     BarrierMethod,
-    ExactAdiabat,
+    closed_channel,
     effective_lambda,
+    exact_adiabat,
     marcus_form,
 )
 from .constants import H, HBAR, K_B, beta
@@ -48,12 +48,8 @@ __all__ = [
     "extract_coupling",
 ]
 
-# exp(-beta*E*) is clamped below at e^-700 to dodge underflow in the tails
-_EXP_FLOOR = -700.0
 # Gauss-Legendre nodes on each side of the Fermi step in a barrier piece
 _EXACT_NODES = 128
-# (lam, coupling) pairs whose ExactAdiabat the exact route keeps
-_ADIABAT_CACHE_SIZE = 64
 # Marcus-form routes: integrate's rel_tol, and the most the mass outside
 # the window may be, relative to the window's integral
 _REL_TOL = 1e-9
@@ -120,27 +116,20 @@ def prefactor(kind, sys, coupling_at_crossing, T):
     raise TypeError(f"unknown prefactor kind: {kind!r}")
 
 
-@functools.lru_cache(maxsize=_ADIABAT_CACHE_SIZE)
-def _exact_adiabat(lam, c):
-    """The ExactAdiabat of (lam, c), shared by every exact rate of that
-    pair: its fold points and pieces depend on neither eta nor T."""
-    return ExactAdiabat(lam, c)
-
-
 def _exact_integral(adiabat, eta, T):
     """integral of n(eps) * exp(-beta*E*(eta - eps)) over eps on the exact
     route, piece by piece of the level-shift axis.
 
-    Closed pieces contribute 0. On a downhill piece E* = 0 and the
-    integral of the Fermi function is kT*ln(1 + e^(-beta*eps)) between
-    its ends. A barrier piece (lo, hi) is mapped by
+    Closed pieces and nodes (E* = +inf) contribute 0. On a downhill piece
+    E* = 0 and the integral of the Fermi function is kT*ln(1 + e^(-beta*eps))
+    between its ends. A barrier piece (lo, hi) is mapped by
     dg = lo + (hi - lo)*sin^2(pi*t/2), which makes the integrand analytic
     in t at fold singularities, split at the Fermi step dg = eta (or at
     t = 1/2), and integrated by Gauss-Legendre on each part. Every node of
     every piece goes into one ``barriers`` call.
     """
     b = beta(T)
-    lo, hi, kind = adiabat.pieces()
+    lo, hi, kind = adiabat.pieces
     down, barrier = kind == DOWNHILL, kind == BARRIER
     if np.isinf(lo[barrier]).any() or np.isinf(hi[barrier | down]).any():
         raise SurfaceTopologyError(
@@ -153,8 +142,6 @@ def _exact_integral(adiabat, eta, T):
         - np.logaddexp(0.0, -b * (eta - lo[down]))
     ) / b
     lo, hi = lo[barrier], hi[barrier]
-    if not len(lo):
-        return float(downhill)
     width = hi - lo
     # the t of the Fermi step, or t = 1/2 where the step lies outside
     s = (eta - lo) / width
@@ -172,11 +159,8 @@ def _exact_integral(adiabat, eta, T):
     weight = half * w * width[:, None, None] * np.pi * sin * np.cos(phase)
     dg = dg.ravel()
     e_star, _q_ts, q_r, single = adiabat.barriers(dg)
-    # a single reactant-side well: the product state does not exist there
-    boltzmann = np.where(
-        single & (q_r < 0.5), 0.0, np.exp(np.maximum(-b * e_star, _EXP_FLOOR))
-    )
-    nodes = weight.ravel() * fermi_dirac(eta - dg, T) * boltzmann
+    e_star = np.where(closed_channel(q_r, single), np.inf, e_star)
+    nodes = weight.ravel() * fermi_dirac(eta - dg, T) * np.exp(-b * e_star)
     return float(downhill + np.sum(nodes))
 
 
@@ -184,17 +168,16 @@ def mhc_rate_numeric(req):
     """Reduction rate in 1/s, integrated over the continuum.
 
     k = A * rho * integral n(eps) * exp(-beta*E*(lam, e*eta_f - eps)) deps.
-    Nodes whose channel is closed contribute 0: on the exact route a
-    single reactant-side well, on the eff route lam_eff <= 0.
+    A closed channel has E* = +inf and contributes exp(-inf) = 0: on the
+    exact route a single reactant-side well, on the eff route lam_eff <= 0.
 
     On the EXACT_ADIABAT route the integral has no window and no
     adaptivity: closed forms on the downhill pieces of the level-shift
     axis and a fixed Gauss-Legendre rule on its barrier pieces (see
-    ``ExactAdiabat.pieces``). The pieces depend on (lam, coupling) only,
-    so the ``ExactAdiabat`` of a pair is built once and reused by every
-    later rate of that pair, at any eta and T (a bounded cache of
-    _ADIABAT_CACHE_SIZE pairs). It raises SurfaceTopologyError if a
-    barrier piece is unbounded.
+    ``ExactAdiabat.pieces``), which depend on (lam, coupling) only: the
+    ``ExactAdiabat`` of a pair comes from ``barriers.exact_adiabat``, shared
+    with ``barrier()``. It raises SurfaceTopologyError if a barrier piece
+    is unbounded or a stationary point leaves the scan window inside one.
 
     On the Marcus-form routes, one adaptive quadrature
     (``numerics.integrate`` at relative tolerance 1e-9) runs over the
@@ -219,13 +202,11 @@ def mhc_rate_numeric(req):
         return 0.0
     scale = a_pref * cond.rho
     if req.barrier_method is BarrierMethod.EXACT_ADIABAT:
-        return scale * _exact_integral(_exact_adiabat(sys.lam, c), cond.eta_f, T)
+        return scale * _exact_integral(exact_adiabat(sys.lam, c), cond.eta_f, T)
     e_star = marcus_form(sys.lam, c, req.barrier_method)
 
     def integrand(eps):
-        e = e_star(cond.eta_f - eps)
-        boltzmann = np.exp(np.maximum(-b * e, _EXP_FLOOR))
-        return np.where(np.isinf(e), 0.0, fermi_dirac(eps, T) * boltzmann)
+        return fermi_dirac(eps, T) * np.exp(-b * e_star(cond.eta_f - eps))
 
     w = 2.0 * sys.lam + abs(cond.eta_f) + 40.0 * K_B * T
     try:

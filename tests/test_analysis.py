@@ -13,7 +13,7 @@ from etkit.analysis import (
     fit_lambda_eff,
     tafel_sweep,
 )
-from etkit.barriers import BarrierMethod
+from etkit.barriers import BarrierMethod, ExactAdiabat, exact_adiabat
 from etkit.model import ConstantCoupling, DiabaticSystem, LinearCoupling
 from etkit.rates import ElectrodeConditions, mhc_rate_closed_form
 
@@ -90,6 +90,25 @@ class TestBarrierSweep:
     def test_rejects_rate_variables(self):
         with pytest.raises(ValueError):
             barrier_sweep(spec(SweepVariable.ETA_F, -0.5, 0.5, 5))
+
+    def test_dg0_sweep_builds_one_exact_set_up(self, monkeypatch):
+        # every row shares (lam, c), so every row's barrier() call reuses
+        # the ExactAdiabat that barriers.exact_adiabat keeps for the pair
+        built = []
+        init = ExactAdiabat.__init__
+
+        def counting_init(self, lam, c):
+            built.append(lam)
+            init(self, lam, c)
+
+        monkeypatch.setattr(ExactAdiabat, "__init__", counting_init)
+        exact_adiabat.cache_clear()
+        t = barrier_sweep(
+            spec(SweepVariable.DG0, -1.0, 0.5, 33,
+                 methods=(BarrierMethod.EXACT_ADIABAT,))
+        )
+        assert len(t.rows) == 33 and not t.warnings
+        assert built == [4.0]
 
 
 class TestTafelSweep:

@@ -12,11 +12,14 @@ from etkit.barriers import (
     BARRIER,
     CLOSED,
     DOWNHILL,
+    SCAN_Q_HI,
+    SCAN_Q_LO,
     BarrierMethod,
     ExactAdiabat,
     adiabatic_driving_force,
     barrier,
     effective_lambda,
+    exact_adiabat,
     marcus_barrier,
     marcus_ts,
     validity_report,
@@ -29,6 +32,7 @@ from etkit.model import (
     PolynomialCoupling,
     lower_adiabat,
 )
+from etkit.rates import ElectrodeConditions, RateRequest, mhc_rate_numeric
 
 
 def scan_barrier(s, c, n=20001):
@@ -410,7 +414,7 @@ class TestShifts:
         for ends in ((-2.0 * lam, 0.0), (0.0, 2.0 * lam)):
             x = 0.5 * sum(bisect(wells, *ends))
             assert np.abs(adiabat.shifts - x).min() <= 1e-12
-        lo, hi, kind = adiabat.pieces()
+        lo, hi, kind = adiabat.pieces
         barrier_piece = kind == BARRIER
         assert lo[barrier_piece][0] == pytest.approx(-lam, abs=1e-12)
         assert hi[barrier_piece][-1] == pytest.approx(lam, abs=1e-12)
@@ -423,22 +427,120 @@ class TestShifts:
         x = 0.5 * sum(bisect(lambda d: topology_flag(4.0, c, d), -1.0, 1.0))
         adiabat = ExactAdiabat(4.0, c)
         assert np.abs(adiabat.shifts - x).min() <= 1e-12
-        lo, hi, kind = adiabat.pieces()
+        lo, hi, kind = adiabat.pieces
         assert list(kind) == [DOWNHILL, CLOSED]
 
     @pytest.mark.parametrize("v0, v1, kink", [(0.2, -0.2, 0.0), (0.15, -0.35, -1.6)])
     def test_kink_splits_the_barrier_piece(self, v0, v1, kink):
         # V vanishes at q = (1 + kink/lam)/2: E*(dg) has a kink there
-        lo, hi, kind = ExactAdiabat(4.0, LinearCoupling(v0, v1)).pieces()
+        lo, hi, kind = ExactAdiabat(4.0, LinearCoupling(v0, v1)).pieces
         assert list(kind) == [DOWNHILL, BARRIER, BARRIER, CLOSED]
         assert hi[1] == pytest.approx(kink, abs=1e-12)
 
     def test_middle_shift_inside_a_barrier_piece_is_dropped(self):
         # the transition state passes q = 1/2 at dg = 0 without a change
         adiabat = ExactAdiabat(4.0, ConstantCoupling(0.5))
-        lo, hi, kind = adiabat.pieces()
+        lo, hi, kind = adiabat.pieces
         assert list(kind) == [DOWNHILL, BARRIER, CLOSED]
         assert 0.0 in adiabat.shifts and 0.0 not in hi
+
+
+# a strong cubic coupling whose product well leaves the scan window at
+# q = 1.5 near dg = 0.457, inside the barrier piece [-4.460, 0.940]: the
+# barrier jumps there with no shift to cut at, and the rate changed by up
+# to 41x when the window was widened
+WINDOW_EDGE_CASE = (
+    5.846682047973708,
+    PolynomialCoupling(
+        (
+            0.08443522759795319,
+            1.1056849586628463,
+            -1.5244469482118754,
+            -1.0880355853884272,
+        )
+    ),
+)
+
+
+def signed_in_window(shape):
+    """Couplings of degree <= 2 whose V keeps one sign, at least 1e-3 lam
+    from 0, on the scan window: where V vanishes near a stationary point,
+    P has a near-multiple root there and extrema's flags flicker (seen
+    1e-6 to 3e-6 eV inside a barrier piece next to a kink at q = 1)."""
+    v = npoly.polyval(np.linspace(SCAN_Q_LO, SCAN_Q_HI, 401), shape)
+    return bool((v >= 1e-3).all() or (v <= -1e-3).all())
+
+
+class TestWindowEdges:
+    def test_well_leaving_the_window_inside_a_barrier_piece_raises(self):
+        adiabat = ExactAdiabat(*WINDOW_EDGE_CASE)
+        with pytest.raises(SurfaceTopologyError, match="crosses an end of the scan"):
+            adiabat.pieces
+        req = RateRequest(
+            DiabaticSystem(WINDOW_EDGE_CASE[0], 0.0), WINDOW_EDGE_CASE[1],
+            ElectrodeConditions(300.0, 0.8), BarrierMethod.EXACT_ADIABAT,
+        )
+        with pytest.raises(SurfaceTopologyError):
+            mhc_rate_numeric(req)
+
+    def test_edge_crossing_is_a_stationary_point_at_the_edge(self):
+        lam, c = WINDOW_EDGE_CASE
+        crossings = ExactAdiabat(lam, c)._edge_crossings()
+        dg = float(crossings[np.abs(crossings - 0.4574).argmin()])
+        assert dg == pytest.approx(0.4574, abs=1e-4)
+        q = SCAN_Q_HI + np.array([-1e-6, 1e-6])
+        e = lower_adiabat(DiabaticSystem(lam, dg), c, q)
+        assert abs(e[1] - e[0]) / 2e-6 <= 1e-7
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(lam=st.floats(0.5, 8.0), shape=couplings.filter(signed_in_window))
+    def test_barrier_pieces_have_two_minima(self, lam, shape):
+        # every node of a barrier piece at least 1e-6 eV from its ends has
+        # a reactant and a product well
+        adiabat = ExactAdiabat(lam, PolynomialCoupling(tuple(f * lam for f in shape)))
+        lo, hi, kind = adiabat.pieces
+        for a, b in zip(lo[kind == BARRIER], hi[kind == BARRIER]):
+            dg = np.linspace(a, b, 2001)
+            dg = dg[(dg - a >= 1e-6) & (b - dg >= 1e-6)]
+            _q, _e, is_min, _is_max = adiabat.extrema(dg)
+            assert (is_min.sum(axis=1) >= 2).all(), (a, b)
+
+
+class TestExactAdiabatCache:
+    # barrier(), adiabatic_driving_force() and the exact rate route share
+    # one ExactAdiabat per (lam, coupling), kept by exact_adiabat
+
+    def test_same_pair_same_instance(self):
+        c = LinearCoupling(0.6, 1.0)
+        adiabat = exact_adiabat(4.0, c)
+        assert exact_adiabat(4.0, LinearCoupling(0.6, 1.0)) is adiabat
+        assert exact_adiabat(3.0, c) is not adiabat
+        assert adiabat.pieces is adiabat.pieces
+        assert exact_adiabat.cache_info().maxsize == 64
+
+    def test_cached_arrays_are_read_only(self):
+        adiabat = exact_adiabat(4.0, PolynomialCoupling((0.3, 0.5, -0.4)))
+        for x in (adiabat.shifts, *adiabat.pieces):
+            assert not x.flags.writeable
+            with pytest.raises(ValueError):
+                x[0] = 0
+
+    def test_barriers_and_driving_forces_build_one_set_up(self, monkeypatch):
+        built = []
+        init = ExactAdiabat.__init__
+
+        def counting_init(self, lam, c):
+            built.append((lam, c))
+            init(self, lam, c)
+
+        monkeypatch.setattr(ExactAdiabat, "__init__", counting_init)
+        exact_adiabat.cache_clear()
+        c = PolynomialCoupling((0.3, 0.5, -0.4))
+        for dg0 in np.linspace(-1.0, 0.5, 7):
+            s = DiabaticSystem(4.0, float(dg0))
+            barrier(s, c, BarrierMethod.EXACT_ADIABAT)
+            adiabatic_driving_force(s, c)
+        assert built == [(4.0, c)]
 
 
 class TestAdiabaticDrivingForce:

@@ -240,6 +240,24 @@ class TestExactColumnGolden:
         assert_golden(capsys, name, argv)
 
 
+class TestExactBarrierGolden:
+    # stdout and stderr of etkit barrier and sweep --x dg with one
+    # ExactAdiabat built per barrier() call, before every barrier of a
+    # (lam, coupling) shared one
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("sweep_exact_poly",
+             "sweep --x dg --from -1 --to 0.5 --method exact --lambda 4 "
+             "--coupling poly:0.3,0.5,-0.4"),
+            ("barrier_all_poly",
+             "barrier --method all --lambda 4 --coupling poly:0.3,0.5,-0.4"),
+        ],
+    )
+    def test_csv_and_warnings_unchanged(self, capsys, name, argv):
+        assert_golden(capsys, name, argv)
+
+
 class TestMarcusFormColumnGolden:
     # stdout and stderr of the Marcus-form columns when a rate doubled its
     # window until the integral stopped changing
