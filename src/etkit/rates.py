@@ -2,9 +2,10 @@
 electron with a metallic continuum.
 
 The total reduction rate integrates single-level Marcus-type rates over
-the Fermi-weighted continuum (wide-band density of states): by adaptive
-quadrature on the Marcus-form routes, and by a fixed Gauss-Legendre rule
-between the fold points of the lower adiabat on the exact route. A closed-form
+the Fermi-weighted continuum (wide-band density of states): by composite
+Simpson quadrature, its intervals halved until it converges, on the
+Marcus-form routes, and by a fixed Gauss-Legendre rule between the fold
+points of the lower adiabat on the exact route. A closed-form
 approximation of that integral is provided for the Marcus-form barrier,
 and the driving-force-dependent effective reorganization energy supplies
 the inverse problem of extracting the coupling.
@@ -179,19 +180,21 @@ def mhc_rate_numeric(req):
     with ``barrier()``. It raises SurfaceTopologyError if a barrier piece
     is unbounded or a stationary point leaves the scan window inside one.
 
-    On the Marcus-form routes, one adaptive quadrature
-    (``numerics.integrate`` at relative tolerance 1e-9) runs over the
-    window [-W, W], W = 2*lam + |e*eta_f| + 40*kT. The mass outside it is
-    bounded in closed form: every Marcus-form barrier has
-    E*(dg) >= dg - v_s and E* >= -v_s, with v_s = max(V(1/2), 0) on the
-    shift route and 0 on the others, because (l + dg)^2/(4 l) - dg =
-    (l - dg)^2/(4 l) >= 0 for every l > 0. With n(eps) <= e^(-beta*eps)
-    above the window and n <= 1 below it, the tails hold at most
+    On the Marcus-form routes, one composite Simpson quadrature
+    (``numerics.integrate``: intervals halved until two successive sums
+    agree to relative 1e-9) runs over the window [-W, W],
+    W = 2*lam + |e*eta_f| + 40*kT. The mass outside it is bounded in
+    closed form: every Marcus-form barrier has E*(dg) >= dg - v_s and
+    E* >= -v_s, with v_s = max(V(1/2), 0) on the shift route and 0 on
+    the others, because (l + dg)^2/(4 l) - dg = (l - dg)^2/(4 l) >= 0
+    for every l > 0. With n(eps) <= e^(-beta*eps) above the window and
+    n <= 1 below it, the tails hold at most
     B = kT (e^(beta(v_s - W)) + e^(beta(v_s - e*eta_f - W))). Raises
     AccuracyError, carrying the best estimate of the rate, unless
-    B <= 1e-9 times the window's integral (a rate whose every node is
-    closed, e.g. lam_eff = 0 everywhere, has integral 0 and raises with
-    0), or if the quadrature gives up.
+    B <= 1e-9 times the window's integral; if that integral is 0 (a rate
+    whose every node is closed, e.g. lam_eff = 0 everywhere, or a
+    channel too narrow for the quadrature's nodes; raises with 0); or if
+    the quadrature gives up (``numerics.MAX_LEVEL_NODES``).
     """
     sys, c, cond = req.sys, req.coupling, req.cond
     T = cond.temperature
@@ -224,6 +227,13 @@ def mhc_rate_numeric(req):
             f"tail bound {tail:.3g} eV outside the window +-{w:.6g} eV exceeds "
             f"{_REL_TOL:g} of the window's integral {total:.3g} eV",
             best_estimate=scale * total,
+        )
+    if total == 0.0:
+        # the bound underflowed to 0 as well, yet certifies no rate of 0
+        raise AccuracyError(
+            f"every quadrature node over the window +-{w:.6g} eV is closed "
+            "or underflows: the window's integral is 0",
+            best_estimate=0.0,
         )
     return scale * total
 

@@ -1,4 +1,3 @@
-import json
 import math
 import os
 import subprocess
@@ -7,19 +6,25 @@ import sys
 import numpy as np
 import pytest
 
-from recursive_simpson import recursive_simpson
+from pin_oracles import trapezoid_marcus_rate
 
 import etkit
-from etkit import ConstantCoupling
-from etkit.barriers import ExactAdiabat
-from etkit.constants import beta
+from etkit import BarrierMethod, ConstantCoupling, DiabaticSystem
+from etkit.cli import main
+from etkit.constants import H, K_B
 from etkit.errors import AccuracyError
 from etkit.numerics import (
     MAX_LEVEL_NODES,
     gauss_legendre,
     integrate,
 )
-from etkit.rates import fermi_dirac
+from etkit.rates import (
+    ElectrodeConditions,
+    PrefactorKind,
+    RateRequest,
+    mhc_rate_numeric,
+    prefactor,
+)
 
 
 def step(x):
@@ -39,91 +44,10 @@ def continuum_integrand():
     return lam, eta, 2 * lam + abs(eta) + 40 * kt, f
 
 
-def exact_route_integrand(lam=4.0, v=0.5, eta=-0.3, T=300.0):
-    """The EXACT_ADIABAT rate integrand of mhc_rate_numeric, vectorized."""
-    b = beta(T)
-    adiabat = ExactAdiabat(lam, ConstantCoupling(v))
-
-    def f(eps):
-        e_star, _q_ts, q_r, single = adiabat.barriers(eta - eps)
-        weight = fermi_dirac(eps, T) * np.exp(np.maximum(-b * e_star, -700.0))
-        return np.where(single & (q_r < 0.5), 0.0, weight)
-
-    return f
-
-
-class Counted:
-    """Wraps a vectorized f; counts nodes, and evaluates one node as a
-    scalar for the recursive reference."""
-
-    def __init__(self, f):
-        self.f = f
-        self.nodes = 0
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        self.nodes += x.size
-        return self.f(x)
-
-    def scalar(self, x):
-        self.nodes += 1
-        return float(self.f(np.array([x]))[0])
-
-
-def _cubic(coeffs):
-    return lambda x: sum(c * x**k for k, c in enumerate(coeffs))
-
-
-class TestIntegrateMatchesRecursion:
-    """Level-at-a-time integrate against the depth-first recursion."""
-
-    def check(self, f, a, b, **kw):
-        vec, ref = Counted(f), Counted(f)
-        got = integrate(vec, a, b, **kw)
-        want = recursive_simpson(ref.scalar, a, b, **kw)
-        assert got == pytest.approx(want, rel=1e-13, abs=1e-300)
-        assert vec.nodes == ref.nodes
-        return vec.nodes
-
-    def test_monomial(self):
-        self.check(lambda x: x * x, 0.0, 1.0)
-
-    def test_gaussian(self):
-        assert self.check(lambda x: np.exp(-x * x / 2), -40.0, 40.0) > 100
-
-    def test_random_cubics(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            a = rng.uniform(-3.0, 0.0)
-            self.check(
-                _cubic(rng.uniform(-2.0, 2.0, size=4)), a, a + rng.uniform(0.5, 4.0)
-            )
-
-    def test_continuum_integrand(self):
-        _lam, _eta, w, f = continuum_integrand()
-        assert self.check(f, -w, w, rel_tol=1e-9) > 100
-
-    def test_exact_route_integrand(self):
-        w = 2 * 4.0 + 0.3 + 40 * 8.617333262e-5 * 300.0
-        assert self.check(exact_route_integrand(), -w, w, rel_tol=1e-9) > 100
-
-    def test_depth_cap_best_estimate_and_message(self):
-        vec, ref = Counted(step), Counted(step)
-        with pytest.raises(AccuracyError) as got:
-            integrate(vec, 0.0, 1.0, rel_tol=1e-15, max_depth=20)
-        with pytest.raises(AccuracyError) as want:
-            recursive_simpson(ref.scalar, 0.0, 1.0, rel_tol=1e-15, max_depth=20)
-        assert got.value.best_estimate == pytest.approx(
-            want.value.best_estimate, rel=1e-13
-        )
-        assert str(got.value) == str(want.value)
-        assert vec.nodes == ref.nodes
-
-
 def run_capped(code, limit=1 << 30):
     """Run Python code in a child process whose address space is capped
-    at ``limit`` bytes, so that quadrature levels that keep doubling end
-    in MemoryError there instead of exhausting the machine."""
+    at ``limit`` bytes, so that a runaway allocation ends in MemoryError
+    there instead of exhausting the machine."""
     src = os.path.dirname(os.path.dirname(etkit.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
@@ -138,50 +62,43 @@ def run_capped(code, limit=1 << 30):
 
 
 class TestLevelNodeLimit:
-    """A tolerance that cannot be met doubles the open subintervals each
-    level; integrate gives up once a level would exceed MAX_LEVEL_NODES."""
+    """Inputs on which the adaptive Simpson rule reached MAX_LEVEL_NODES
+    and gave up: composite Simpson converges on them far below it."""
 
-    def test_unreachable_tolerance_raises_with_best_estimate(self):
-        # an eff-route rate of the rate_quadrature benchmark (seed 223)
-        out = run_capped(
-            """
-import json
-from etkit import BarrierMethod, ConstantCoupling, DiabaticSystem
-from etkit.errors import AccuracyError
-from etkit.rates import ElectrodeConditions, RateRequest, mhc_rate_numeric
-req = RateRequest(
-    DiabaticSystem(1.1075848292268755, 0.0),
-    ConstantCoupling(0.2672038315545804),
-    ElectrodeConditions(265.8311390139204, -0.9898754768788157),
-    BarrierMethod.EFFECTIVE_LAMBDA,
-)
-try:
-    mhc_rate_numeric(req)
-except AccuracyError as exc:
-    print(json.dumps([str(exc), exc.best_estimate]))
-"""
+    def test_seed_223_eff_rate_matches_dense_trapezoid(self):
+        # an eff-route rate of the rate_quadrature benchmark (seed 223);
+        # with a constant coupling it is the Marcus-route rate at the
+        # Condon lam_eff = lam*(1 - 2V/lam)^2
+        lam, v = 1.1075848292268755, 0.2672038315545804
+        T, eta = 265.8311390139204, -0.9898754768788157
+        req = RateRequest(
+            DiabaticSystem(lam, 0.0),
+            ConstantCoupling(v),
+            ElectrodeConditions(T, eta),
+            BarrierMethod.EFFECTIVE_LAMBDA,
         )
-        assert out.returncode == 0, out.stderr[-2000:]
-        message, best = json.loads(out.stdout)
-        assert f"limit MAX_LEVEL_NODES = {MAX_LEVEL_NODES}" in message
-        assert math.isfinite(best) and best > 0.0
-        # a rate in 1/s: the integral's best estimate (0.292 eV) times
-        # the prefactor kT/h (5.54e12 1/s at 265.8 K) and rho = 1
-        assert best == pytest.approx(1.6e12, rel=0.05)
+        ref = trapezoid_marcus_rate(lam * (1.0 - 2.0 * v / lam) ** 2, T, eta)
+        assert mhc_rate_numeric(req) == pytest.approx(ref, rel=1e-9)
 
-    def test_cli_warns_and_exits_zero(self):
+    def test_cli_prints_both_points_without_warning(self, capsys):
         argv = (
             "tafel --lambda 0.5 --coupling const:0.1 --eta-from -1.5 "
             "--eta-to -1.4 --n 2 --temp 250 --method marcus"
         ).split()
-        out = run_capped(
-            f"import sys\nfrom etkit.cli import main\nsys.exit(main({argv!r}))\n"
-        )
-        assert out.returncode == 0, out.stderr[-2000:]
-        assert out.stdout.splitlines() == ["eta_f_V,log10k_marcus", "-1.5,", "-1.4,"]
-        warnings = out.stderr.splitlines()
-        assert len(warnings) == 2
-        assert all("limit MAX_LEVEL_NODES" in w for w in warnings)
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        header, *rows = out.splitlines()
+        assert header == "eta_f_V,log10k_marcus"
+        factor = prefactor(
+            PrefactorKind.NON_ADIABATIC, DiabaticSystem(0.5, 0.0), 0.1, 250.0
+        ) / (K_B * 250.0 / H)
+        assert [float(r.split(",")[0]) for r in rows] == [-1.5, -1.4]
+        for row in rows:
+            eta, logk = map(float, row.split(","))
+            ref = trapezoid_marcus_rate(0.5, 250.0, eta) * factor
+            # CSV carries 10 significant digits
+            assert logk == pytest.approx(math.log10(ref), abs=1e-7)
 
 
 class TestIntegrate:
@@ -220,12 +137,31 @@ class TestIntegrate:
             occ * np.exp(np.clip(-b * (lam + eta - xs) ** 2 / (4 * lam), -700, 0)),
             xs,
         )
-        adaptive = integrate(f, -w, w, rel_tol=1e-9)
-        assert adaptive == pytest.approx(dense, rel=1e-6)
+        simpson = integrate(f, -w, w, rel_tol=1e-9)
+        assert simpson == pytest.approx(dense, rel=1e-6)
+
+    def test_one_call_per_doubling_and_no_node_twice(self):
+        _lam, _eta, w, f = continuum_integrand()
+        batches = []
+
+        def recorded(x):
+            batches.append(x)
+            return f(x)
+
+        integrate(recorded, -w, w, rel_tol=1e-9)
+        sizes = [len(x) for x in batches]
+        assert sizes == [3] + [2**k for k in range(1, len(batches))]
+        nodes = np.sort(np.concatenate(batches))
+        grid = np.linspace(-w, w, len(nodes))
+        assert nodes == pytest.approx(grid, rel=0, abs=1e-12 * w)
 
     def test_depth_cap_raises_accuracy_error(self):
-        with pytest.raises(AccuracyError) as err:
-            integrate(step, 0.0, 1.0, rel_tol=1e-15, max_depth=20)
+        # the jump keeps Simpson's error O(h): no doubling below
+        # MAX_LEVEL_NODES new nodes reaches 1e-15
+        with pytest.raises(
+            AccuracyError, match=f"limit MAX_LEVEL_NODES = {MAX_LEVEL_NODES}"
+        ) as err:
+            integrate(step, 0.0, 1.0, rel_tol=1e-15)
         assert err.value.best_estimate == pytest.approx(
             1.0 - math.pi / 8, abs=1e-3
         )

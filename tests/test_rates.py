@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from pin_oracles import trapezoid_marcus_rate
 
 from etkit import numerics
 from etkit.barriers import BARRIER, BarrierMethod, ExactAdiabat, exact_adiabat
@@ -113,21 +114,6 @@ class TestConditionsValidation:
                 prefactor(kind, DiabaticSystem(4.0, 0.0), 0.5, T)
 
 
-def trapezoid_marcus_rate(lam, T, eta, rho=1.0, n=1_000_001):
-    """Dense-trapezoid oracle for the Marcus-barrier continuum integral."""
-    b = 1.0 / (K_B * T)
-    w = 2 * lam + abs(eta) + 40 * K_B * T
-    x = np.linspace(-4 * w, 4 * w, n)
-    expo = np.clip(-b * (lam + (eta - x)) ** 2 / (4 * lam), -700, 0)
-    bx = np.clip(b * x, -700, 700)
-    occ = np.where(
-        x >= 0,
-        np.exp(-np.abs(bx)) / (1 + np.exp(-np.abs(bx))),
-        1 / (1 + np.exp(bx)),
-    )
-    return (K_B * T / H) * rho * np.trapezoid(occ * np.exp(expo), x)
-
-
 def trapezoid_eff_rate(lam, v0, v1, T, eta, n=2_000_001):
     """Dense-trapezoid oracle for the EFFECTIVE_LAMBDA continuum integral
     with a linear coupling; nodes with lam_eff <= 0 contribute 0."""
@@ -145,7 +131,9 @@ def trapezoid_eff_rate(lam, v0, v1, T, eta, n=2_000_001):
 
 
 # rate_quadrature benchmark draws (by seed) where the Marcus-form routes
-# miss their reference: (method, lam, coupling, eta, T, reference rate)
+# missed their reference under the adaptive Simpson rule, whose tolerance
+# came from a 3-point estimate: (method, lam, coupling, eta, T, reference
+# rate)
 SIMPSON_MISSES = {
     "seed9-shift": (
         BarrierMethod.CONSTANT_SHIFT, 4.987393786768216,
@@ -252,13 +240,6 @@ class TestNumericRate:
         ]
         assert ks == sorted(ks, reverse=True)
 
-
-    @pytest.mark.xfail(
-        strict=True,
-        reason="adaptive Simpson's tolerance comes from a 3-point estimate "
-        "of each interval; at rel_tol 1e-9 these rates are 1.3e-6 to 1.7e-5 "
-        "off",
-    )
     @pytest.mark.parametrize(
         "method, lam, c, eta, T, pin",
         [
@@ -266,8 +247,10 @@ class TestNumericRate:
             for name, case in SIMPSON_MISSES.items()
         ],
     )
-    def test_shift_route_vs_dense_trapezoid(self, method, lam, c, eta, T, pin):
-        # the draws of the rate_quadrature benchmark workload that miss its
+    def test_marcus_form_routes_vs_dense_trapezoid(
+        self, method, lam, c, eta, T, pin
+    ):
+        # the draws of the rate_quadrature benchmark workload that missed its
         # dense-trapezoid reference by more than 1e-6; pin is that
         # reference. Each barrier is the Marcus one at some lam, minus a
         # constant, so the rate is a Marcus-route integral times a factor
@@ -320,6 +303,23 @@ class TestTailBound:
             adiabatic_rate(4.0, (2.0,), 300.0, -0.3, BarrierMethod.EFFECTIVE_LAMBDA)
         assert err.value.best_estimate == 0.0
 
+    def test_channel_missed_by_every_node_raises_with_zero(self):
+        # Condon lam_eff = 5e-3 eV: the channel is 0.04 eV wide, no node of
+        # the first two Simpson sums sees it, and at 220 K the tail bound
+        # underflows to 0 as well; the closed form puts the rate near
+        # 1.6e11 1/s
+        cond = ElectrodeConditions(220.0, -0.9)
+        closed = mhc_rate_closed_form(
+            effective_lambda_overpotential(
+                DiabaticSystem(8.0, 0.0), ConstantCoupling(3.9), -0.9
+            ),
+            cond,
+        )
+        assert closed == pytest.approx(1.6e11, rel=0.02)
+        with pytest.raises(AccuracyError, match="integral is 0$") as err:
+            adiabatic_rate(8.0, (3.9,), 220.0, -0.9, BarrierMethod.EFFECTIVE_LAMBDA)
+        assert err.value.best_estimate == 0.0
+
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(
         method=st.sampled_from(MARCUS_FORM),
@@ -334,19 +334,19 @@ class TestTailBound:
         T=st.floats(250.0, 350.0),
         eta=st.floats(-1.0, 0.5),
     )
+    # the adaptive Simpson rule gave up on this eff-route rate
+    # (MAX_LEVEL_NODES)
+    @example(
+        method=BarrierMethod.EFFECTIVE_LAMBDA, lam=1.0, shape=(0.25,), T=250.0,
+        eta=-1.0,
+    )
     def test_bound_holds_on_the_benchmark_ranges(self, method, lam, shape, T, eta):
         # rate_quadrature's draws: constant V = f*lam, or linear from
-        # f0*lam at q = 0 to f1*lam at q = 1
+        # f0*lam at q = 0 to f1*lam at q = 1; neither the quadrature nor
+        # the tail bound may give up on them
         coeffs = tuple(f * lam for f in shape)
-        try:
-            k = adiabatic_rate(lam, coeffs, T, eta, method)
-        except AccuracyError as exc:
-            # the quadrature may give up on its own (its tolerance comes
-            # from a 3-point estimate: lam 1, V 0.25, 250 K, eta -1 on the
-            # eff route reaches MAX_LEVEL_NODES); the bound must not
-            assert not str(exc).startswith("tail bound"), str(exc)
-        else:
-            assert math.isfinite(k) and k > 0.0
+        k = adiabatic_rate(lam, coeffs, T, eta, method)
+        assert math.isfinite(k) and k > 0.0
 
     @pytest.mark.parametrize("method", MARCUS_FORM)
     def test_one_quadrature_per_rate(self, monkeypatch, method):
