@@ -5,7 +5,8 @@ constant shift by V(1/2), a Marcus-form barrier built from a reduced
 effective reorganization energy, and exact extremum analysis of the lower
 adiabat, whose stationary points are the real roots of a polynomial.
 ``ExactAdiabat`` also cuts the axis of level shifts into pieces on which
-the exact barrier is smooth.
+the exact barrier is smooth, and keeps per-piece seeds from which
+Newton's method finds it at many level shifts without the roots.
 """
 
 import enum
@@ -39,6 +40,7 @@ __all__ = [
     "ExactAdiabat",
     "exact_adiabat",
     "closed_channel",
+    "piece_shifts",
     "CLOSED",
     "DOWNHILL",
     "BARRIER",
@@ -56,6 +58,16 @@ _KINK_V = 1e-12
 _CUBE = np.array([-1.0, 6.0, -12.0, 8.0])
 # level shifts closer than this (eV) count as one
 _SAME_SHIFT = 1e-12
+# Chebyshev-Gauss points per BARRIER piece behind ExactAdiabat.seeds
+_SEED_POINTS = 32
+# Newton's method polishes the seeds until every step is at most
+# _POLISH_STEP (in q), for at most _POLISH_STEPS steps; a root must end at
+# most _POLISH_MOVE from its seed. Near a fold F' vanishes and the steps
+# stall at their round-off floor (2.3e-12 at 1.6e-11 eV from one); an
+# error d in q changes E_minus at a stationary point by about E'' d^2/2.
+_POLISH_STEPS = 8
+_POLISH_STEP = 1e-10
+_POLISH_MOVE = 1e-6
 # kinds of a piece of the dg axis (ExactAdiabat.pieces)
 CLOSED, DOWNHILL, BARRIER = 0, 1, 2
 
@@ -159,9 +171,13 @@ class ExactAdiabat:
     crossing, E_minus has a kink there that is no root of E_minus', so
     the crossing is added as a candidate.
 
-    ``shifts``, ``center_shift`` and ``pieces`` depend on (lam, c) only:
-    each is computed on first use and kept, its arrays read-only. Callers
-    share one instance per pair through ``exact_adiabat``.
+    ``shifts``, ``center_shift``, ``pieces`` and ``seeds`` depend on
+    (lam, c) only: each is computed on first use and kept, its arrays
+    read-only. Callers share one instance per pair through
+    ``exact_adiabat``. ``barriers`` solves for every stationary point at
+    each level shift; ``seeded_barriers`` serves the exact rate's nodes on
+    the BARRIER pieces without an eigenvalue solve, by Newton's method
+    from ``seeds``.
     """
 
     def __init__(self, lam, c):
@@ -207,7 +223,6 @@ class ExactAdiabat:
         equal neighbours, the left one counts).
         """
         lam = self.lam
-        l2 = lam * lam
         column = dg[:, None]
         a, b, c2 = self._abc
         p = a + column * (b + column * c2)
@@ -215,29 +230,17 @@ class ExactAdiabat:
         companion[:, :, -1] = p[:, :-1] / -p[:, -1:]
         roots = np.linalg.eigvals(companion)
         q = roots.real
-        v, dv, ddv = horner(self._taylor, q)
-        slope = lam * (2.0 * q - 1.0)
-        delta = slope - column
-        h = 0.5 * lam * delta + v * dv
         # a double root of P (the transition state at q = 1/2 when h
         # vanishes there, or a near-kink) comes back as a pair split by
         # ~1e-8, possibly complex (one of the two is kept), with M'*h at
-        # noise level
-        slope_h = slope * h
+        # noise level; so refine by one Newton step on F
+        step, slope_h = self._newton_step(q, column)
         keep = (0.0 <= roots.imag) & (roots.imag <= 1e-6)
-        keep &= slope_h >= -1e-12 * lam * l2
-        # so refine by one Newton step on F = M' sqrt(g) - h, whose
-        # genuine roots are simple (F' = 2 lam sqrt(g) + M' h / sqrt(g) - h')
-        with np.errstate(divide="ignore", invalid="ignore"):
-            root_g = np.sqrt(0.25 * delta * delta + v * v)
-            step = (slope * root_g - h) / (
-                2.0 * lam * root_g + slope_h / root_g - (l2 + dv * dv + v * ddv)
-            )
+        keep &= slope_h >= -1e-12 * lam * (lam * lam)
         q = np.where(np.abs(step) <= 1e-6, q - step, q)
         # candidates between the window ends; a rejected one moves to the
         # upper end, so that after sorting the valid ones lead
-        crossing = 0.5 * (1.0 + column / lam)
-        kink = np.abs(coupling_eval(self.coupling, crossing)) <= _KINK_V
+        crossing, kink = self._crossing(column)
         ends = np.ones_like(column, dtype=bool)
         grid = np.concatenate([SCAN_Q_LO * ends, q, crossing, SCAN_Q_HI * ends], axis=1)
         keep = np.concatenate([ends, keep, kink, ends], axis=1)
@@ -261,6 +264,33 @@ class ExactAdiabat:
         is_min = valid & (mid < left) & (mid <= right)
         is_max = valid & (mid > left) & (mid >= right)
         return cand, mid, is_min, is_max
+
+    def _newton_step(self, q, dg):
+        """Newton step toward a stationary point of E_minus at each q of a
+        2-D array, and M'*h there; dg broadcasts against q.
+
+        The step is on F = M' sqrt(g) - h, whose genuine roots are simple
+        (F' = 2 lam sqrt(g) + M' h / sqrt(g) - h'), unlike those of P.
+        """
+        lam = self.lam
+        v, dv, ddv = horner(self._taylor, q)
+        slope = lam * (2.0 * q - 1.0)
+        delta = slope - dg
+        h = 0.5 * lam * delta + v * dv
+        slope_h = slope * h
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root_g = np.sqrt(0.25 * delta * delta + v * v)
+            step = (slope * root_g - h) / (
+                2.0 * lam * root_g + slope_h / root_g - (lam * lam + dv * dv + v * ddv)
+            )
+        return step, slope_h
+
+    def _crossing(self, dg):
+        """The diabatic crossing q = (1 + dg/lam)/2 of level shifts dg, and
+        where V vanishes there (to _KINK_V): E_minus has a kink there that
+        is no root of F."""
+        q = 0.5 * (1.0 + dg / self.lam)
+        return q, np.abs(coupling_eval(self.coupling, q)) <= _KINK_V
 
     def barriers(self, dg):
         """Exact barriers at every level shift in dg (scalar or array).
@@ -365,6 +395,82 @@ class ExactAdiabat:
             x.flags.writeable = False
         return out
 
+    @cached_property
+    def seeds(self):
+        """Chebyshev series of the reactant well q_r(t) and the transition
+        state q_ts(t) on each BARRIER piece (lo, hi), with t in [0, 1]
+        under ``piece_shifts``, the map of the exact rate's rule; and which
+        pieces they seed.
+
+        One ``barriers`` call at _SEED_POINTS interior Chebyshev-Gauss
+        points of every BARRIER piece gives them. A piece is seeded only if
+        it is bounded and at every point the surface has two wells, the
+        transition state lies right of the reactant well and the diabatic
+        crossing is no kink. Returns (coef, seeded): coef[k] holds the
+        coefficients of T_k(2t - 1), shape (2, pieces), q_r then q_ts;
+        seeded one flag per BARRIER piece in order. Seeds nothing if the
+        samples leave the scan window (``barriers`` raises).
+        """
+        lo, hi, kind = self.pieces
+        lo, hi = lo[kind == BARRIER], hi[kind == BARRIER]
+        n = _SEED_POINTS
+        theta = np.pi * (np.arange(n) + 0.5) / n
+        coef = np.zeros((n, 2, len(lo)))
+        seeded = np.isfinite(lo) & np.isfinite(hi)
+        dg = piece_shifts(lo[seeded, None], hi[seeded, None], 0.5 + 0.5 * np.cos(theta))
+        try:
+            _e, q_ts, q_r, single = self.barriers(dg.ravel())
+        except SurfaceTopologyError:
+            seeded[:] = False
+        else:
+            q_r, q_ts = q_r.reshape(dg.shape), q_ts.reshape(dg.shape)
+            good = ~single.reshape(dg.shape) & (q_r < q_ts) & ~self._crossing(dg)[1]
+            good = good.all(axis=1)
+            # the discrete Chebyshev transform at the Gauss points
+            samples = np.where(good[:, None], np.stack([q_r, q_ts]), 0.0)
+            c = samples @ np.cos(np.outer(np.arange(n), theta)).T * (2.0 / n)
+            c[:, :, 0] *= 0.5
+            coef[:, :, seeded] = c.transpose(2, 0, 1)
+            seeded[seeded] = good
+        for x in coef, seeded:
+            x.flags.writeable = False
+        return coef, seeded
+
+    def seeded_barriers(self, t, dg):
+        """Exact barriers at the level shifts dg = piece_shifts(lo, hi, t)
+        of the BARRIER pieces, without an eigenvalue solve.
+
+        t and dg have shape (pieces, nodes), one row per BARRIER piece in
+        order. The reactant well and the transition state come from
+        ``seeds`` by Clenshaw's recurrence and are polished by Newton's
+        method on F (``_newton_step``); E* = E_minus(q_ts) - E_minus(q_r).
+        Returns (e_star, ok), ok one flag per piece: False where the piece
+        is not seeded, or at some node the diabatic crossing is a kink, the
+        last Newton step exceeds _POLISH_STEP, a root moved more than
+        _POLISH_MOVE from its seed or q_r >= q_ts. e_star is meaningful
+        only where ok; such a piece takes ``barriers`` at its nodes.
+        """
+        coef, ok = self.seeds
+        # q_r and q_ts at every node, one row each
+        seed = _clenshaw(coef, 2.0 * t - 1.0).reshape(2, -1)
+        dg_all = dg.ravel()
+        q = seed
+        # a piece whose Newton iterates run off is rejected below, and
+        # E_minus is taken at its seeds, where it is finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(_POLISH_STEPS):
+                step, _slope_h = self._newton_step(q, dg_all)
+                q = q - step
+                if (np.abs(step) <= _POLISH_STEP).all():
+                    break
+            good = (np.abs(step) <= _POLISH_STEP) & (np.abs(q - seed) <= _POLISH_MOVE)
+            good = good.all(axis=0) & (q[0] < q[1]) & ~self._crossing(dg_all)[1]
+            ok = ok & good.reshape(dg.shape).all(axis=1)
+            q = np.where(good, q, seed)
+        # lower_adiabat reads only lam and dg0 of a system
+        e = lower_adiabat(SimpleNamespace(lam=self.lam, dg0=dg_all), self.coupling, q)
+        return np.maximum(e[1] - e[0], 0.0).reshape(dg.shape), ok
+
     def _edge_crossings(self):
         """Level shifts at which a stationary point crosses an end q of the
         window: the real roots in dg of P = A + dg*B + dg^2*C there (with
@@ -393,6 +499,27 @@ def closed_channel(q_r, activationless):
     return activationless & (q_r < 0.5)
 
 
+def piece_shifts(lo, hi, t):
+    """The level shifts lo + (hi - lo) sin^2(pi t / 2) of t in [0, 1] on a
+    piece (lo, hi); arrays broadcast. Under this map the exact rate's rule
+    integrates a BARRIER piece, and E* is analytic in t at its fold ends.
+    """
+    sin = np.sin(0.5 * np.pi * t)
+    return lo + (hi - lo) * sin * sin
+
+
+def _clenshaw(coef, x):
+    """sum_k coef[k] T_k(x) by Clenshaw's recurrence, coef[k] of shape
+    (m, pieces) and x of shape (pieces, nodes); returns shape
+    (m, pieces, nodes)."""
+    coef = coef[:, :, :, None]
+    x2 = 2.0 * x
+    b1 = b2 = 0.0
+    for c in coef[:0:-1]:
+        b1, b2 = x2 * b1 - b2 + c, b1
+    return x * b1 - b2 + coef[0]
+
+
 def _padd(*polys):
     """Sum of polynomials with ascending coefficients."""
     out = np.zeros(max(len(p) for p in polys))
@@ -416,34 +543,59 @@ def _fold_terms(lam, v, dv, ddv, m, k, mul, add):
 
 def _fold_shifts(lam, v):
     """Level shifts of the fold points: the double roots in q of P, for
-    V with ascending coefficients v."""
-    dv = derivative(v)
-    ddv = derivative(dv)
+    V with ascending coefficients v.
+
+    The roots of the fold polynomial are taken about q = 0 for q < 1/2
+    and about q = 1 (in p = 1 - q) for q >= 1/2. A weak coupling puts a
+    near-triple cluster at each of q = 0 and 1, and np.roots resolves
+    one only near the origin of its expansion (about q = 0 alone, the
+    fold near +lam was lost for 1e-12 < |V| < about 1e-8 eV).
+    """
+    return np.concatenate([_fold_half(lam, v, 1.0), _fold_half(lam, _reflected(v), -1.0)])
+
+
+def _reflected(v):
+    """Ascending coefficients in p of V(1 - p), from those v of V(q)."""
+    out = np.zeros(len(v))
+    for coef in v[::-1]:
+        out = np.convolve(out, [1.0, -1.0])[: len(v)]
+        out[0] += coef
+    return out
+
+
+def _fold_half(lam, v, sign):
+    """Fold shifts from the roots x < 1/2 of the fold polynomial in
+    x = q (sign 1, v the coefficients of V(q)) or x = 1 - q (sign -1, v
+    those of V(1 - x)). dq/dx = sign, so M' = sign*lam*(2x - 1) and
+    V'(q) = sign*dV/dx; q (q - 1) = x (x - 1)."""
+    dv = sign * derivative(v)
+    ddv = derivative(derivative(v))
     l2 = lam * lam
-    m, k = np.array([-lam, 2.0 * lam]), np.array([0.0, -4.0 * l2, 4.0 * l2])
+    m, k = sign * np.array([-lam, 2.0 * lam]), np.array([0.0, -4.0 * l2, 4.0 * l2])
     s = _fold_terms(lam, v, dv, ddv, m, k, np.convolve, _padd)
     scale = np.abs(s).max()
     while len(s) > 1 and abs(s[-1]) <= 1e-14 * scale:
         s = s[:-1]
     roots = np.roots(s[::-1])
-    q = roots.real[np.abs(roots.imag) <= 1e-3]
-    # a root far outside the window is rejected below anyway, and its
-    # Newton iterates can overflow
-    q = q[(SCAN_Q_LO - 1.0 <= q) & (q <= SCAN_Q_HI + 1.0)]
+    x = roots.real[np.abs(roots.imag) <= 1e-3]
+    # the other half is the other expansion's; a root far outside the
+    # window is rejected below anyway, and its Newton iterates can
+    # overflow
+    x = x[(SCAN_Q_LO - 1.0 <= x) & (x < 0.5)]
     ds = derivative(s)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # Newton's method on S evaluated from V, V' and V'' at q, which
+        # Newton's method on S evaluated from V, V' and V'' at x, which
         # is better conditioned than its expanded coefficients
         for _ in range(8):
-            m, k = lam * (2.0 * q - 1.0), 4.0 * l2 * q * (q - 1.0)
-            values = horner(v, q), horner(dv, q), horner(ddv, q)
+            m, k = sign * lam * (2.0 * x - 1.0), 4.0 * l2 * x * (x - 1.0)
+            values = horner(v, x), horner(dv, x), horner(ddv, x)
             step = _fold_terms(lam, *values, m, k, np.multiply, np.add)
-            step = step / horner(ds, q)
-            q = q - step
+            step = step / horner(ds, x)
+            x = x - step
             if not (np.abs(step) > 1e-15).any():
                 break
-        m, k = lam * (2.0 * q - 1.0), 4.0 * l2 * q * (q - 1.0)
-        vq, dvq, ddvq = horner(v, q), horner(dv, q), horner(ddv, q)
+        m, k = sign * lam * (2.0 * x - 1.0), 4.0 * l2 * x * (x - 1.0)
+        vq, dvq, ddvq = horner(v, x), horner(dv, x), horner(ddv, x)
         # P = a2 Delta^2 + a1 Delta + a0 and dP/dq at fixed dg,
         # b2 Delta^2 + b1 Delta + b0, share the root Delta
         a2, a1, a0 = 0.25 * k, -lam * vq * dvq, vq * vq * (m * m - dvq * dvq)
@@ -457,7 +609,7 @@ def _fold_shifts(lam, v):
         )
         delta = -(a2 * b0 - a0 * b2) / (a2 * b1 - a1 * b2)
         dg = m - delta
-    ok = np.isfinite(dg) & (np.abs(step) <= 1e-9) & (SCAN_Q_LO <= q) & (q <= SCAN_Q_HI)
+    ok = np.isfinite(dg) & (np.abs(step) <= 1e-9) & (SCAN_Q_LO <= x) & (x <= SCAN_Q_HI)
     return dg[ok]
 
 

@@ -26,6 +26,7 @@ from .barriers import (
     effective_lambda,
     exact_adiabat,
     marcus_form,
+    piece_shifts,
 )
 from .constants import H, HBAR, K_B, beta
 from .errors import (
@@ -124,10 +125,12 @@ def _exact_integral(adiabat, eta, T):
     Closed pieces and nodes (E* = +inf) contribute 0. On a downhill piece
     E* = 0 and the integral of the Fermi function is kT*ln(1 + e^(-beta*eps))
     between its ends. A barrier piece (lo, hi) is mapped by
-    dg = lo + (hi - lo)*sin^2(pi*t/2), which makes the integrand analytic
-    in t at fold singularities, split at the Fermi step dg = eta (or at
-    t = 1/2), and integrated by Gauss-Legendre on each part. Every node of
-    every piece goes into one ``barriers`` call.
+    dg = lo + (hi - lo)*sin^2(pi*t/2) (``piece_shifts``), which makes the
+    integrand analytic in t at fold singularities, split at the Fermi step
+    dg = eta (or at t = 1/2), and integrated by Gauss-Legendre on each
+    part. E* at the nodes comes from ``ExactAdiabat.seeded_barriers``
+    (Newton's method from the pieces' cached seeds); the nodes of the
+    pieces it does not accept go into one ``barriers`` call.
     """
     b = beta(T)
     lo, hi, kind = adiabat.pieces
@@ -154,14 +157,18 @@ def _exact_integral(adiabat, eta, T):
     half = 0.5 * np.stack([split, 1.0 - split], axis=1)[:, :, None]
     t = start + half * (x + 1.0)
     phase = 0.5 * np.pi * t
-    sin = np.sin(phase)
-    dg = lo[:, None, None] + width[:, None, None] * sin * sin
     # d dg / dt = (hi - lo) * (pi/2) * sin(pi t)
-    weight = half * w * width[:, None, None] * np.pi * sin * np.cos(phase)
+    weight = half * w * width[:, None, None] * np.pi * np.sin(phase) * np.cos(phase)
+    # one row of nodes per piece
+    t = t.reshape(len(t), 2 * _EXACT_NODES)
+    dg = piece_shifts(lo[:, None], hi[:, None], t)
+    e_star, seeded = adiabat.seeded_barriers(t, dg)
+    if not seeded.all():
+        e, _q_ts, q_r, single = adiabat.barriers(dg[~seeded].ravel())
+        e = np.where(closed_channel(q_r, single), np.inf, e)
+        e_star[~seeded] = e.reshape(-1, 2 * _EXACT_NODES)
     dg = dg.ravel()
-    e_star, _q_ts, q_r, single = adiabat.barriers(dg)
-    e_star = np.where(closed_channel(q_r, single), np.inf, e_star)
-    nodes = weight.ravel() * fermi_dirac(eta - dg, T) * np.exp(-b * e_star)
+    nodes = weight.ravel() * fermi_dirac(eta - dg, T) * np.exp(-b * e_star.ravel())
     return float(downhill + np.sum(nodes))
 
 
@@ -177,7 +184,10 @@ def mhc_rate_numeric(req):
     axis and a fixed Gauss-Legendre rule on its barrier pieces (see
     ``ExactAdiabat.pieces``), which depend on (lam, coupling) only: the
     ``ExactAdiabat`` of a pair comes from ``barriers.exact_adiabat``, shared
-    with ``barrier()``. It raises SurfaceTopologyError if a barrier piece
+    with ``barrier()``. The barrier at the rule's nodes is exact: Newton's
+    method from the pieces' cached seeds (``ExactAdiabat.seeded_barriers``),
+    or the eigenvalue path ``ExactAdiabat.barriers`` on a piece that the
+    seeds cannot serve. It raises SurfaceTopologyError if a barrier piece
     is unbounded or a stationary point leaves the scan window inside one.
 
     On the Marcus-form routes, one composite Simpson quadrature

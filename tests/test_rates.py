@@ -373,6 +373,20 @@ def exact_rate(lam, coeffs, T, eta):
     )
 
 
+def counted_barriers(monkeypatch):
+    """The sizes of the level-shift arrays that ExactAdiabat.barriers is
+    called with from now on, in order."""
+    calls = []
+    barriers = ExactAdiabat.barriers
+
+    def counted(self, dg):
+        calls.append(np.size(dg))
+        return barriers(self, dg)
+
+    monkeypatch.setattr(ExactAdiabat, "barriers", counted)
+    return calls
+
+
 class TestExactRouteFixedRule:
     # tests/pin_oracles.py::quad_exact_rate: scipy's adaptive quad over
     # eps at epsrel 1e-12, cut at the fold shifts bisected on the topology
@@ -400,11 +414,27 @@ class TestExactRouteFixedRule:
     def test_against_quad_pins(self, lam, coeffs, T, eta, pin):
         assert exact_rate(lam, coeffs, T, eta) == pytest.approx(pin, rel=1e-9)
 
-    @pytest.mark.parametrize("lam, eta", [(4.0, -0.3), (2.0, -0.2)])
-    def test_zero_coupling_is_the_marcus_route(self, lam, eta):
-        ref = trapezoid_marcus_rate(lam, 300.0, eta)
+    @pytest.mark.parametrize(
+        "lam, T, eta",
+        [
+            (4.0, 300.0, -0.3),
+            (2.0, 300.0, -0.2),
+            # a Condon V of 1e-11 to 1e-9 eV lost the fold near +lam: these
+            # rates were 0.0024x, 0.5x and 5.2e-8x the V = 0 rate
+            (4.0, 300.0, 0.3),
+            (1.0, 300.0, 0.0),
+            (5.682799372390694, 206.81005578940753, 0.6147252661126439),
+        ],
+        ids=["4.0--0.3", "2.0--0.2", "4.0-0.3", "1.0-0.0", "5.68-206.8K-0.61"],
+    )
+    def test_zero_coupling_is_the_marcus_route(self, lam, T, eta):
+        # as ratios: approx's absolute 1e-12 would pass any rate of 1e-32
+        ref = trapezoid_marcus_rate(lam, T, eta)
         for v in (0.0, 1e-13):
-            assert exact_rate(lam, (v,), 300.0, eta) == pytest.approx(ref, rel=1e-9)
+            assert exact_rate(lam, (v,), T, eta) / ref == pytest.approx(1.0, rel=1e-9)
+        # E* moves by about V, so the rate by about V/kT
+        for v in (1e-11, 1e-10, 1e-9, 1e-8):
+            assert exact_rate(lam, (v,), T, eta) / ref == pytest.approx(1.0, rel=1e-5)
 
     def test_no_adaptive_quadrature(self, monkeypatch):
         def refuse(*_args, **_kwargs):
@@ -412,6 +442,63 @@ class TestExactRouteFixedRule:
 
         monkeypatch.setattr(numerics, "integrate", refuse)
         assert exact_rate(4.0, (0.5,), 300.0, -0.3) > 0.0
+
+    @pytest.mark.parametrize(
+        "lam, coeffs, eta",
+        [(4.0, (0.5,), -0.3), (4.0, (0.6, 0.4), 0.4), (4.0, (0.2, -0.4), -0.3)],
+    )
+    def test_seeded_pieces_solve_no_eigenvalues(self, monkeypatch, lam, coeffs, eta):
+        # on a warm cache the nodes of a seeded piece take Newton's method
+        # from the seeds, not ExactAdiabat.barriers
+        exact_rate(lam, coeffs, 300.0, eta)
+        assert exact_adiabat(lam, PolynomialCoupling(coeffs)).seeds[1].all()
+        calls = counted_barriers(monkeypatch)
+        assert exact_rate(lam, coeffs, 300.0, eta) > 0.0
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "lam, coeffs, eta, pin",
+        [
+            (4.0, (0.0,), -0.3, 0.0021274090970449786),
+            (4.0, (1e-13,), -0.3, 0.002127409097053191),
+            (2.0, (0.0,), -0.2, 78274.95700481138),
+            (2.0, (1e-13,), -0.2, 78274.95700511338),
+        ],
+    )
+    def test_kink_pieces_fall_back_to_barriers(self, monkeypatch, lam, coeffs, eta, pin):
+        # V = 0 at the diabatic crossing: the transition state is a kink,
+        # no root of F, so no barrier piece is seeded and all their nodes
+        # go to one ExactAdiabat.barriers call (the quad pins above)
+        exact_rate(lam, coeffs, 300.0, eta)
+        adiabat = exact_adiabat(lam, PolynomialCoupling(coeffs))
+        assert not adiabat.seeds[1].any()
+        pieces = np.count_nonzero(adiabat.pieces[2] == BARRIER)
+        calls = counted_barriers(monkeypatch)
+        assert exact_rate(lam, coeffs, 300.0, eta) == pytest.approx(pin, rel=1e-9)
+        assert calls == [pieces * 2 * 128]
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        lam=st.floats(1.0, 6.0),
+        shape=st.one_of(
+            st.tuples(st.floats(0.02, 0.25)),
+            st.tuples(st.floats(0.02, 0.25), st.floats(-0.2, 0.2)),
+            st.tuples(st.floats(0.02, 0.2), st.floats(-0.2, 0.2), st.floats(-0.2, 0.2)),
+        ),
+        T=st.floats(250.0, 400.0),
+        eta=st.floats(-1.0, 0.5),
+    )
+    def test_seeded_rate_equals_the_eigenvalue_rate(self, lam, shape, T, eta):
+        # the same rate with every piece forced onto ExactAdiabat.barriers
+        coeffs = tuple(f * lam for f in shape)
+        seeded = exact_rate(lam, coeffs, T, eta)
+
+        def refuse(self, t, dg):
+            return np.full(np.shape(dg), np.nan), np.zeros(len(dg), dtype=bool)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ExactAdiabat, "seeded_barriers", refuse)
+            assert seeded / exact_rate(lam, coeffs, T, eta) == pytest.approx(1.0, rel=1e-12)
 
     def test_unbounded_barrier_piece_raises(self, monkeypatch):
         def open_ended(self):
