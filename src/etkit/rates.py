@@ -92,14 +92,24 @@ class RateRequest:
     barrier_method: BarrierMethod
 
 
+def _fermi_boltzmann(b, eps, e_star):
+    """n(eps) * exp(-b*E*) = exp(-b*E*) / (1 + exp(b*eps)) at inverse
+    temperature b, element by element.
+
+    A closed channel (E* = +inf) gives exp(-inf) = 0, and an exp(b*eps)
+    that overflows gives 0 with no warning.
+    """
+    with np.errstate(over="ignore"):
+        return np.exp(-b * e_star) / (1.0 + np.exp(b * eps))
+
+
 def fermi_dirac(eps, T):
-    """Occupancy 1/(1 + exp(eps/kT)); stable for |eps/kT| up to ~700.
+    """Occupancy 1/(1 + exp(eps/kT)), for any finite eps: 0 where
+    exp(eps/kT) overflows (eps/kT above ~709.78), with no warning.
 
     eps may be a scalar or an array.
     """
-    x = beta(T) * np.asarray(eps, dtype=float)
-    e = np.exp(-np.minimum(np.abs(x), 745.0))
-    return np.where(x >= 0.0, e / (1.0 + e), 1.0 / (1.0 + e))[()]
+    return _fermi_boltzmann(beta(T), np.asarray(eps, dtype=float), 0.0)[()]
 
 
 def prefactor(kind, sys, coupling_at_crossing, T):
@@ -167,8 +177,7 @@ def _exact_integral(adiabat, eta, T):
         e, _q_ts, q_r, single = adiabat.barriers(dg[~seeded].ravel())
         e = np.where(closed_channel(q_r, single), np.inf, e)
         e_star[~seeded] = e.reshape(-1, 2 * _EXACT_NODES)
-    dg = dg.ravel()
-    nodes = weight.ravel() * fermi_dirac(eta - dg, T) * np.exp(-b * e_star.ravel())
+    nodes = weight.ravel() * _fermi_boltzmann(b, eta - dg.ravel(), e_star.ravel())
     return float(downhill + np.sum(nodes))
 
 
@@ -190,9 +199,14 @@ def mhc_rate_numeric(req):
     seeds cannot serve. It raises SurfaceTopologyError if a barrier piece
     is unbounded or a stationary point leaves the scan window inside one.
 
+    On every route the integrand at a node is n(eps) * exp(-beta*E*) in
+    one kernel, exp(-beta*E*) / (1 + exp(beta*eps)): 0, with no warning,
+    at a closed node or where exp(beta*eps) overflows.
+
     On the Marcus-form routes, one composite Simpson quadrature
     (``numerics.integrate``: intervals halved until two successive sums
-    agree to relative 1e-9) runs over the window [-W, W],
+    agree to relative 1e-9, the first 64 intervals' nodes evaluated in
+    one call) runs over the window [-W, W],
     W = 2*lam + |e*eta_f| + 40*kT. The mass outside it is bounded in
     closed form: every Marcus-form barrier has E*(dg) >= dg - v_s and
     E* >= -v_s, with v_s = max(V(1/2), 0) on the shift route and 0 on
@@ -219,7 +233,7 @@ def mhc_rate_numeric(req):
     e_star = marcus_form(sys.lam, c, req.barrier_method)
 
     def integrand(eps):
-        return fermi_dirac(eps, T) * np.exp(-b * e_star(cond.eta_f - eps))
+        return _fermi_boltzmann(b, eps, e_star(cond.eta_f - eps))
 
     w = 2.0 * sys.lam + abs(cond.eta_f) + 40.0 * K_B * T
     try:

@@ -173,7 +173,7 @@ class TestArrheniusSweep:
             t.column("invT_per_K"), t.column("lnk_eff")
         )
         # lam_eff/4 = 0.5625 at eta=0; prefactor T-dependence shifts it
-        assert ea == pytest.approx(0.5625, rel=0.15)
+        assert ea == pytest.approx(0.5625, rel=0.15, abs=0)
 
     @pytest.mark.parametrize("start", [-1.0 / 300.0, 0.0])
     def test_rejects_non_positive_inverse_temperature(self, start):
@@ -252,7 +252,7 @@ class TestFitLambdaEff:
         y = y + rng.normal(0.0, 0.02, size=len(y))
         res = fit_lambda_eff(eta, y, 300.0)
         assert res.converged
-        assert res.lambda_eff == pytest.approx(2.25, rel=0.1)
+        assert res.lambda_eff == pytest.approx(2.25, rel=0.1, abs=0)
         assert res.rms_residual < 0.05
 
     def test_degenerate_data_flagged_unconverged(self):
@@ -316,7 +316,7 @@ class TestFitAgainstScipyOracle:
         res = fit_lambda_eff(eta, y, T, rho)
         assert res.converged
         ref = fit_closed_form(eta, y, T, rho)
-        assert res.lambda_eff == pytest.approx(ref, rel=1e-7)
+        assert res.lambda_eff == pytest.approx(ref, rel=1e-7, abs=0)
 
     @pytest.mark.parametrize("lam_eff", [0.3, 1.0, 2.25, 6.0])
     def test_clean_lines(self, lam_eff):

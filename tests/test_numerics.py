@@ -14,6 +14,7 @@ from etkit.cli import main
 from etkit.constants import H, K_B
 from etkit.errors import AccuracyError
 from etkit.numerics import (
+    FIRST_BATCH,
     MAX_LEVEL_NODES,
     gauss_legendre,
     integrate,
@@ -78,7 +79,7 @@ class TestLevelNodeLimit:
             BarrierMethod.EFFECTIVE_LAMBDA,
         )
         ref = trapezoid_marcus_rate(lam * (1.0 - 2.0 * v / lam) ** 2, T, eta)
-        assert mhc_rate_numeric(req) == pytest.approx(ref, rel=1e-9)
+        assert mhc_rate_numeric(req) == pytest.approx(ref, rel=1e-9, abs=0)
 
     def test_cli_prints_both_points_without_warning(self, capsys):
         argv = (
@@ -138,7 +139,7 @@ class TestIntegrate:
             xs,
         )
         simpson = integrate(f, -w, w, rel_tol=1e-9)
-        assert simpson == pytest.approx(dense, rel=1e-6)
+        assert simpson == pytest.approx(dense, rel=1e-6, abs=0)
 
     def test_one_call_per_doubling_and_no_node_twice(self):
         _lam, _eta, w, f = continuum_integrand()
@@ -150,7 +151,10 @@ class TestIntegrate:
 
         integrate(recorded, -w, w, rel_tol=1e-9)
         sizes = [len(x) for x in batches]
-        assert sizes == [3] + [2**k for k in range(1, len(batches))]
+        # the first call holds every level up to FIRST_BATCH intervals
+        assert sizes == [FIRST_BATCH + 1] + [
+            FIRST_BATCH * 2**k for k in range(len(batches) - 1)
+        ]
         nodes = np.sort(np.concatenate(batches))
         grid = np.linspace(-w, w, len(nodes))
         assert nodes == pytest.approx(grid, rel=0, abs=1e-12 * w)
@@ -170,6 +174,84 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(lambda x: x, 1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "a, b, rel_tol",
+        [
+            (0.0, math.inf, 1e-9),
+            (-math.inf, 0.0, 1e-9),
+            (0.0, math.nan, 1e-9),
+            (0.0, 1.0, math.nan),
+            (0.0, 1.0, math.inf),
+            (0.0, 1.0, 0.0),
+        ],
+    )
+    def test_rejects_bad_argument_before_any_node(self, a, b, rel_tol):
+        # an infinite bound passed a < b and a NaN rel_tol passed
+        # rel_tol <= 0: both doubled to MAX_LEVEL_NODES and raised
+        # AccuracyError instead of naming the argument
+        def f(x):
+            raise AssertionError("integrand called")
+
+        with pytest.raises(ValueError):
+            integrate(f, a, b, rel_tol)
+
+
+def reference_simpson(f, a, b, rel_tol):
+    """Composite Simpson on 2, 4, 8, ... intervals, each sum from scratch
+    at its own nodes, until two successive sums agree to rel_tol; returns
+    (the last sum, its number of intervals)."""
+
+    def simpson(n):
+        y = f(np.linspace(a, b, n + 1))
+        inner = 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()
+        return (b - a) / (3 * n) * (y[0] + inner + y[-1])
+
+    def refine(n, last):
+        s = simpson(2 * n)
+        if abs(s - last) <= rel_tol * abs(s):
+            return s, 2 * n
+        return refine(2 * n, s)
+
+    return refine(2, simpson(2))
+
+
+def reference_cases():
+    _lam, _eta, w, f = continuum_integrand()
+    return [
+        # exact from the first sum on: stops at 4 intervals
+        pytest.param(lambda x: x * x, 0.0, 1.0, 1e-9, id="square"),
+        pytest.param(
+            lambda x: 1.5 - 0.5 * x + 2.0 * x**2 - x**3, -1.0, 2.5, 1e-9, id="cubic"
+        ),
+        # stops at 32 intervals, its sums 1e-8 apart from level to level
+        pytest.param(np.exp, 0.0, 1.0, 1e-7, id="exp"),
+        pytest.param(f, -w, w, 1e-9, id="continuum"),
+    ]
+
+
+class TestAgainstReferenceSimpson:
+    """integrate is composite Simpson with the plain stopping rule, however
+    it batches its calls of f."""
+
+    @pytest.mark.parametrize("f, a, b, rel_tol", reference_cases())
+    def test_same_sum_at_same_level(self, f, a, b, rel_tol):
+        sizes = []
+
+        def counted(x):
+            sizes.append(len(x))
+            return f(x)
+
+        got = integrate(counted, a, b, rel_tol)
+        ref, n = reference_simpson(f, a, b, rel_tol)
+        assert got == pytest.approx(ref, rel=1e-14, abs=0)
+        # the nodes of n intervals and no more, once n is past the batch
+        assert sum(sizes) == max(n, FIRST_BATCH) + 1
+
+    def test_cases_stop_inside_and_beyond_the_first_batch(self):
+        stops = [reference_simpson(*p.values)[1] for p in reference_cases()]
+        assert stops[:3] == [4, 4, 32]
+        assert stops[3] > FIRST_BATCH
+
 
 class TestGaussLegendre:
     @pytest.mark.parametrize("n", [1, 2, 5, 128])
@@ -177,12 +259,12 @@ class TestGaussLegendre:
         x, w = gauss_legendre(n)
         ref_x, ref_w = np.polynomial.legendre.leggauss(n)
         assert x == pytest.approx(ref_x, abs=1e-15)
-        assert w == pytest.approx(ref_w, rel=1e-10)
+        assert w == pytest.approx(ref_w, rel=1e-10, abs=0)
 
     def test_exact_through_degree_2n_minus_1(self):
         x, w = gauss_legendre(128)
         for k in (0, 2, 10, 100, 254):
-            assert np.dot(w, x**k) == pytest.approx(2.0 / (k + 1), rel=1e-13)
+            assert np.dot(w, x**k) == pytest.approx(2.0 / (k + 1), rel=1e-13, abs=0)
         assert np.dot(w, x**255) == pytest.approx(0.0, abs=1e-15)
 
     def test_built_once_and_read_only(self):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from etkit.rates import (
     ElectrodeConditions,
     PrefactorKind,
     RateRequest,
+    _fermi_boltzmann,
     closed_form_rates,
     effective_lambda_overpotential,
     extract_coupling,
@@ -60,25 +62,45 @@ class TestFermiDirac:
         assert fermi_dirac(-100.0, 300.0) == 1.0
 
 
+class TestFermiBoltzmannKernel:
+    def test_closed_node_next_to_overflowing_occupancy_is_zero(self):
+        b = beta(300.0)
+        # e^(b*eps) overflows at the second and third nodes
+        eps = np.array([-0.5, 30.0, 30.0, 0.1])
+        e_star = np.array([np.inf, np.inf, 0.2, 0.3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _fermi_boltzmann(b, eps, e_star)
+        assert got[:3].tolist() == [0.0, 0.0, 0.0]
+        ref = math.exp(-b * 0.3) * scipy.special.expit(-b * 0.1)
+        assert got[3] == pytest.approx(ref, rel=1e-14, abs=0)
+
+    def test_fermi_dirac_tails_to_relative_accuracy(self):
+        # out to eps/kT = 700, where the occupancy is 1e-304
+        eps = np.linspace(-1.0, 700.0 / beta(300.0), 2001)
+        ref = scipy.special.expit(-beta(300.0) * eps)
+        assert fermi_dirac(eps, 300.0) == pytest.approx(ref, rel=1e-13, abs=0)
+
+
 class TestPrefactor:
     def test_adiabatic_is_classical_attempt_frequency(self):
         got = prefactor(
             PrefactorKind.ADIABATIC, DiabaticSystem(4.0, 0.0), 0.5, 300.0
         )
-        assert got == pytest.approx(K_B * 300.0 / H, rel=1e-15)
+        assert got == pytest.approx(K_B * 300.0 / H, rel=1e-15, abs=0)
 
     def test_non_adiabatic_pinned(self):
         # mpmath 30-digit: (V^2/hbar)*sqrt(pi*beta/lam), lam=4, V=0.5, 300 K
         got = prefactor(
             PrefactorKind.NON_ADIABATIC, DiabaticSystem(4.0, 0.0), 0.5, 300.0
         )
-        assert got == pytest.approx(2093495878481287.7, rel=1e-12)
+        assert got == pytest.approx(2093495878481287.7, rel=1e-12, abs=0)
 
     def test_non_adiabatic_scales_as_coupling_squared(self):
         s = DiabaticSystem(4.0, 0.0)
         p1 = prefactor(PrefactorKind.NON_ADIABATIC, s, 0.1, 300.0)
         p2 = prefactor(PrefactorKind.NON_ADIABATIC, s, 0.2, 300.0)
-        assert p2 / p1 == pytest.approx(4.0, rel=1e-12)
+        assert p2 / p1 == pytest.approx(4.0, rel=1e-12, abs=0)
 
     def test_zero_coupling_kills_non_adiabatic_rate(self):
         s = DiabaticSystem(2.0, 0.0)
@@ -188,7 +210,7 @@ class TestNumericRate:
             s, LinearCoupling(0.2, 1.0), cond, BarrierMethod.EFFECTIVE_LAMBDA
         )
         ref = trapezoid_eff_rate(4.0, 0.2, 1.0, 300.0, -0.3)
-        assert mhc_rate_numeric(req) == pytest.approx(ref, rel=1e-6)
+        assert mhc_rate_numeric(req) == pytest.approx(ref, rel=1e-6, abs=0)
 
     def test_marcus_route_vs_dense_trapezoid(self):
         s = DiabaticSystem(1.55, 0.0)
@@ -196,7 +218,7 @@ class TestNumericRate:
         req = RateRequest(s, ConstantCoupling(0.0), cond, BarrierMethod.MARCUS)
         got = mhc_rate_numeric(req)
         ref = trapezoid_marcus_rate(1.55, 300.0, -0.2)
-        assert got == pytest.approx(ref, rel=1e-6)
+        assert got == pytest.approx(ref, rel=1e-6, abs=0)
 
     def test_exact_route_pinned(self):
         # 40001-point trapezoid with per-node extremum analysis
@@ -206,7 +228,7 @@ class TestNumericRate:
             s, ConstantCoupling(0.5), cond, BarrierMethod.EXACT_ADIABAT
         )
         assert mhc_rate_numeric(req) == pytest.approx(
-            36546.69099305575, rel=1e-4
+            36546.69099305575, rel=1e-4, abs=0
         )
 
     def test_rate_scales_linearly_with_dos(self):
@@ -224,7 +246,7 @@ class TestNumericRate:
                 BarrierMethod.EFFECTIVE_LAMBDA,
             )
         )
-        assert k3 / k1 == pytest.approx(3.0, rel=1e-9)
+        assert k3 / k1 == pytest.approx(3.0, rel=1e-9, abs=0)
 
     def test_cathodic_rate_grows_with_driving(self):
         s = DiabaticSystem(4.0, 0.0)
@@ -265,9 +287,50 @@ class TestNumericRate:
         if method is BarrierMethod.EFFECTIVE_LAMBDA:
             lam = lam * (1.0 - 2.0 * c.v / lam) ** 2  # Condon lam_eff
         ref = trapezoid_marcus_rate(lam, T, eta) * factor
-        assert ref == pytest.approx(pin, rel=1e-12)
+        assert ref == pytest.approx(pin, rel=1e-12, abs=0)
         req = RateRequest(s, c, ElectrodeConditions(T, eta, 1.0, kind), method)
-        assert mhc_rate_numeric(req) == pytest.approx(ref, rel=1e-6)
+        assert mhc_rate_numeric(req) == pytest.approx(ref, rel=1e-6, abs=0)
+
+
+# mhc_rate_numeric before the Fermi-Boltzmann kernel and the batched first
+# Simpson levels, printed with repr: the same rule at the same nodes moves
+# them by rounding alone. (method, lam, coupling, eta, T, rate)
+MARCUS_FORM_PINS = {
+    "marcus-const": (
+        BarrierMethod.MARCUS, 1.55, ConstantCoupling(0.1), -0.2, 300.0,
+        5735739.935286494,
+    ),
+    "marcus-linear": (
+        BarrierMethod.MARCUS, 2.0, LinearCoupling(0.3, -0.2), 0.1, 320.0,
+        1167.207155614418,
+    ),
+    "shift-const": (
+        BarrierMethod.CONSTANT_SHIFT, 3.0, ConstantCoupling(0.4), -0.5, 280.0,
+        2995118496.0973535,
+    ),
+    "shift-linear": (
+        BarrierMethod.CONSTANT_SHIFT, 4.0, LinearCoupling(0.2, 1.0), -0.3, 300.0,
+        25550969.458315555,
+    ),
+    "eff-const": (
+        BarrierMethod.EFFECTIVE_LAMBDA, 2.0, ConstantCoupling(0.3), 0.0, 300.0,
+        36684029.773913614,
+    ),
+    # ROADMAP item 4's reproducer: lam_eff <= 0 at far-tail nodes
+    "eff-linear": (
+        BarrierMethod.EFFECTIVE_LAMBDA, 4.0, LinearCoupling(0.2, 1.0), -0.3, 300.0,
+        4695122.999964154,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "method, lam, c, eta, T, pin",
+    [pytest.param(*case, id=name) for name, case in MARCUS_FORM_PINS.items()],
+)
+def test_marcus_form_rate_pinned(method, lam, c, eta, T, pin):
+    req = RateRequest(DiabaticSystem(lam, 0.0), c, ElectrodeConditions(T, eta), method)
+    assert mhc_rate_numeric(req) == pytest.approx(pin, rel=1e-12, abs=0)
 
 
 MARCUS_FORM = (
@@ -292,7 +355,7 @@ class TestTailBound:
             ),
             cond,
         )
-        assert closed == pytest.approx(3.6e10, rel=0.02)
+        assert closed == pytest.approx(3.6e10, rel=0.02, abs=0)
         with pytest.raises(AccuracyError, match="^tail bound .* exceeds 1e-09 of"):
             adiabatic_rate(4.0, (1.99,), 300.0, -0.3, BarrierMethod.EFFECTIVE_LAMBDA)
 
@@ -315,7 +378,7 @@ class TestTailBound:
             ),
             cond,
         )
-        assert closed == pytest.approx(1.6e11, rel=0.02)
+        assert closed == pytest.approx(1.6e11, rel=0.02, abs=0)
         with pytest.raises(AccuracyError, match="integral is 0$") as err:
             adiabatic_rate(8.0, (3.9,), 220.0, -0.9, BarrierMethod.EFFECTIVE_LAMBDA)
         assert err.value.best_estimate == 0.0
@@ -412,7 +475,8 @@ class TestExactRouteFixedRule:
         ],
     )
     def test_against_quad_pins(self, lam, coeffs, T, eta, pin):
-        assert exact_rate(lam, coeffs, T, eta) == pytest.approx(pin, rel=1e-9)
+        got = exact_rate(lam, coeffs, T, eta)
+        assert got == pytest.approx(pin, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize(
         "lam, T, eta",
@@ -474,7 +538,8 @@ class TestExactRouteFixedRule:
         assert not adiabat.seeds[1].any()
         pieces = np.count_nonzero(adiabat.pieces[2] == BARRIER)
         calls = counted_barriers(monkeypatch)
-        assert exact_rate(lam, coeffs, 300.0, eta) == pytest.approx(pin, rel=1e-9)
+        got = exact_rate(lam, coeffs, 300.0, eta)
+        assert got == pytest.approx(pin, rel=1e-9, abs=0)
         assert calls == [pieces * 2 * 128]
 
     @settings(derandomize=True, deadline=None, max_examples=40)
@@ -615,7 +680,7 @@ class TestMarcusFormRouteProperties:
         ref = adiabatic_rate(lam, (0.0,), T, eta, BarrierMethod.MARCUS)
         for method in (BarrierMethod.CONSTANT_SHIFT, BarrierMethod.EFFECTIVE_LAMBDA):
             got = adiabatic_rate(lam, coeffs, T, eta, method)
-            assert got == pytest.approx(ref, rel=1e-9)
+            assert got == pytest.approx(ref, rel=1e-9, abs=0)
 
     @settings(derandomize=True, deadline=None, max_examples=25)
     @given(
@@ -671,7 +736,7 @@ class TestClosedForm:
         # mpmath 30-digit evaluation of the closed form
         cond = ElectrodeConditions(300.0, 0.0, 1.0)
         assert mhc_rate_closed_form(2.25, cond) == pytest.approx(
-            281.86537695053019, rel=1e-12
+            281.86537695053019, rel=1e-12, abs=0
         )
 
     def test_matches_independent_recomputation(self):
@@ -691,7 +756,7 @@ class TestClosedForm:
                 got = mhc_rate_closed_form(
                     lam_eff, ElectrodeConditions(300.0, float(eta), 1.0)
                 )
-                assert got == pytest.approx(ref, rel=1e-11)
+                assert got == pytest.approx(ref, rel=1e-11, abs=0)
 
     def test_rate_saturates_at_large_driving(self):
         # inverted-region-free plateau: k(-1.5) close to k(-2.5)
@@ -750,7 +815,7 @@ class TestExtractCoupling:
     def test_strong_coupling_example(self):
         # 6.3/2 - sqrt(6.3*0.75)/2
         v = extract_coupling(6.3, 0.75)
-        assert v == pytest.approx(3.15 - math.sqrt(4.725) / 2, rel=1e-14)
+        assert v == pytest.approx(3.15 - math.sqrt(4.725) / 2, rel=1e-14, abs=0)
         assert 2.05 <= v <= 2.10
 
     def test_roundtrip_with_condon_effective_lambda(self):
