@@ -52,9 +52,6 @@ __all__ = [
 
 # Gauss-Legendre nodes on each side of the Fermi step in a barrier piece
 _EXACT_NODES = 128
-# Marcus-form routes: integrate's rel_tol, and the most the mass outside
-# the window may be, relative to the window's integral
-_REL_TOL = 1e-9
 
 
 class PrefactorKind(enum.Enum):
@@ -204,9 +201,10 @@ def mhc_rate_numeric(req):
     at a closed node or where exp(beta*eps) overflows.
 
     On the Marcus-form routes, one composite Simpson quadrature
-    (``numerics.integrate``: intervals halved until two successive sums
-    agree to relative 1e-9, the first 64 intervals' nodes evaluated in
-    one call) runs over the window [-W, W],
+    (``numerics.integrate``: 64 intervals, whose 65 nodes are one call,
+    then halved until two successive sums agree to relative
+    ``numerics.REL_TOL`` = 1e-9, first tested at 256 against 128
+    intervals) runs over the window [-W, W],
     W = 2*lam + |e*eta_f| + 40*kT. The mass outside it is bounded in
     closed form: every Marcus-form barrier has E*(dg) >= dg - v_s and
     E* >= -v_s, with v_s = max(V(1/2), 0) on the shift route and 0 on
@@ -215,10 +213,11 @@ def mhc_rate_numeric(req):
     n <= 1 below it, the tails hold at most
     B = kT (e^(beta(v_s - W)) + e^(beta(v_s - e*eta_f - W))). Raises
     AccuracyError, carrying the best estimate of the rate, unless
-    B <= 1e-9 times the window's integral; if that integral is 0 (a rate
-    whose every node is closed, e.g. lam_eff = 0 everywhere, or a
-    channel too narrow for the quadrature's nodes; raises with 0); or if
-    the quadrature gives up (``numerics.MAX_LEVEL_NODES``).
+    B <= REL_TOL times the window's integral; if that integral is 0 (a
+    rate whose every node is closed, e.g. lam_eff = 0 everywhere, or a
+    Condon eff channel that the first grid misses, seen only with
+    lam_eff/lam below about 4e-6; raises with 0); or if the quadrature
+    gives up (``numerics.MAX_LEVEL_NODES``).
     """
     sys, c, cond = req.sys, req.coupling, req.cond
     T = cond.temperature
@@ -237,7 +236,7 @@ def mhc_rate_numeric(req):
 
     w = 2.0 * sys.lam + abs(cond.eta_f) + 40.0 * K_B * T
     try:
-        total = numerics.integrate(integrand, -w, w, rel_tol=_REL_TOL)
+        total = numerics.integrate(integrand, -w, w)
     except AccuracyError as exc:
         raise AccuracyError(str(exc), best_estimate=scale * exc.best_estimate) from exc
     v_s = 0.0
@@ -246,10 +245,10 @@ def mhc_rate_numeric(req):
     # each term in one exponent, which w >= |eta| + 40 kT keeps below
     # beta*v_s - 40
     tail = K_B * T * (np.exp(b * (v_s - w)) + np.exp(b * (v_s - cond.eta_f - w)))
-    if not tail <= _REL_TOL * total:
+    if not tail <= numerics.REL_TOL * total:
         raise AccuracyError(
             f"tail bound {tail:.3g} eV outside the window +-{w:.6g} eV exceeds "
-            f"{_REL_TOL:g} of the window's integral {total:.3g} eV",
+            f"{numerics.REL_TOL:g} of the window's integral {total:.3g} eV",
             best_estimate=scale * total,
         )
     if total == 0.0:
@@ -289,15 +288,16 @@ def closed_form_rates(lambda_eff, eta_f, T, rho):
     b = 1.0 / (K_B * np.asarray(T, dtype=float))
     bl = b * lambda_eff
     be = b * np.asarray(eta_f, dtype=float)
-    # an infinite lambda_eff makes inf - inf: NaN, reported below
-    with np.errstate(invalid="ignore"):
+    # an infinite lambda_eff makes inf - inf: NaN, reported below; an
+    # overflowing e^(b*eta) makes the occupancy 0
+    with np.errstate(invalid="ignore", over="ignore"):
         arg = (bl - np.sqrt(1.0 + np.sqrt(bl) + be * be)) / (2.0 * np.sqrt(bl))
+        occupancy = 1.0 / (1.0 + np.exp(be))
     finite = np.isfinite(arg)
     if not finite.all():
         raise NumericalDomainError(
             f"erfc requires finite x, got {float(arg[~finite][0])}"
         )
-    occupancy = 1.0 / (1.0 + np.exp(np.minimum(be, 700.0)))
     return (
         rho
         * np.sqrt(math.pi * lambda_eff / b)

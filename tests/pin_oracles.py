@@ -250,6 +250,13 @@ EXACT_QUAD_CASES = (
     (2.0, (1e-13,), 300.0, -0.2),
 )
 
+# (lam, V, T, eta) of narrow Condon eff channels, lam_eff = lam*(1 - 2V/lam)^2
+# of 1e-4 and 5e-3 eV, whose rates are pinned by a 4,000,001-point trapezoid
+NARROW_EFF_CASES = (
+    (4.0, 1.99, 300.0, -0.3),
+    (8.0, 3.9, 220.0, -0.9),
+)
+
 
 def main():
     print("E_minus(q=0; lam=4, dg=0.3, V=1):",
@@ -264,6 +271,10 @@ def main():
     for lam, coeffs, T, eta in EXACT_QUAD_CASES:
         print(f"exact rate by quad (lam={lam}, V={coeffs}, {T} K, {eta} V):",
               quad_exact_rate(lam, coeffs, T, eta))
+    for lam, v, T, eta in NARROW_EFF_CASES:
+        lam_eff = lam * (1.0 - 2.0 * v / lam) ** 2
+        print(f"narrow eff channel (lam={lam}, V={v}, {T} K, {eta} V):",
+              trapezoid_marcus_rate(lam_eff, T, eta, n=4_000_001))
     print("closed-vs-quadrature max dev (dex):", closed_vs_trapezoid_max_dev())
     print("closed-vs-exact max dev (dex):", closed_vs_exact_max_dev())
     for v0, v1 in ((0.1, 0.5), (0.2, 1.0), (0.6, 1.0)):

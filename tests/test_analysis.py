@@ -13,8 +13,13 @@ from etkit.analysis import (
     fit_lambda_eff,
     tafel_sweep,
 )
-from etkit.barriers import BarrierMethod, ExactAdiabat, exact_adiabat
-from etkit.model import ConstantCoupling, DiabaticSystem, LinearCoupling
+from etkit.barriers import BarrierMethod, ExactAdiabat, barrier, exact_adiabat
+from etkit.model import (
+    ConstantCoupling,
+    DiabaticSystem,
+    LinearCoupling,
+    PolynomialCoupling,
+)
 from etkit.rates import ElectrodeConditions, mhc_rate_closed_form
 
 ALL_METHODS = (
@@ -78,6 +83,31 @@ class TestBarrierSweep:
         assert np.isnan(col).any()
         assert t.warnings
         assert any("eff" in w for w in t.warnings)
+
+    @pytest.mark.parametrize(
+        "c, swept",
+        [
+            (LinearCoupling(0.5, 0.9), lambda x: LinearCoupling(x, 0.9)),
+            (
+                PolynomialCoupling((0.5, 0.3, -0.2)),
+                lambda x: PolynomialCoupling((x, 0.3, -0.2)),
+            ),
+        ],
+        ids=["linear", "polynomial"],
+    )
+    def test_coupling_sweep_keeps_the_other_coefficients(self, c, swept):
+        # the swept scalar replaces v0 (the constant coefficient) only
+        sys = DiabaticSystem(4.0, -0.3)
+        t = barrier_sweep(
+            SweepSpec(
+                variable=SweepVariable.COUPLING_SCALAR, start=0.1, stop=0.4,
+                n=4, system=sys, coupling=c,
+                methods=(BarrierMethod.EFFECTIVE_LAMBDA,),
+            )
+        )
+        for x, e in zip(t.column("V_eV"), t.column("Estar_eff_eV")):
+            want = barrier(sys, swept(x), BarrierMethod.EFFECTIVE_LAMBDA).e_star
+            assert e == want
 
     def test_lambda_sweep(self):
         t = barrier_sweep(

@@ -483,6 +483,17 @@ class TestWindowEdges:
         with pytest.raises(SurfaceTopologyError):
             mhc_rate_numeric(req)
 
+    def test_no_minimum_in_the_window_raises(self):
+        # V = 5 q^3 makes the lower adiabat fall through both ends of the
+        # scan window, so it has no minimum inside it
+        with pytest.raises(
+            SurfaceTopologyError, match="no minimum of the lower adiabat"
+        ):
+            barrier(
+                DiabaticSystem(1.0, -2.0), PolynomialCoupling((0.0, 0.0, 0.0, 5.0)),
+                BarrierMethod.EXACT_ADIABAT,
+            )
+
     def test_edge_crossing_is_a_stationary_point_at_the_edge(self):
         lam, c = WINDOW_EDGE_CASE
         crossings = ExactAdiabat(lam, c)._edge_crossings()
@@ -590,6 +601,21 @@ class TestValidityReport:
             DiabaticSystem(1.0, 0.0), ConstantCoupling(0.4)
         )
         assert any("reorganization" in w for w in warnings)
+
+    def test_singular_lambda_reads_zero(self):
+        # V = lam/2 makes lam_eff = 0, which effective_lambda rejects
+        warnings = validity_report(
+            DiabaticSystem(4.0, 0.0), ConstantCoupling(2.0)
+        )
+        assert len(warnings) == 1
+        assert "0 eV is <= 10%" in warnings[0]
+
+    def test_coupling_above_half_lambda(self):
+        warnings = validity_report(
+            DiabaticSystem(4.0, 0.0), ConstantCoupling(2.5)
+        )
+        assert len(warnings) == 2
+        assert "exceeds lam/2" in warnings[1]
 
     def test_large_driving_force(self):
         warnings = validity_report(

@@ -16,6 +16,7 @@ from etkit.errors import AccuracyError
 from etkit.numerics import (
     FIRST_BATCH,
     MAX_LEVEL_NODES,
+    REL_TOL,
     gauss_legendre,
     integrate,
 )
@@ -138,7 +139,7 @@ class TestIntegrate:
             occ * np.exp(np.clip(-b * (lam + eta - xs) ** 2 / (4 * lam), -700, 0)),
             xs,
         )
-        simpson = integrate(f, -w, w, rel_tol=1e-9)
+        simpson = integrate(f, -w, w)
         assert simpson == pytest.approx(dense, rel=1e-6, abs=0)
 
     def test_one_call_per_doubling_and_no_node_twice(self):
@@ -149,9 +150,9 @@ class TestIntegrate:
             batches.append(x)
             return f(x)
 
-        integrate(recorded, -w, w, rel_tol=1e-9)
+        integrate(recorded, -w, w)
         sizes = [len(x) for x in batches]
-        # the first call holds every level up to FIRST_BATCH intervals
+        # the first call is the grid of FIRST_BATCH intervals
         assert sizes == [FIRST_BATCH + 1] + [
             FIRST_BATCH * 2**k for k in range(len(batches) - 1)
         ]
@@ -161,11 +162,11 @@ class TestIntegrate:
 
     def test_depth_cap_raises_accuracy_error(self):
         # the jump keeps Simpson's error O(h): no doubling below
-        # MAX_LEVEL_NODES new nodes reaches 1e-15
+        # MAX_LEVEL_NODES new nodes reaches REL_TOL
         with pytest.raises(
             AccuracyError, match=f"limit MAX_LEVEL_NODES = {MAX_LEVEL_NODES}"
         ) as err:
-            integrate(step, 0.0, 1.0, rel_tol=1e-15)
+            integrate(step, 0.0, 1.0)
         assert err.value.best_estimate == pytest.approx(
             1.0 - math.pi / 8, abs=1e-3
         )
@@ -175,31 +176,23 @@ class TestIntegrate:
             integrate(lambda x: x, 1.0, 0.0)
 
     @pytest.mark.parametrize(
-        "a, b, rel_tol",
-        [
-            (0.0, math.inf, 1e-9),
-            (-math.inf, 0.0, 1e-9),
-            (0.0, math.nan, 1e-9),
-            (0.0, 1.0, math.nan),
-            (0.0, 1.0, math.inf),
-            (0.0, 1.0, 0.0),
-        ],
+        "a, b", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)]
     )
-    def test_rejects_bad_argument_before_any_node(self, a, b, rel_tol):
-        # an infinite bound passed a < b and a NaN rel_tol passed
-        # rel_tol <= 0: both doubled to MAX_LEVEL_NODES and raised
-        # AccuracyError instead of naming the argument
+    def test_rejects_bad_argument_before_any_node(self, a, b):
+        # an infinite bound passed a < b: it doubled to MAX_LEVEL_NODES
+        # and raised AccuracyError instead of naming the argument
         def f(x):
             raise AssertionError("integrand called")
 
         with pytest.raises(ValueError):
-            integrate(f, a, b, rel_tol)
+            integrate(f, a, b)
 
 
-def reference_simpson(f, a, b, rel_tol):
-    """Composite Simpson on 2, 4, 8, ... intervals, each sum from scratch
-    at its own nodes, until two successive sums agree to rel_tol; returns
-    (the last sum, its number of intervals)."""
+def reference_simpson(f, a, b):
+    """Composite Simpson on 2, 4, 8, ... times FIRST_BATCH intervals, as
+    integrate forms its sums, each sum from scratch at its own nodes,
+    until two successive sums agree to REL_TOL; returns (the last sum,
+    its number of intervals)."""
 
     def simpson(n):
         y = f(np.linspace(a, b, n + 1))
@@ -208,24 +201,24 @@ def reference_simpson(f, a, b, rel_tol):
 
     def refine(n, last):
         s = simpson(2 * n)
-        if abs(s - last) <= rel_tol * abs(s):
+        if abs(s - last) <= REL_TOL * abs(s):
             return s, 2 * n
         return refine(2 * n, s)
 
-    return refine(2, simpson(2))
+    return refine(2 * FIRST_BATCH, simpson(2 * FIRST_BATCH))
 
 
 def reference_cases():
     _lam, _eta, w, f = continuum_integrand()
     return [
-        # exact from the first sum on: stops at 4 intervals
-        pytest.param(lambda x: x * x, 0.0, 1.0, 1e-9, id="square"),
+        # exact, or (exp) converged to 2e-11 between 128 and 256
+        # intervals: stop at the first test
+        pytest.param(lambda x: x * x, 0.0, 1.0, id="square"),
         pytest.param(
-            lambda x: 1.5 - 0.5 * x + 2.0 * x**2 - x**3, -1.0, 2.5, 1e-9, id="cubic"
+            lambda x: 1.5 - 0.5 * x + 2.0 * x**2 - x**3, -1.0, 2.5, id="cubic"
         ),
-        # stops at 32 intervals, its sums 1e-8 apart from level to level
-        pytest.param(np.exp, 0.0, 1.0, 1e-7, id="exp"),
-        pytest.param(f, -w, w, 1e-9, id="continuum"),
+        pytest.param(np.exp, 0.0, 1.0, id="exp"),
+        pytest.param(f, -w, w, id="continuum"),
     ]
 
 
@@ -233,24 +226,24 @@ class TestAgainstReferenceSimpson:
     """integrate is composite Simpson with the plain stopping rule, however
     it batches its calls of f."""
 
-    @pytest.mark.parametrize("f, a, b, rel_tol", reference_cases())
-    def test_same_sum_at_same_level(self, f, a, b, rel_tol):
+    @pytest.mark.parametrize("f, a, b", reference_cases())
+    def test_same_sum_at_same_level(self, f, a, b):
         sizes = []
 
         def counted(x):
             sizes.append(len(x))
             return f(x)
 
-        got = integrate(counted, a, b, rel_tol)
-        ref, n = reference_simpson(f, a, b, rel_tol)
+        got = integrate(counted, a, b)
+        ref, n = reference_simpson(f, a, b)
         assert got == pytest.approx(ref, rel=1e-14, abs=0)
-        # the nodes of n intervals and no more, once n is past the batch
-        assert sum(sizes) == max(n, FIRST_BATCH) + 1
+        # the nodes of n intervals and no more
+        assert sum(sizes) == n + 1
 
-    def test_cases_stop_inside_and_beyond_the_first_batch(self):
+    def test_cases_stop_at_and_beyond_the_first_test(self):
         stops = [reference_simpson(*p.values)[1] for p in reference_cases()]
-        assert stops[:3] == [4, 4, 32]
-        assert stops[3] > FIRST_BATCH
+        assert stops[:3] == [4 * FIRST_BATCH] * 3
+        assert stops[3] > 4 * FIRST_BATCH
 
 
 class TestGaussLegendre:

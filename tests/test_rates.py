@@ -333,6 +333,14 @@ def test_marcus_form_rate_pinned(method, lam, c, eta, T, pin):
     assert mhc_rate_numeric(req) == pytest.approx(pin, rel=1e-12, abs=0)
 
 
+# Condon eff channels with lam_eff/lam = 2.5e-5 and 6.25e-4 (lam_eff 1e-4
+# and 5e-3 eV), and their rates by a 4,000,001-point trapezoid
+# (pin_oracles.NARROW_EFF_CASES): (lam, V, T, eta, rate)
+NARROW_CHANNEL_PINS = [
+    (4.0, 1.99, 300.0, -0.3, 35628416309.44694),
+    (8.0, 3.9, 220.0, -0.9, 158211356147.87848),
+]
+
 MARCUS_FORM = (
     BarrierMethod.MARCUS,
     BarrierMethod.CONSTANT_SHIFT,
@@ -345,19 +353,14 @@ class TestTailBound:
     # it in closed form
 
     def test_narrow_open_channel_raises_naming_the_bound(self):
-        # Condon lam_eff = 1e-4 eV: the channel is 3e-3 eV wide and the
-        # quadrature's first nodes miss it, so the window's integral
-        # underflows to 0; the closed form puts the rate near 3.6e10 1/s
-        cond = ElectrodeConditions(300.0, -0.3)
-        closed = mhc_rate_closed_form(
-            effective_lambda_overpotential(
-                DiabaticSystem(4.0, 0.0), ConstantCoupling(1.99), -0.3
-            ),
-            cond,
-        )
-        assert closed == pytest.approx(3.6e10, rel=0.02, abs=0)
-        with pytest.raises(AccuracyError, match="^tail bound .* exceeds 1e-09 of"):
-            adiabatic_rate(4.0, (1.99,), 300.0, -0.3, BarrierMethod.EFFECTIVE_LAMBDA)
+        # Condon lam_eff/lam = 1e-6: the channel, 3.2e-4 eV wide, falls
+        # between the nodes of the first grid, so the window's integral
+        # underflows to 0 and no tail bound can be met
+        with pytest.raises(
+            AccuracyError, match="^tail bound .* exceeds 1e-09 of"
+        ) as err:
+            adiabatic_rate(1.0, (0.4995,), 300.0, -0.3, BarrierMethod.EFFECTIVE_LAMBDA)
+        assert err.value.best_estimate == 0.0
 
     def test_channel_closed_everywhere_raises_with_zero(self):
         # V = lam/2 makes lam_eff = 0 at every driving force: the window's
@@ -367,21 +370,37 @@ class TestTailBound:
         assert err.value.best_estimate == 0.0
 
     def test_channel_missed_by_every_node_raises_with_zero(self):
-        # Condon lam_eff = 5e-3 eV: the channel is 0.04 eV wide, no node of
-        # the first two Simpson sums sees it, and at 220 K the tail bound
-        # underflows to 0 as well; the closed form puts the rate near
-        # 1.6e11 1/s
-        cond = ElectrodeConditions(220.0, -0.9)
-        closed = mhc_rate_closed_form(
-            effective_lambda_overpotential(
-                DiabaticSystem(8.0, 0.0), ConstantCoupling(3.9), -0.9
-            ),
-            cond,
-        )
-        assert closed == pytest.approx(1.6e11, rel=0.02, abs=0)
+        # Condon lam_eff/lam = 1e-6 at lam = 8: no node of the first grid
+        # sees the channel, and at 250 K the tail bound underflows to 0
+        # as well
         with pytest.raises(AccuracyError, match="integral is 0$") as err:
-            adiabatic_rate(8.0, (3.9,), 220.0, -0.9, BarrierMethod.EFFECTIVE_LAMBDA)
+            adiabatic_rate(8.0, (3.996,), 250.0, -0.3, BarrierMethod.EFFECTIVE_LAMBDA)
         assert err.value.best_estimate == 0.0
+
+    @pytest.mark.parametrize("lam, v, T, eta, pin", NARROW_CHANNEL_PINS)
+    def test_narrow_channel_matches_dense_trapezoid(self, lam, v, T, eta, pin):
+        # channels that the first Simpson sums on 2 and 4 intervals missed,
+        # so that both were 0 and the rate raised
+        k = adiabatic_rate(lam, (v,), T, eta, BarrierMethod.EFFECTIVE_LAMBDA)
+        assert k == pytest.approx(pin, rel=1e-9, abs=0)
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(
+        lam=st.floats(0.5, 8.0),
+        T=st.floats(200.0, 400.0),
+        eta=st.floats(-1.5, 1.0),
+        log_ratio=st.floats(-6.0, -2.0),
+    )
+    def test_narrow_channel_rated_or_raises(self, lam, T, eta, log_ratio):
+        # Condon V = (lam/2)(1 - sqrt(lam_eff/lam)); a channel the first
+        # grid cannot resolve must raise, never return a wrong rate
+        v = 0.5 * lam * (1.0 - math.sqrt(10.0**log_ratio))
+        try:
+            k = adiabatic_rate(lam, (v,), T, eta, BarrierMethod.EFFECTIVE_LAMBDA)
+        except AccuracyError:
+            return
+        ref = trapezoid_marcus_rate(lam * (1.0 - 2.0 * v / lam) ** 2, T, eta)
+        assert k == pytest.approx(ref, rel=1e-9, abs=0)
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(
@@ -410,6 +429,23 @@ class TestTailBound:
         coeffs = tuple(f * lam for f in shape)
         k = adiabatic_rate(lam, coeffs, T, eta, method)
         assert math.isfinite(k) and k > 0.0
+
+    def test_quadrature_give_up_carries_the_scaled_estimate(self, monkeypatch):
+        # no rate reaches MAX_LEVEL_NODES, so the quadrature is made to
+        # give up with 2 eV; the rate's estimate is prefactor * rho times it
+        def gives_up(f, a, b):
+            raise AccuracyError("gave up", best_estimate=2.0)
+
+        monkeypatch.setattr(numerics, "integrate", gives_up)
+        cond = ElectrodeConditions(300.0, -0.3, 3.0)
+        req = RateRequest(
+            DiabaticSystem(4.0, 0.0), ConstantCoupling(0.5), cond,
+            BarrierMethod.MARCUS,
+        )
+        with pytest.raises(AccuracyError, match="^gave up$") as err:
+            mhc_rate_numeric(req)
+        scale = prefactor(PrefactorKind.ADIABATIC, req.sys, 0.5, 300.0) * 3.0
+        assert err.value.best_estimate == pytest.approx(2.0 * scale, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("method", MARCUS_FORM)
     def test_one_quadrature_per_rate(self, monkeypatch, method):
@@ -764,6 +800,19 @@ class TestClosedForm:
         k2 = mhc_rate_closed_form(0.8, ElectrodeConditions(300.0, -2.5))
         assert abs(math.log10(k2 / k1)) < 0.2
 
+    def test_rate_falls_to_zero_far_above_the_fermi_level(self):
+        # the occupancy's exponent was clamped at 700, so the rate stopped
+        # at 3.5e-292 1/s from eta = 18.1 V on
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ks = [
+                mhc_rate_closed_form(1.0, ElectrodeConditions(300.0, eta))
+                for eta in (17.0, 18.1, 19.0, 25.0)
+            ]
+        # e^(beta*eta) overflows from about 18.3 V on
+        assert ks[0] > ks[1] > 0.0
+        assert ks[2:] == [0.0, 0.0]
+
     def test_rejects_non_positive_lambda(self):
         with pytest.raises(SingularRegimeError):
             mhc_rate_closed_form(0.0, ElectrodeConditions(300.0, 0.0))
@@ -774,8 +823,8 @@ class TestClosedForm:
         eta = np.array([-1.5, -0.3, 0.0, 0.4, 20.0])
         got = closed_form_rates(lam_eff[:, None], eta, T, 2.0)
         assert got.shape == (5, 5)
-        # eta = 20 V clamps the occupancy's exponent; large beta*lam_eff
-        # drives erfc to underflow
+        # eta = 20 V overflows the occupancy's exponent; large
+        # beta*lam_eff drives erfc to underflow
         assert beta(T) * 20.0 > 700.0
         assert np.any(got == 0.0) and np.any(got > 0.0)
         for i, lam in enumerate(lam_eff):
