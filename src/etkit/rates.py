@@ -267,9 +267,6 @@ def effective_lambda_overpotential(sys, c, eta_f):
     return effective_lambda(replace(sys, dg0=eta_f), c)
 
 
-_erfc = np.frompyfunc(math.erfc, 1, 1)
-
-
 def closed_form_rates(lambda_eff, eta_f, T, rho):
     """Closed-form rates (1/s), lambda_eff, eta_f and T broadcast against
     each other.
@@ -279,6 +276,9 @@ def closed_form_rates(lambda_eff, eta_f, T, rho):
     ``ElectrodeConditions`` makes it. Raises SingularRegimeError if any
     lambda_eff is not positive, and NumericalDomainError if an erfc
     argument is not finite (e.g. a NaN or infinite lambda_eff).
+
+    numpy has no erfc, so ``math.erfc`` is mapped over the flattened
+    arguments into a float64 array of their broadcast shape.
     """
     lambda_eff = np.asarray(lambda_eff, dtype=float)
     if np.any(lambda_eff <= 0.0):
@@ -298,12 +298,13 @@ def closed_form_rates(lambda_eff, eta_f, T, rho):
         raise NumericalDomainError(
             f"erfc requires finite x, got {float(arg[~finite][0])}"
         )
+    erfc = np.fromiter(map(math.erfc, arg.ravel().tolist()), float, arg.size)
     return (
         rho
         * np.sqrt(math.pi * lambda_eff / b)
         / (b * H)
         * occupancy
-        * np.asarray(_erfc(arg), dtype=float)
+        * erfc.reshape(arg.shape)
     )
 
 

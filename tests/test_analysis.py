@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from pin_oracles import fit_closed_form
+from fit_traffic import draws
+from pin_oracles import fit_closed_form, log10_closed_form
 
+import etkit.analysis
 from etkit.analysis import (
     SweepSpec,
     SweepVariable,
@@ -20,7 +22,7 @@ from etkit.model import (
     LinearCoupling,
     PolynomialCoupling,
 )
-from etkit.rates import ElectrodeConditions, mhc_rate_closed_form
+from etkit.rates import ElectrodeConditions, closed_form_rates, mhc_rate_closed_form
 
 ALL_METHODS = (
     BarrierMethod.MARCUS,
@@ -311,6 +313,9 @@ class TestFitLambdaEff:
             (300.0, -1.0, "rho"),
             (300.0, 0.0, "rho"),
             (300.0, math.inf, "rho"),
+            # 1/(k_B T) divided by zero at 5e-324 K and overflowed at 1e-310 K
+            (5e-324, 1.0, "temperature"),
+            (1e-310, 1.0, "temperature"),
         ],
     )
     def test_rejects_bad_temperature_or_rho(self, T, rho, match):
@@ -326,6 +331,28 @@ class TestFitLambdaEff:
             fit_lambda_eff(eta, -8.0 * eta, 20.0)
 
 
+class TestFitTraffic:
+    # 24 noisy and clean closed-form Tafel lines drawn as in
+    # tests/fit_traffic.py (lam_eff 0.06-9 eV, 200-400 K, 8-61 points,
+    # noise 0-0.2 dex); the seed gives one line whose best scan point is
+    # at an edge
+    @pytest.mark.parametrize(
+        "lam, T, eta, y", draws(24, seed=5), ids=[f"draw{k}" for k in range(24)]
+    )
+    def test_against_scan_rule_and_scipy_oracle(self, lam, T, eta, y):
+        res = fit_lambda_eff(eta, y, T)
+        # converged exactly when the best of the 200 scan points is
+        # interior (no line here is flat)
+        grid = np.geomspace(0.05, 10.0, 200)
+        r = log10_closed_form(grid[:, None], eta, T) - y
+        i = int(np.argmin(np.std(r, axis=1)))
+        assert res.converged == (0 < i < len(grid) - 1)
+        if res.converged:
+            ref = fit_closed_form(eta, y, T)
+            r = log10_closed_form(ref, eta, T) - y
+            assert res.rms_residual <= np.std(r) + 1e-12
+
+
 def exact_tafel_line(coupling):
     # criterion 10's data: exact-route Tafel line at lam = 4, 300 K
     t = tafel_sweep(
@@ -339,6 +366,10 @@ def exact_tafel_line(coupling):
     return t.column("eta_f_V"), t.column("log10k_exact")
 
 
+CLEAN_LINES = (0.3, 1.0, 2.25, 6.0)
+NOISY_LINES = ((0.6, 1), (2.25, 2), (4.5, 3))
+
+
 class TestFitAgainstScipyOracle:
     # tests/pin_oracles.py::fit_closed_form: the same least-squares
     # objective with scipy's erfc, minimized by scipy's Brent
@@ -348,16 +379,46 @@ class TestFitAgainstScipyOracle:
         ref = fit_closed_form(eta, y, T, rho)
         assert res.lambda_eff == pytest.approx(ref, rel=1e-7, abs=0)
 
-    @pytest.mark.parametrize("lam_eff", [0.3, 1.0, 2.25, 6.0])
-    def test_clean_lines(self, lam_eff):
-        eta, y = synthetic(lam_eff, 1.5)
-        self.check(eta, y)
+    @staticmethod
+    def clean_line(lam_eff):
+        return synthetic(lam_eff, 1.5)
 
-    @pytest.mark.parametrize("lam_eff, seed", [(0.6, 1), (2.25, 2), (4.5, 3)])
-    def test_noisy_lines(self, lam_eff, seed):
+    @staticmethod
+    def noisy_line(lam_eff, seed):
         eta, y = synthetic(lam_eff, -0.5)
-        y = y + np.random.default_rng(seed).normal(0.0, 0.05, size=len(y))
-        self.check(eta, y)
+        return eta, y + np.random.default_rng(seed).normal(0.0, 0.05, size=len(y))
+
+    @pytest.mark.parametrize("lam_eff", CLEAN_LINES)
+    def test_clean_lines(self, lam_eff):
+        self.check(*self.clean_line(lam_eff))
+
+    @pytest.mark.parametrize("lam_eff, seed", NOISY_LINES)
+    def test_noisy_lines(self, lam_eff, seed):
+        self.check(*self.noisy_line(lam_eff, seed))
+
+    def test_refinement_calls(self, monkeypatch):
+        # closed_form_rates calls after the 200-point scan on the seven
+        # lines above: a zoom to the same width by 9 evenly spaced points
+        # per call makes 11-13 each (83 in all). The last steps of a noisy line run where the mean
+        # squared residuals differ by rounding only, so its count moves
+        # by a few calls under ulp-sized changes of the data (6-10 for
+        # the 4.5 eV line); the bound is on their mean, not on each line
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return closed_form_rates(*args)
+
+        monkeypatch.setattr(etkit.analysis, "closed_form_rates", counted)
+        counts = []
+        lines = [self.clean_line(lam) for lam in CLEAN_LINES]
+        lines += [self.noisy_line(*a) for a in NOISY_LINES]
+        for eta, y in lines:
+            calls.clear()
+            assert fit_lambda_eff(eta, y, 300.0).converged
+            counts.append(len(calls) - 1)
+        assert sum(counts) <= 8 * len(counts)
+        assert np.median(counts) <= 5
 
     def test_other_temperature_and_rho(self):
         eta, y = synthetic(1.7, 0.0, n=25, T=380.0, rho=2.5)

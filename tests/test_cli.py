@@ -345,6 +345,15 @@ class TestFit:
         assert code == 4
         assert out.strip().split("\n")[1].endswith("false")
 
+    def test_subnormal_temperature_exits_2(self, capsys, tmp_path):
+        # 1/(k_B T) divided by zero and exited 1 with a traceback
+        path = self.write_tafel(tmp_path)
+        code, _out, err = run(
+            capsys, "fit", "--input", str(path), "--temp", "5e-324",
+        )
+        assert code == 2
+        assert err.startswith("error: temperature must be positive")
+
     def test_missing_column_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n1,2\n")

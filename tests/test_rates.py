@@ -124,6 +124,17 @@ class TestConditionsValidation:
         with pytest.raises(ValueError):
             ElectrodeConditions(300.0, math.inf)
 
+    @pytest.mark.parametrize("T", [5e-324, 1e-310])
+    def test_beta_rejects_subnormal_temperature(self, T):
+        # 1/(k_B T) divided by zero at 5e-324 K and was inf at 1e-310 K,
+        # which ElectrodeConditions accepted: a Marcus rate then warned of
+        # an invalid multiply and raised AccuracyError
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            beta(T)
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            ElectrodeConditions(T, -0.3)
+        assert math.isfinite(beta(1e-300))
+
     @pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -300.0])
     def test_beta_rejects_non_finite_or_non_positive_temperature(self, T):
         # NaN and inf used to pass (nan <= 0 is False) and give NaN rates
@@ -767,6 +778,9 @@ class TestEffectiveLambdaOverpotential:
             )
 
 
+TAFEL_ETA = np.linspace(-1.0, 0.5, 31)
+
+
 class TestClosedForm:
     def test_pinned_equilibrium_value(self):
         # mpmath 30-digit evaluation of the closed form
@@ -833,6 +847,27 @@ class TestClosedForm:
                     float(lam), ElectrodeConditions(T, float(e), 2.0)
                 )
                 assert got[i, j] == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "lam_eff, eta, shape",
+        [
+            (2.25, -0.3, ()),
+            (np.array(2.25), TAFEL_ETA, (31,)),
+            (np.geomspace(0.05, 10.0, 200)[:, None], TAFEL_ETA, (200, 31)),
+            (np.ones((0, 1)), TAFEL_ETA, (0, 31)),
+        ],
+        ids=["0-d", "1-D", "scan", "empty"],
+    )
+    def test_keeps_float64_and_broadcast_shape(self, lam_eff, eta, shape):
+        got = closed_form_rates(lam_eff, eta, 300.0, 1.0)
+        assert np.shape(got) == shape
+        assert np.asarray(got).dtype == np.float64
+        lam_b, eta_b = np.broadcast_arrays(lam_eff, eta)
+        want = [
+            mhc_rate_closed_form(float(lam), ElectrodeConditions(300.0, float(e)))
+            for lam, e in zip(lam_b.ravel(), eta_b.ravel())
+        ]
+        assert np.array_equal(np.ravel(got), want)
 
     def test_temperature_array_equals_scalar_form(self):
         # the arrhenius eff column: one eta, one temperature per point
