@@ -159,6 +159,21 @@ def _build_parser():
     return parser
 
 
+def _config_value(key, typ, value):
+    """A config file's value as its flag's type: a boolean is no number,
+    and a number with a fraction (or an infinite one) is no int, though
+    typ() would map them to one."""
+    valid = typ is str or not isinstance(value, bool)
+    if typ is int and isinstance(value, float):
+        valid = value.is_integer()
+    if valid:
+        try:
+            return typ(value)
+        except (TypeError, ValueError):
+            pass
+    raise UsageError(f"config key {key!r} has invalid value {value!r}")
+
+
 def _merge_options(args):
     """defaults < config file < flags, with aggregated validation."""
     options = _OPTIONS[args.command]
@@ -173,13 +188,7 @@ def _merge_options(args):
             raise UsageError("config must be a flat JSON object")
         for _flag, key, typ, _default in options:
             if key in config:
-                try:
-                    merged[key] = typ(config[key])
-                except (TypeError, ValueError):
-                    raise UsageError(
-                        f"config key {key!r} has invalid value "
-                        f"{config[key]!r}"
-                    )
+                merged[key] = _config_value(key, typ, config[key])
     for _flag, key, _typ, _default in options:
         value = getattr(args, key.replace("-", "_"))
         if value is not None:

@@ -1,5 +1,5 @@
-"""Numerical substrate: composite Simpson quadrature and the Gauss-Legendre
-rule.
+"""Numerical substrate: trapezoid and Simpson quadrature on halved grids,
+and the Gauss-Legendre rule.
 
 ``integrate`` takes a vectorized integrand: a function of a 1-D float
 array of abscissae that returns the values as an array of the same
@@ -25,35 +25,43 @@ __all__ = [
 
 # each doubling of integrate evaluates one new node per interval of the
 # rule; a tolerance that cannot be met would double them until memory runs
-# out. The widest doubling of a Marcus-form rate is 2^12 nodes on the
-# rate_quadrature benchmark's draws, and 2^13 on random draws over lam
-# 0.5-8 eV and 200-400 K.
+# out. The widest doubling of a Marcus-form rate is 2^11 nodes on the
+# rate_quadrature benchmark's draws; on the random draws of
+# tests/quadrature_traffic.py it is 2^18 for narrow Condon eff channels
+# and this limit for one eff channel that closes inside its window.
 MAX_LEVEL_NODES = 2**20
 # intervals of integrate's first grid. The Marcus-form rates of the
-# rate_quadrature benchmark stop at 2^10-2^13 intervals, so it evaluates
+# rate_quadrature benchmark stop at 2^9-2^12 intervals, so it evaluates
 # no node the rule would not; with the first doublings, its nodes see a
 # Condon eff channel down to lam_eff/lam of about 4e-6.
 FIRST_BATCH = 64
-# relative agreement of integrate's successive Simpson sums; the
-# Marcus-form rates also bound the mass outside their window by it
+# relative agreement of integrate's successive sums; the Marcus-form
+# rates also bound the mass outside their window by it
 REL_TOL = 1e-9
 
 
 def integrate(f, a, b):
-    """Composite Simpson quadrature of a vectorized f on [a, b].
+    """Trapezoid and Simpson quadrature of a vectorized f on [a, b], on
+    equal intervals halved until one of them converges.
 
     ``f`` takes a 1-D float array of abscissae and returns the values as
     an array of the same length; ``a`` and ``b`` are floats.
 
     The rule starts from the trapezoid sum T_n on n = FIRST_BATCH equal
     intervals, whose n + 1 nodes are f's first call, and halves its
-    intervals, one call of f with the new midpoints per doubling, until
-    two successive Simpson sums S_2n = (4*T_2n - T_n)/3 differ by at most
-    REL_TOL*|S|; it returns the last. The first test compares the sums on
-    4*FIRST_BATCH and 2*FIRST_BATCH intervals. Exact on cubics. Raises
-    ValueError unless a and b are finite with a < b, and AccuracyError
-    (carrying the last Simpson sum) before a doubling would evaluate more
-    than MAX_LEVEL_NODES new nodes.
+    intervals, one call of f with the new midpoints per doubling. After
+    each doubling from the second on it tests two columns, each against
+    its value on half as many intervals, and returns the first that
+    agrees to REL_TOL: the Simpson sum S_2n = (4*T_2n - T_n)/3 if
+    |S_2n - S_n| <= REL_TOL*|S_2n|, else the trapezoid sum T_2n if
+    |T_2n - T_n| <= REL_TOL*|T_2n|. The first tests compare 4*FIRST_BATCH
+    intervals against 2*FIRST_BATCH. Simpson makes the rule exact on
+    cubics; the trapezoid column converges geometrically on an integrand
+    that is analytic in a strip about [a, b] and negligible at both ends,
+    such as a Marcus-form rate's over its window, and there stops a
+    doubling before Simpson. Raises ValueError unless a and b are finite
+    with a < b, and AccuracyError (carrying the last Simpson sum) before
+    a doubling would evaluate more than MAX_LEVEL_NODES new nodes.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got {a}, {b}")
@@ -67,9 +75,8 @@ def integrate(f, a, b):
     while True:
         if n > MAX_LEVEL_NODES:
             raise AccuracyError(
-                f"composite Simpson would evaluate {n} new nodes in one "
-                f"doubling (limit MAX_LEVEL_NODES = {MAX_LEVEL_NODES}) on "
-                f"[{a}, {b}]",
+                f"quadrature would evaluate {n} new nodes in one doubling "
+                f"(limit MAX_LEVEL_NODES = {MAX_LEVEL_NODES}) on [{a}, {b}]",
                 best_estimate=float(simpson),
             )
         mids = f(a + h * (np.arange(n) + 0.5))
@@ -79,6 +86,8 @@ def integrate(f, a, b):
         last, simpson = simpson, (4.0 * trap - last_trap) / 3.0
         if abs(simpson - last) <= REL_TOL * abs(simpson):
             return float(simpson)
+        if n > 2 * FIRST_BATCH and abs(trap - last_trap) <= REL_TOL * abs(trap):
+            return float(trap)
 
 
 # home-grown: at n = 128 numpy's leggauss has 50x its end-weight error (1.4e-11)

@@ -2,8 +2,8 @@
 electron with a metallic continuum.
 
 The total reduction rate integrates single-level Marcus-type rates over
-the Fermi-weighted continuum (wide-band density of states): by composite
-Simpson quadrature, its intervals halved until it converges, on the
+the Fermi-weighted continuum (wide-band density of states): by trapezoid
+and Simpson sums on intervals halved until one of them converges, on the
 Marcus-form routes, and by a fixed Gauss-Legendre rule between the fold
 points of the lower adiabat on the exact route. A closed-form
 approximation of that integral is provided for the Marcus-form barrier,
@@ -200,12 +200,16 @@ def mhc_rate_numeric(req):
     one kernel, exp(-beta*E*) / (1 + exp(beta*eps)): 0, with no warning,
     at a closed node or where exp(beta*eps) overflows.
 
-    On the Marcus-form routes, one composite Simpson quadrature
-    (``numerics.integrate``: 64 intervals, whose 65 nodes are one call,
-    then halved until two successive sums agree to relative
-    ``numerics.REL_TOL`` = 1e-9, first tested at 256 against 128
-    intervals) runs over the window [-W, W],
-    W = 2*lam + |e*eta_f| + 40*kT. The mass outside it is bounded in
+    On the Marcus-form routes, one quadrature (``numerics.integrate``:
+    64 intervals, whose 65 nodes are one call, then halved until two
+    successive Simpson sums, or else two successive trapezoid sums,
+    agree to relative ``numerics.REL_TOL`` = 1e-9, first tested at 256
+    against 128 intervals) runs over the window [-W, W],
+    W = 2*lam + |e*eta_f| + 40*kT. There the integrand is analytic in
+    a strip of half-width pi*kT (unless an eff channel closes inside
+    the window) and negligible at both ends, so the trapezoid sums
+    converge geometrically and stop the rule a doubling before the
+    Simpson sums would. The mass outside the window is bounded in
     closed form: every Marcus-form barrier has E*(dg) >= dg - v_s and
     E* >= -v_s, with v_s = max(V(1/2), 0) on the shift route and 0 on
     the others, because (l + dg)^2/(4 l) - dg = (l - dg)^2/(4 l) >= 0

@@ -1,0 +1,248 @@
+"""Quadrature traffic of the Marcus-form rates: ``numerics.integrate``
+against a Simpson-only rule.
+
+Run directly (`PYTHONPATH=src python3 tests/quadrature_traffic.py`); takes
+about ten minutes on one core. Each rate runs twice through
+``mhc_rate_numeric``: with ``integrate``, which stops on the first of its
+Simpson and trapezoid columns to converge, and with ``simpson_only``, the
+same doublings stopped by the Simpson column alone. Three sets of rates:
+
+- ``bench``: the ``rate_quadrature`` operations of seeds 0-9, from
+  ``perfbench/workloads.py`` (imported, not changed);
+- ``narrow``: Condon eff channels, lam_eff = lam*(1 - 2V/lam)^2, from
+  ``default_rng(2026)`` over lam 0.5-8 eV, 200-400 K and eta -1.5..1 V,
+  with lam_eff/lam = 10^U(-4, log10 0.3), 10^U(-6, -2) (300 draws each)
+  and 10^U(-7, -5) (200 draws);
+- ``broad``: 1,500 draws from ``default_rng(24)`` over lam 0.5-8 eV,
+  200-400 K and eta -1.5..1 V, the marcus, shift and eff routes in turn,
+  with a constant or linear coupling of coefficients up to 0.45 lam.
+  An eff draw whose lam_eff changes sign inside the window, where the
+  integrand is not analytic, is marked ``[closes]``.
+
+For each rate it prints the nodes, integrand calls and stop level
+(intervals) of both rules, and the relative gap between their rates,
+NaN where either raised AccuracyError. On the narrow and broad sets it also
+prints each rule's relative error against a 2^22-interval trapezoid of
+the same integrand on the same window. A summary line closes each set;
+on the broad set a second one covers the ``[closes]`` draws.
+"""
+
+import importlib
+import math
+import sys
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+
+import etkit
+from etkit import numerics
+from etkit.barriers import effective_lambdas
+from etkit.constants import K_B
+from etkit.errors import AccuracyError
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROUTES = {
+    "marcus": etkit.BarrierMethod.MARCUS,
+    "shift": etkit.BarrierMethod.CONSTANT_SHIFT,
+    "eff": etkit.BarrierMethod.EFFECTIVE_LAMBDA,
+}
+DENSE_INTERVALS = 2**22
+
+
+def simpson_only(f, a, b):
+    """integrate's doublings, stopped when two successive Simpson sums
+    agree to REL_TOL (first tested at 4*FIRST_BATCH intervals)."""
+    n = numerics.FIRST_BATCH
+    h = (b - a) / n
+    x = a + h * np.arange(n + 1)
+    x[-1] = b
+    y = np.asarray(f(x))
+    trap = h * (np.sum(y) - 0.5 * (y[0] + y[-1]))
+    simpson = math.nan
+    while True:
+        if n > numerics.MAX_LEVEL_NODES:
+            raise AccuracyError("simpson_only gave up", best_estimate=simpson)
+        mids = f(a + h * (np.arange(n) + 0.5))
+        h *= 0.5
+        n *= 2
+        last_trap, trap = trap, 0.5 * trap + h * np.sum(mids)
+        last, simpson = simpson, (4.0 * trap - last_trap) / 3.0
+        if abs(simpson - last) <= numerics.REL_TOL * abs(simpson):
+            return float(simpson)
+
+
+def dense_trapezoid(f, a, b, n=DENSE_INTERVALS, chunk=2**16):
+    """Trapezoid sum of f on n equal intervals of [a, b], in chunks."""
+    h = (b - a) / n
+    total = 0.0
+    for start in range(0, n + 1, chunk):
+        total += float(np.sum(f(a + h * np.arange(start, min(start + chunk, n + 1)))))
+    ends = f(np.array([a, b]))
+    return h * (total - 0.5 * (ends[0] + ends[1]))
+
+
+class Run:
+    """One rate under one rule: nodes, calls, intervals at the stop, the
+    window integral and the integrand, or raised=True."""
+
+    def __init__(self, rate, rule):
+        self.nodes = self.calls = 0
+        self.f = self.window = self.value = None
+        self.raised = False
+
+        def recorded(f, a, b):
+            def counted(x):
+                self.calls += 1
+                self.nodes += len(x)
+                return f(x)
+
+            self.f, self.window = f, (a, b)
+            self.value = rule(counted, a, b)
+            return self.value
+
+        saved = numerics.integrate
+        numerics.integrate = recorded
+        try:
+            self.rate = rate()
+        except AccuracyError:
+            self.raised = True
+            self.rate = math.nan
+        finally:
+            numerics.integrate = saved
+
+    @property
+    def stop(self):
+        return self.nodes - 1
+
+    def error(self, dense):
+        if self.raised:
+            return math.nan
+        return abs(self.value - dense) / abs(dense)
+
+
+def bench_rates():
+    sys.path.insert(0, str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    for seed in range(10):
+        for op in workloads.build("rate_quadrature", seed):
+            yield f"seed {seed} {op.label}", op.run
+
+
+def rate_of(lam, coupling, T, eta, route):
+    kind = "non_adiabatic" if route == "marcus" else "adiabatic"
+    req = etkit.RateRequest(
+        etkit.DiabaticSystem(lam, 0.0),
+        coupling,
+        etkit.ElectrodeConditions(T, eta, 1.0, etkit.PrefactorKind(kind)),
+        ROUTES[route],
+    )
+    return lambda: etkit.rates.mhc_rate_numeric(req)
+
+
+def narrow_rates(lo, hi, n):
+    rng = np.random.default_rng(2026)
+    lam = rng.uniform(0.5, 8, n)
+    T = rng.uniform(200, 400, n)
+    eta = rng.uniform(-1.5, 1, n)
+    ratio = 10 ** rng.uniform(lo, hi, n)
+    for i in range(n):
+        v = lam[i] / 2 * (1 - math.sqrt(ratio[i]))
+        label = f"lam={lam[i]:.4g} lam_eff/lam={ratio[i]:.3g} T={T[i]:.1f} eta={eta[i]:.4f}"
+        yield label, rate_of(lam[i], etkit.ConstantCoupling(v), T[i], eta[i], "eff")
+
+
+def broad_rates(n=1500):
+    rng = np.random.default_rng(24)
+    routes = list(ROUTES)
+    for i in range(n):
+        route = routes[i % 3]
+        lam = rng.uniform(0.5, 8)
+        T = rng.uniform(200, 400)
+        eta = rng.uniform(-1.5, 1)
+        v0 = rng.uniform(0, 0.45) * lam
+        if rng.random() < 0.5:
+            coupling, clabel = etkit.ConstantCoupling(v0), f"const:{v0:.4g}"
+        else:
+            v1 = rng.uniform(0, 0.45) * lam
+            coupling, clabel = etkit.LinearCoupling(v0, v1), f"linear:{v0:.4g},{v1:.4g}"
+        label = f"{route} lam={lam:.4g} {clabel} T={T:.1f} eta={eta:.4f}"
+        # lam_eff is linear in the driving force eta - eps, |eps| <= W
+        w = 2 * lam + abs(eta) + 40 * K_B * T
+        ends = effective_lambdas(lam, coupling, np.array([eta - w, eta + w]))
+        if route == "eff" and min(ends) <= 0.0 < max(ends):
+            label += " [closes]"
+        yield label, rate_of(lam, coupling, T, eta, route)
+
+
+def maxima(rows, dense):
+    """The largest gap (and errors) over (gap, err, ref_err) rows, NaN (a
+    raise) left out, as summary text."""
+    gap, err, ref_err = np.nanmax(np.array([(0.0, 0.0, 0.0), *rows]), axis=0)
+    text = f"; max gap {gap:.2e}"
+    if dense:
+        text += f"; max error vs dense trapezoid {err:.2e} (Simpson only {ref_err:.2e})"
+    return text
+
+
+def report(name, rates, dense):
+    print(f"== {name}")
+    print(f"{'#':>5} {'nodes':>6} {'calls':>5} {'stop':>5} {'ref_nodes':>9} "
+          f"{'ref_stop':>8} {'gap':>9}" + (f" {'err':>9} {'ref_err':>9}" if dense else "")
+          + "  rate")
+    nodes, ref_nodes, calls, ref_calls = [], [], [], []
+    raised = ref_raised = 0
+    stops, shifts = Counter(), Counter()
+    rows, closing = [], []  # (gap, err, ref_err) of every row, of [closes] rows
+    for i, (label, rate) in enumerate(rates):
+        got, ref = Run(rate, numerics.integrate), Run(rate, simpson_only)
+        raised += got.raised
+        ref_raised += ref.raised
+        nodes.append(got.nodes)
+        ref_nodes.append(ref.nodes)
+        calls.append(got.calls)
+        ref_calls.append(ref.calls)
+        gap = err = ref_err = math.nan
+        if not (got.raised or ref.raised):
+            stops[got.stop] += 1
+            shifts[round(math.log2(ref.stop / got.stop))] += 1
+            gap = abs(got.rate - ref.rate) / abs(ref.rate)
+        line = (f"{i:5d} {got.nodes:6d} {got.calls:5d} {got.stop:5d} "
+                f"{ref.nodes:9d} {ref.stop:8d} {gap:9.2e}")
+        if dense:
+            if not got.raised:
+                d = dense_trapezoid(got.f, *got.window)
+                err, ref_err = got.error(d), ref.error(d)
+            line += f" {err:9.2e} {ref_err:9.2e}"
+        print(f"{line}  {label}")
+        rows.append((gap, err, ref_err))
+        if label.endswith("[closes]"):
+            closing.append(rows[-1])
+    summary = (
+        f"{name}: {len(nodes)} rates; nodes per rate {np.mean(ref_nodes):,.0f} -> "
+        f"{np.mean(nodes):,.0f}, calls per rate {np.mean(ref_calls):.2f} -> "
+        f"{np.mean(calls):.2f}; raises {ref_raised} -> {raised}; stop intervals "
+        + ", ".join(f"{k}: {v}" for k, v in sorted(stops.items()))
+        + "; doublings saved "
+        + ", ".join(f"{k}: {v}" for k, v in sorted(shifts.items()))
+        + maxima(rows, dense)
+    )
+    if closing:
+        summary += f"\n{name} [closes]: {len(closing)} rates" + maxima(closing, dense)
+    print(summary)
+    return summary
+
+
+def main():
+    summaries = [
+        report("bench", bench_rates(), dense=False),
+        report("narrow 10^U(-4, log10 0.3)", narrow_rates(-4, math.log10(0.3), 300), True),
+        report("narrow 10^U(-6, -2)", narrow_rates(-6, -2, 300), True),
+        report("narrow 10^U(-7, -5)", narrow_rates(-7, -5, 200), True),
+        report("broad", broad_rates(), True),
+    ]
+    print("\n".join(["== summary", *summaries]))
+
+
+if __name__ == "__main__":
+    main()

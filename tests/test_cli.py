@@ -150,6 +150,37 @@ class TestConfigPrecedence:
         assert len(lines) == 2
         assert lines[1].startswith("marcus,1,")
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # typ() read these as 2 points, lam = 1 eV and 0 eV,
+            # and 1 point; int(inf) raised OverflowError
+            {"n": 2.9},
+            {"lambda": True},
+            {"dg": False},
+            {"n": True},
+            {"n": math.inf},
+        ],
+        ids=["fractional-int", "bool-float", "bool-float-default", "bool-int", "inf-int"],
+    )
+    def test_config_value_of_wrong_type_exits_2(self, capsys, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda": 4.0, "coupling": "const:1", **config}))
+        code, out, err = run(capsys, "surface", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        (key,) = config
+        assert f"config key {key!r} has invalid value" in err
+
+    def test_integral_number_for_int_key(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"lambda": 4.0, "coupling": "const:1", "n": 3.0, "dg": 0})
+        )
+        code, out, _err = run(capsys, "surface", "--config", str(cfg))
+        assert code == 0
+        assert len(out.strip().split("\n")) == 1 + 3
+
     def test_unreadable_config_exits_2(self, capsys, tmp_path):
         code, _out, err = run(
             capsys, "barrier", "--config", str(tmp_path / "nope.json"),

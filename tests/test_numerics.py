@@ -65,7 +65,7 @@ def run_capped(code, limit=1 << 30):
 
 class TestLevelNodeLimit:
     """Inputs on which the adaptive Simpson rule reached MAX_LEVEL_NODES
-    and gave up: composite Simpson converges on them far below it."""
+    and gave up: integrate converges on them far below it."""
 
     def test_seed_223_eff_rate_matches_dense_trapezoid(self):
         # an eff-route rate of the rate_quadrature benchmark (seed 223);
@@ -111,7 +111,7 @@ class TestIntegrate:
 
     def test_gaussian_normalization(self):
         val = integrate(lambda x: np.exp(-x * x / 2), -40.0, 40.0)
-        assert val == pytest.approx(math.sqrt(2 * math.pi), abs=1e-8)
+        assert val == pytest.approx(math.sqrt(2 * math.pi), rel=0, abs=1e-15)
 
     def test_polynomial_exactness_random_cubics(self):
         # Simpson's rule is exact through cubics on any interval
@@ -139,8 +139,8 @@ class TestIntegrate:
             occ * np.exp(np.clip(-b * (lam + eta - xs) ** 2 / (4 * lam), -700, 0)),
             xs,
         )
-        simpson = integrate(f, -w, w)
-        assert simpson == pytest.approx(dense, rel=1e-6, abs=0)
+        got = integrate(f, -w, w)
+        assert got == pytest.approx(dense, rel=1e-6, abs=0)
 
     def test_one_call_per_doubling_and_no_node_twice(self):
         _lam, _eta, w, f = continuum_integrand()
@@ -161,7 +161,7 @@ class TestIntegrate:
         assert nodes == pytest.approx(grid, rel=0, abs=1e-12 * w)
 
     def test_depth_cap_raises_accuracy_error(self):
-        # the jump keeps Simpson's error O(h): no doubling below
+        # the jump keeps both columns' errors O(h): no doubling below
         # MAX_LEVEL_NODES new nodes reaches REL_TOL
         with pytest.raises(
             AccuracyError, match=f"limit MAX_LEVEL_NODES = {MAX_LEVEL_NODES}"
@@ -188,43 +188,52 @@ class TestIntegrate:
             integrate(f, a, b)
 
 
-def reference_simpson(f, a, b):
-    """Composite Simpson on 2, 4, 8, ... times FIRST_BATCH intervals, as
-    integrate forms its sums, each sum from scratch at its own nodes,
-    until two successive sums agree to REL_TOL; returns (the last sum,
-    its number of intervals)."""
+def reference_rule(f, a, b):
+    """The trapezoid and Simpson columns on 2, 4, 8, ... times FIRST_BATCH
+    intervals, each sum from scratch at its own nodes. From 4*FIRST_BATCH
+    intervals on, the Simpson sum is returned if it agrees with its
+    predecessor to REL_TOL, else the trapezoid sum if it does; returns
+    (that sum, its number of intervals, "simpson" or "trapezoid")."""
 
-    def simpson(n):
+    def sums(n):
         y = f(np.linspace(a, b, n + 1))
+        h = (b - a) / n
+        trap = h * (0.5 * y[0] + y[1:-1].sum() + 0.5 * y[-1])
         inner = 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()
-        return (b - a) / (3 * n) * (y[0] + inner + y[-1])
+        return trap, h / 3.0 * (y[0] + inner + y[-1])
 
-    def refine(n, last):
-        s = simpson(2 * n)
-        if abs(s - last) <= REL_TOL * abs(s):
-            return s, 2 * n
-        return refine(2 * n, s)
-
-    return refine(2 * FIRST_BATCH, simpson(2 * FIRST_BATCH))
+    n = 2 * FIRST_BATCH
+    trap, simpson = sums(n)
+    while True:
+        n *= 2
+        last_trap, last = trap, simpson
+        trap, simpson = sums(n)
+        if abs(simpson - last) <= REL_TOL * abs(simpson):
+            return simpson, n, "simpson"
+        if abs(trap - last_trap) <= REL_TOL * abs(trap):
+            return trap, n, "trapezoid"
 
 
 def reference_cases():
     _lam, _eta, w, f = continuum_integrand()
     return [
         # exact, or (exp) converged to 2e-11 between 128 and 256
-        # intervals: stop at the first test
+        # intervals: Simpson stops at the first test
         pytest.param(lambda x: x * x, 0.0, 1.0, id="square"),
         pytest.param(
             lambda x: 1.5 - 0.5 * x + 2.0 * x**2 - x**3, -1.0, 2.5, id="cubic"
         ),
         pytest.param(np.exp, 0.0, 1.0, id="exp"),
+        # analytic in a strip and negligible at both ends: the trapezoid
+        # column stops a doubling before Simpson's
         pytest.param(f, -w, w, id="continuum"),
+        pytest.param(lambda x: np.exp(-x * x / 2), -40.0, 40.0, id="gaussian"),
     ]
 
 
 class TestAgainstReferenceSimpson:
-    """integrate is composite Simpson with the plain stopping rule, however
-    it batches its calls of f."""
+    """integrate is the two-column rule of ``reference_rule``, however it
+    batches its calls of f."""
 
     @pytest.mark.parametrize("f, a, b", reference_cases())
     def test_same_sum_at_same_level(self, f, a, b):
@@ -235,15 +244,18 @@ class TestAgainstReferenceSimpson:
             return f(x)
 
         got = integrate(counted, a, b)
-        ref, n = reference_simpson(f, a, b)
+        ref, n, _column = reference_rule(f, a, b)
         assert got == pytest.approx(ref, rel=1e-14, abs=0)
         # the nodes of n intervals and no more
         assert sum(sizes) == n + 1
 
     def test_cases_stop_at_and_beyond_the_first_test(self):
-        stops = [reference_simpson(*p.values)[1] for p in reference_cases()]
-        assert stops[:3] == [4 * FIRST_BATCH] * 3
-        assert stops[3] > 4 * FIRST_BATCH
+        stops = [reference_rule(*p.values)[1:] for p in reference_cases()]
+        assert stops[:3] == [(4 * FIRST_BATCH, "simpson")] * 3
+        # Simpson alone stops the continuum case at 4,096 intervals and
+        # the Gaussian at 512
+        assert stops[3] == (32 * FIRST_BATCH, "trapezoid")
+        assert stops[4] == (4 * FIRST_BATCH, "trapezoid")
 
 
 class TestGaussLegendre:
