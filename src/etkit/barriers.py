@@ -10,6 +10,7 @@ Newton's method finds it at many level shifts without the roots.
 """
 
 import enum
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import SimpleNamespace
@@ -26,6 +27,7 @@ from .model import (
     horner,
     lower_adiabat,
 )
+from .numerics import gauss_legendre
 
 __all__ = [
     "BarrierMethod",
@@ -60,6 +62,9 @@ _CUBE = np.array([-1.0, 6.0, -12.0, 8.0])
 _SAME_SHIFT = 1e-12
 # Chebyshev-Gauss points per BARRIER piece behind ExactAdiabat.seeds
 _SEED_POINTS = 32
+# Gauss-Legendre nodes on each side of the Fermi step in a BARRIER piece
+# (ExactAdiabat.rule)
+_EXACT_NODES = 128
 # Newton's method polishes the seeds until every step is at most
 # _POLISH_STEP (in q), for at most _POLISH_STEPS steps; a root must end at
 # most _POLISH_MOVE from its seed. Near a fold F' vanishes and the steps
@@ -70,6 +75,9 @@ _POLISH_STEP = 1e-10
 _POLISH_MOVE = 1e-6
 # kinds of a piece of the dg axis (ExactAdiabat.pieces)
 CLOSED, DOWNHILL, BARRIER = 0, 1, 2
+
+# ExactAdiabat.rule
+ExactRule = namedtuple("ExactRule", "down_lo down_hi lo hi width u half_w")
 
 
 class BarrierMethod(enum.Enum):
@@ -171,9 +179,9 @@ class ExactAdiabat:
     crossing, E_minus has a kink there that is no root of E_minus', so
     the crossing is added as a candidate.
 
-    ``shifts``, ``center_shift``, ``pieces`` and ``seeds`` depend on
-    (lam, c) only: each is computed on first use and kept, its arrays
-    read-only. Callers share one instance per pair through
+    ``shifts``, ``center_shift``, ``pieces``, ``seeds`` and ``rule``
+    depend on (lam, c) only: each is computed on first use and kept, its
+    arrays read-only. Callers share one instance per pair through
     ``exact_adiabat``. ``barriers`` solves for every stationary point at
     each level shift; ``seeded_barriers`` serves the exact rate's nodes on
     the BARRIER pieces without an eigenvalue solve, by Newton's method
@@ -234,7 +242,7 @@ class ExactAdiabat:
         # vanishes there, or a near-kink) comes back as a pair split by
         # ~1e-8, possibly complex (one of the two is kept), with M'*h at
         # noise level; so refine by one Newton step on F
-        step, slope_h = self._newton_step(q, column)
+        step, slope_h, _root_g = self._newton_step(q, column)
         keep = (0.0 <= roots.imag) & (roots.imag <= 1e-6)
         keep &= slope_h >= -1e-12 * lam * (lam * lam)
         q = np.where(np.abs(step) <= 1e-6, q - step, q)
@@ -267,7 +275,8 @@ class ExactAdiabat:
 
     def _newton_step(self, q, dg):
         """Newton step toward a stationary point of E_minus at each q of a
-        2-D array, and M'*h there; dg broadcasts against q.
+        2-D array, M'*h there and sqrt(g), the half gap of the adiabats
+        (E_minus is the diabat mean less it); dg broadcasts against q.
 
         The step is on F = M' sqrt(g) - h, whose genuine roots are simple
         (F' = 2 lam sqrt(g) + M' h / sqrt(g) - h'), unlike those of P.
@@ -283,7 +292,7 @@ class ExactAdiabat:
             step = (slope * root_g - h) / (
                 2.0 * lam * root_g + slope_h / root_g - (lam * lam + dv * dv + v * ddv)
             )
-        return step, slope_h
+        return step, slope_h, root_g
 
     def _crossing(self, dg):
         """The diabatic crossing q = (1 + dg/lam)/2 of level shifts dg, and
@@ -406,10 +415,14 @@ class ExactAdiabat:
         points of every BARRIER piece gives them. A piece is seeded only if
         it is bounded and at every point the surface has two wells, the
         transition state lies right of the reactant well and the diabatic
-        crossing is no kink. Returns (coef, seeded): coef[k] holds the
-        coefficients of T_k(2t - 1), shape (2, pieces), q_r then q_ts;
-        seeded one flag per BARRIER piece in order. Seeds nothing if the
-        samples leave the scan window (``barriers`` raises).
+        crossing is no kink. The series end at the shortest prefix whose
+        dropped coefficients sum to at most 1e-12 in every column, which
+        bounds what the cut moves a seed. Returns (coef, seeded): coef[k]
+        holds the coefficients of T_k(2t - 1) as a column of 2 * pieces
+        rows, q_r of every piece then q_ts (shape (terms, 2 * pieces, 1),
+        for ``_clenshaw``); seeded one flag per BARRIER piece in order.
+        Seeds nothing if the samples leave the scan window (``barriers``
+        raises).
         """
         lo, hi, kind = self.pieces
         lo, hi = lo[kind == BARRIER], hi[kind == BARRIER]
@@ -432,9 +445,41 @@ class ExactAdiabat:
             c[:, :, 0] *= 0.5
             coef[:, :, seeded] = c.transpose(2, 0, 1)
             seeded[seeded] = good
+        coef = coef.reshape(n, -1)
+        # tail[k]: the largest sum over a column of |coef[j]|, j >= k
+        tail = np.abs(coef)[::-1].cumsum(axis=0)[::-1].max(axis=1, initial=0.0)
+        coef = coef[: max(np.count_nonzero(tail > 1e-12), 1), :, None]
         for x in coef, seeded:
             x.flags.writeable = False
         return coef, seeded
+
+    @cached_property
+    def rule(self):
+        """The exact rate's quadrature rule less what depends on the
+        overpotential and the temperature, as an ``ExactRule``: the ends
+        (down_lo, down_hi) of the DOWNHILL pieces; the ends (lo, hi) and
+        the width hi - lo of the BARRIER pieces, each a column; and the
+        _EXACT_NODES Gauss-Legendre points mapped to [0, 1] (u), with
+        their weights halved (half_w).
+
+        Raises SurfaceTopologyError, and keeps nothing, if a BARRIER piece
+        or a DOWNHILL one above it is unbounded: the rate integral has no
+        end there.
+        """
+        lo, hi, kind = self.pieces
+        down, barrier = kind == DOWNHILL, kind == BARRIER
+        if np.isinf(lo[barrier]).any() or np.isinf(hi[barrier | down]).any():
+            raise SurfaceTopologyError(
+                "a barrier piece of the level-shift axis, or a downhill one "
+                "above it, is unbounded: the exact rate integral has no end"
+            )
+        x, w = gauss_legendre(_EXACT_NODES)
+        ends = lo[barrier, None], hi[barrier, None]
+        width = ends[1] - ends[0]
+        rule = ExactRule(lo[down], hi[down], *ends, width, 0.5 * (x + 1.0), 0.5 * w)
+        for column in rule:
+            column.flags.writeable = False
+        return rule
 
     def seeded_barriers(self, t, dg):
         """Exact barriers at the level shifts dg = piece_shifts(lo, hi, t)
@@ -443,33 +488,41 @@ class ExactAdiabat:
         t and dg have shape (pieces, nodes), one row per BARRIER piece in
         order. The reactant well and the transition state come from
         ``seeds`` by Clenshaw's recurrence and are polished by Newton's
-        method on F (``_newton_step``); E* = E_minus(q_ts) - E_minus(q_r).
+        method on F (``_newton_step``). E* = E_minus(q_ts) - E_minus(q_r)
+        is taken at the q of the last step, as the diabat mean less the
+        sqrt(g) that the step forms: no second pass over the adiabat. That
+        step is at most _POLISH_STEP, so E_minus there is within about
+        E'' _POLISH_STEP^2 / 2 (1e-19 eV) of its value at the root.
         Returns (e_star, ok), ok one flag per piece: False where the piece
-        is not seeded, or at some node the diabatic crossing is a kink, the
-        last Newton step exceeds _POLISH_STEP, a root moved more than
-        _POLISH_MOVE from its seed or q_r >= q_ts. e_star is meaningful
-        only where ok; such a piece takes ``barriers`` at its nodes.
+        is not seeded (with no piece seeded, nothing is evaluated), or at
+        some node the diabatic crossing is a kink, the last Newton step
+        exceeds _POLISH_STEP, a root moved more than _POLISH_MOVE from its
+        seed or q_r >= q_ts. e_star is meaningful only where ok; such a
+        piece takes ``barriers`` at its nodes.
         """
         coef, ok = self.seeds
+        if not ok.any():
+            return np.full(dg.shape, np.nan), ok
+        x = 2.0 * t - 1.0
         # q_r and q_ts at every node, one row each
-        seed = _clenshaw(coef, 2.0 * t - 1.0).reshape(2, -1)
+        seed = _clenshaw(coef, np.concatenate([x, x])).reshape(2, -1)
         dg_all = dg.ravel()
+        lam = self.lam
         q = seed
-        # a piece whose Newton iterates run off is rejected below, and
-        # E_minus is taken at its seeds, where it is finite
+        # a piece whose Newton iterates run off is rejected below; its
+        # e_star, maybe not finite, is not used
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(_POLISH_STEPS):
-                step, _slope_h = self._newton_step(q, dg_all)
-                q = q - step
+                step, _slope_h, root_g = self._newton_step(q, dg_all)
+                q, last = q - step, q
                 if (np.abs(step) <= _POLISH_STEP).all():
                     break
             good = (np.abs(step) <= _POLISH_STEP) & (np.abs(q - seed) <= _POLISH_MOVE)
             good = good.all(axis=0) & (q[0] < q[1]) & ~self._crossing(dg_all)[1]
             ok = ok & good.reshape(dg.shape).all(axis=1)
-            q = np.where(good, q, seed)
-        # lower_adiabat reads only lam and dg0 of a system
-        e = lower_adiabat(SimpleNamespace(lam=self.lam, dg0=dg_all), self.coupling, q)
-        return np.maximum(e[1] - e[0], 0.0).reshape(dg.shape), ok
+            e = 0.5 * (lam * last * last + (lam * (1.0 - last) ** 2 + dg_all)) - root_g
+            e_star = np.maximum(e[1] - e[0], 0.0)
+        return e_star.reshape(dg.shape), ok
 
     def _edge_crossings(self):
         """Level shifts at which a stationary point crosses an end q of the
@@ -509,14 +562,17 @@ def piece_shifts(lo, hi, t):
 
 
 def _clenshaw(coef, x):
-    """sum_k coef[k] T_k(x) by Clenshaw's recurrence, coef[k] of shape
-    (m, pieces) and x of shape (pieces, nodes); returns shape
-    (m, pieces, nodes)."""
-    coef = coef[:, :, :, None]
+    """sum_k coef[k] T_k(x) by Clenshaw's recurrence, coef[k] a column of
+    shape (rows, 1) and x of shape (rows, nodes); returns shape (rows,
+    nodes). One pass over three buffers, updated in place."""
     x2 = 2.0 * x
-    b1 = b2 = 0.0
+    b1, b2, b0 = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
     for c in coef[:0:-1]:
-        b1, b2 = x2 * b1 - b2 + c, b1
+        # b1, b2 = x2 * b1 - b2 + c, b1
+        np.multiply(x2, b1, out=b0)
+        b0 -= b2
+        b0 += c
+        b1, b2, b0 = b0, b1, b2
     return x * b1 - b2 + coef[0]
 
 
@@ -657,9 +713,17 @@ def adiabatic_driving_force(sys, c):
     return float(minima[1] - minima[0])
 
 
-def validity_report(sys, c):
+def validity_report(sys, c, temperature=300.0):
     """Heuristic warnings for regimes where the reduced-lambda barrier
-    formula degrades."""
+    formula degrades.
+
+    The last one measures adiabaticity with the model's own prefactors
+    (``rates.prefactor``) at lam and the temperature (K): the golden-rule
+    (V(1/2)^2/hbar) sqrt(pi beta/lam) below the classical kT/h marks the
+    non-adiabatic regime, where the reduced lam_eff does not apply.
+    """
+    from .rates import PrefactorKind, prefactor
+
     warnings = []
     v_max = coupling_max(c)
     try:
@@ -685,5 +749,15 @@ def validity_report(sys, c):
         warnings.append(
             f"max coupling {v_max:.4g} eV is below k_B*T at 300 K; system is "
             "in the non-adiabatic regime"
+        )
+    v_half = float(coupling_eval(c, 0.5))
+    ratio = prefactor(PrefactorKind.NON_ADIABATIC, sys, v_half, temperature) / prefactor(
+        PrefactorKind.ADIABATIC, sys, v_half, temperature
+    )
+    if ratio < 1.0:
+        warnings.append(
+            f"golden-rule prefactor is {ratio:.3g} of kT/h at lam={sys.lam:.4g} eV "
+            f"and T={temperature:.4g} K (V(1/2) = {v_half:.4g} eV); the rate is "
+            "non-adiabatic by the model's own prefactors"
         )
     return warnings

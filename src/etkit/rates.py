@@ -19,8 +19,6 @@ import numpy as np
 
 from . import numerics
 from .barriers import (
-    BARRIER,
-    DOWNHILL,
     BarrierMethod,
     closed_channel,
     effective_lambda,
@@ -29,12 +27,7 @@ from .barriers import (
     piece_shifts,
 )
 from .constants import H, HBAR, K_B, beta
-from .errors import (
-    AccuracyError,
-    NumericalDomainError,
-    SingularRegimeError,
-    SurfaceTopologyError,
-)
+from .errors import AccuracyError, NumericalDomainError, SingularRegimeError
 from .model import coupling_eval
 
 __all__ = [
@@ -50,9 +43,6 @@ __all__ = [
     "extract_coupling",
 ]
 
-# Gauss-Legendre nodes on each side of the Fermi step in a barrier piece
-_EXACT_NODES = 128
-
 
 class PrefactorKind(enum.Enum):
     ADIABATIC = "adiabatic"
@@ -65,7 +55,7 @@ class ElectrodeConditions:
 
     eta_f is the formal overpotential in volts; for a single electron
     e*eta_f in eV equals eta_f numerically. rho is the wide-band density
-    of states in 1/eV.
+    of states in 1/eV. prefactor is a PrefactorKind (TypeError otherwise).
     """
 
     temperature: float
@@ -79,6 +69,8 @@ class ElectrodeConditions:
             raise ValueError(f"rho must be positive, got {self.rho}")
         if not math.isfinite(self.eta_f):
             raise ValueError(f"eta_f must be finite, got {self.eta_f}")
+        if not isinstance(self.prefactor, PrefactorKind):
+            raise TypeError(f"unknown prefactor kind: {self.prefactor!r}")
 
 
 @dataclass(frozen=True)
@@ -125,55 +117,61 @@ def prefactor(kind, sys, coupling_at_crossing, T):
     raise TypeError(f"unknown prefactor kind: {kind!r}")
 
 
-def _exact_integral(adiabat, eta, T):
-    """integral of n(eps) * exp(-beta*E*(eta - eps)) over eps on the exact
-    route, piece by piece of the level-shift axis.
+def _exact_nodes(rule, eta):
+    """The nodes t of an ``ExactAdiabat.rule`` at overpotential eta, their
+    level shifts dg and their weights, each of shape (BARRIER pieces,
+    2 * nodes of the rule), one row per piece.
 
-    Closed pieces and nodes (E* = +inf) contribute 0. On a downhill piece
-    E* = 0 and the integral of the Fermi function is kT*ln(1 + e^(-beta*eps))
-    between its ends. A barrier piece (lo, hi) is mapped by
-    dg = lo + (hi - lo)*sin^2(pi*t/2) (``piece_shifts``), which makes the
-    integrand analytic in t at fold singularities, split at the Fermi step
-    dg = eta (or at t = 1/2), and integrated by Gauss-Legendre on each
-    part. E* at the nodes comes from ``ExactAdiabat.seeded_barriers``
-    (Newton's method from the pieces' cached seeds); the nodes of the
-    pieces it does not accept go into one ``barriers`` call.
+    A barrier piece (lo, hi) is mapped by dg = lo + (hi - lo)*sin^2(pi*t/2)
+    (``piece_shifts``), which makes the integrand analytic in t at fold
+    singularities, and split at the Fermi step dg = eta (or at t = 1/2
+    where the step lies outside); each part takes the rule's
+    Gauss-Legendre points, and the weights include d dg / dt.
     """
-    b = beta(T)
-    lo, hi, kind = adiabat.pieces
-    down, barrier = kind == DOWNHILL, kind == BARRIER
-    if np.isinf(lo[barrier]).any() or np.isinf(hi[barrier | down]).any():
-        raise SurfaceTopologyError(
-            "a barrier piece of the level-shift axis, or a downhill one "
-            "above it, is unbounded: the exact rate integral has no end"
-        )
-    # kT*ln(1 + e^(-beta*eps)) at eps = eta - hi minus at eps = eta - lo
-    downhill = np.sum(
-        np.logaddexp(0.0, -b * (eta - hi[down]))
-        - np.logaddexp(0.0, -b * (eta - lo[down]))
-    ) / b
-    lo, hi = lo[barrier], hi[barrier]
-    width = hi - lo
+    lo, width = rule.lo, rule.width
     # the t of the Fermi step, or t = 1/2 where the step lies outside
     s = (eta - lo) / width
     s = np.where((0.0 < s) & (s < 1.0), s, 0.5)
     split = np.arcsin(np.sqrt(s)) / (0.5 * np.pi)
     # t and its weights on [0, split] and [split, 1], one row per part
-    x, w = numerics.gauss_legendre(_EXACT_NODES)
-    start = np.stack([np.zeros_like(split), split], axis=1)[:, :, None]
-    half = 0.5 * np.stack([split, 1.0 - split], axis=1)[:, :, None]
-    t = start + half * (x + 1.0)
+    start = np.stack([np.zeros_like(split), split], axis=1)
+    length = np.stack([split, 1.0 - split], axis=1)
+    t = start + length * rule.u
     phase = 0.5 * np.pi * t
     # d dg / dt = (hi - lo) * (pi/2) * sin(pi t)
-    weight = half * w * width[:, None, None] * np.pi * np.sin(phase) * np.cos(phase)
+    weight = length * rule.half_w * width[:, None] * np.pi * np.sin(phase) * np.cos(phase)
     # one row of nodes per piece
-    t = t.reshape(len(t), 2 * _EXACT_NODES)
-    dg = piece_shifts(lo[:, None], hi[:, None], t)
+    t = t.reshape(len(t), 2 * len(rule.u))
+    return t, piece_shifts(lo, rule.hi, t), weight.reshape(t.shape)
+
+
+def _exact_integral(adiabat, eta, b):
+    """integral of n(eps) * exp(-b*E*(eta - eps)) over eps on the exact
+    route at inverse temperature b, piece by piece of the level-shift axis.
+
+    Closed pieces and nodes (E* = +inf) contribute 0. On a downhill piece
+    E* = 0 and the integral of the Fermi function is kT*ln(1 + e^(-b*eps))
+    between its ends. A barrier piece is integrated by the Gauss-Legendre
+    rule of ``_exact_nodes``. What depends on (lam, c) only, the ends of
+    the pieces and the rule's points and weights, is ``adiabat.rule``,
+    built on the first rate; a rate computes the Fermi split, its nodes
+    and weights, E* and the kernel. E* at the nodes comes from
+    ``ExactAdiabat.seeded_barriers`` (Newton's method from the pieces'
+    cached seeds); the nodes of the pieces it does not accept go into one
+    ``barriers`` call.
+    """
+    rule = adiabat.rule
+    # kT*ln(1 + e^(-b*eps)) at eps = eta - hi minus at eps = eta - lo
+    downhill = np.sum(
+        np.logaddexp(0.0, -b * (eta - rule.down_hi))
+        - np.logaddexp(0.0, -b * (eta - rule.down_lo))
+    ) / b
+    t, dg, weight = _exact_nodes(rule, eta)
     e_star, seeded = adiabat.seeded_barriers(t, dg)
     if not seeded.all():
         e, _q_ts, q_r, single = adiabat.barriers(dg[~seeded].ravel())
         e = np.where(closed_channel(q_r, single), np.inf, e)
-        e_star[~seeded] = e.reshape(-1, 2 * _EXACT_NODES)
+        e_star[~seeded] = e.reshape(-1, dg.shape[1])
     nodes = weight.ravel() * _fermi_boltzmann(b, eta - dg.ravel(), e_star.ravel())
     return float(downhill + np.sum(nodes))
 
@@ -190,11 +188,15 @@ def mhc_rate_numeric(req):
     axis and a fixed Gauss-Legendre rule on its barrier pieces (see
     ``ExactAdiabat.pieces``), which depend on (lam, coupling) only: the
     ``ExactAdiabat`` of a pair comes from ``barriers.exact_adiabat``, shared
-    with ``barrier()``. The barrier at the rule's nodes is exact: Newton's
-    method from the pieces' cached seeds (``ExactAdiabat.seeded_barriers``),
-    or the eigenvalue path ``ExactAdiabat.barriers`` on a piece that the
-    seeds cannot serve. It raises SurfaceTopologyError if a barrier piece
-    is unbounded or a stationary point leaves the scan window inside one.
+    with ``barrier()``, and builds the rule (``ExactAdiabat.rule``) and the
+    seeds on the pair's first rate. A rate then computes only what depends
+    on eta and T: the Fermi split, the nodes and weights, E* and the
+    kernel. The barrier at the rule's nodes is exact: Newton's method from
+    the pieces' cached seeds (``ExactAdiabat.seeded_barriers``), E_minus
+    from the last step's own evaluation, or the eigenvalue path
+    ``ExactAdiabat.barriers`` on a piece that the seeds cannot serve. It
+    raises SurfaceTopologyError if a barrier piece is unbounded or a
+    stationary point leaves the scan window inside one.
 
     On every route the integrand at a node is n(eps) * exp(-beta*E*) in
     one kernel, exp(-beta*E*) / (1 + exp(beta*eps)): 0, with no warning,
@@ -232,7 +234,7 @@ def mhc_rate_numeric(req):
         return 0.0
     scale = a_pref * cond.rho
     if req.barrier_method is BarrierMethod.EXACT_ADIABAT:
-        return scale * _exact_integral(exact_adiabat(sys.lam, c), cond.eta_f, T)
+        return scale * _exact_integral(exact_adiabat(sys.lam, c), cond.eta_f, b)
     e_star = marcus_form(sys.lam, c, req.barrier_method)
 
     def integrand(eps):

@@ -1,0 +1,227 @@
+"""Cost and accuracy of the exact route's rates (EXACT_ADIABAT).
+
+Run directly (`PYTHONPATH=src python3 tests/exact_traffic.py`); takes
+a few seconds on one core. Two parts:
+
+- ``stages``: one warm rate (lam 4 eV, V = 0.1 + 0.4 q, eta -0.3 V,
+  300 K) timed whole and by stage, best of 300 runs: the nodes and
+  weights of the rule (``rates._exact_nodes``), the seeds' Chebyshev sum
+  (``barriers._clenshaw``), Newton's polish (the rest of
+  ``ExactAdiabat.seeded_barriers``) and the kernel
+  (``rates._fermi_boltzmann`` and the sum).
+- ``draws``: 300 rates from ``default_rng(2026)`` over lam U(0.5, 8) eV,
+  T U(200, 400) K and eta U(-1.5, 1) V, the couplings taken in turn:
+  constant U(0, 0.45) lam; linear, both coefficients U(-0.3, 0.3) lam;
+  quadratic, all three U(-0.15, 0.15) lam. Each line gives the Newton
+  steps of the seeded pieces (0 where none is seeded), the seeded and
+  fallback pieces, the relative gap to a reference file of rates (see
+  below) and to ``reference_rate``: the same pieces under 2 x 512
+  Gauss-Legendre nodes, E* from the eigenvalue path ``barriers``.
+
+``--save FILE`` writes the draws' rates as ``repr`` strings (the name of
+the exception where a rate raises) and stops; it needs nothing but
+``mhc_rate_numeric``, so it runs on an older checkout too
+(``PYTHONPATH=<checkout>/src``). ``--against FILE`` reads such a file
+for the ``gap`` column; without it the column is NaN. A summary closes
+each part.
+"""
+
+import argparse
+import json
+import math
+import timeit
+
+import numpy as np
+
+from etkit import barriers, numerics, rates
+from etkit.barriers import BARRIER, DOWNHILL, ExactAdiabat, exact_adiabat
+from etkit.constants import beta
+from etkit.errors import SurfaceTopologyError
+from etkit.model import DiabaticSystem, LinearCoupling, PolynomialCoupling
+
+N_DRAWS = 300
+REFERENCE_NODES = 512
+REPEATS = 300
+
+
+def draws(n=N_DRAWS, seed=2026):
+    """(label, lam, coupling, T, eta) of n exact-route rates."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        lam = rng.uniform(0.5, 8.0)
+        T = rng.uniform(200.0, 400.0)
+        eta = rng.uniform(-1.5, 1.0)
+        if i % 3 == 0:
+            coeffs = (rng.uniform(0.0, 0.45) * lam,)
+        elif i % 3 == 1:
+            coeffs = tuple(rng.uniform(-0.3, 0.3, 2) * lam)
+        else:
+            coeffs = tuple(rng.uniform(-0.15, 0.15, 3) * lam)
+        label = (f"lam={lam:.4g} V=" + ",".join(f"{c:.4g}" for c in coeffs)
+                 + f" T={T:.1f} eta={eta:.4f}")
+        out.append((label, lam, PolynomialCoupling(coeffs), T, eta))
+    return out
+
+
+def rate(lam, coupling, T, eta):
+    return rates.mhc_rate_numeric(
+        rates.RateRequest(
+            DiabaticSystem(lam, 0.0), coupling, rates.ElectrodeConditions(T, eta),
+            barriers.BarrierMethod.EXACT_ADIABAT,
+        )
+    )
+
+
+def saved_rate(lam, coupling, T, eta):
+    try:
+        return repr(rate(lam, coupling, T, eta))
+    except Exception as exc:  # noqa: BLE001 - recorded by name
+        return type(exc).__name__
+
+
+def reference_rate(lam, coupling, T, eta, n=REFERENCE_NODES):
+    """The exact rate under n Gauss-Legendre nodes on each side of the
+    Fermi step of every barrier piece, E* from ``ExactAdiabat.barriers``
+    at every node (adiabatic prefactor, rho = 1)."""
+    b = beta(T)
+    adiabat = exact_adiabat(lam, coupling)
+    lo, hi, kind = adiabat.pieces
+    down, barrier = kind == DOWNHILL, kind == BARRIER
+    total = np.sum(
+        np.logaddexp(0.0, -b * (eta - hi[down])) - np.logaddexp(0.0, -b * (eta - lo[down]))
+    ) / b
+    x, w = numerics.gauss_legendre(n)
+    for a, z in zip(lo[barrier], hi[barrier]):
+        s = (eta - a) / (z - a)
+        split = math.asin(math.sqrt(s)) / (0.5 * math.pi) if 0.0 < s < 1.0 else 0.5
+        for start, end in ((0.0, split), (split, 1.0)):
+            t = start + 0.5 * (end - start) * (x + 1.0)
+            dg = barriers.piece_shifts(a, z, t)
+            e, _q_ts, q_r, single = adiabat.barriers(dg)
+            e = np.where(barriers.closed_channel(q_r, single), np.inf, e)
+            jacobian = (z - a) * 0.5 * math.pi * np.sin(math.pi * t)
+            weight = 0.5 * (end - start) * w * jacobian
+            total += np.sum(weight * rates._fermi_boltzmann(b, eta - dg, e))
+    return rates.prefactor(rates.PrefactorKind.ADIABATIC, None, 0.0, T) * total
+
+
+class Traffic:
+    """Newton steps, and seeded and fallback pieces, of one warm rate (the
+    pair's seeds, built on its first rate, take Newton steps of their own
+    in ``extrema``)."""
+
+    def __init__(self, lam, coupling, T, eta):
+        rate(lam, coupling, T, eta)
+        self.steps = self.seeded = self.fallback = 0
+        newton_step, seeded_barriers = ExactAdiabat._newton_step, ExactAdiabat.seeded_barriers
+
+        def counted_step(adiabat, q, dg):
+            self.steps += 1
+            return newton_step(adiabat, q, dg)
+
+        def counted(adiabat, t, dg):
+            ExactAdiabat._newton_step = counted_step
+            try:
+                e_star, ok = seeded_barriers(adiabat, t, dg)
+            finally:
+                ExactAdiabat._newton_step = newton_step
+            self.seeded += int(ok.sum())
+            self.fallback += int((~ok).sum())
+            return e_star, ok
+
+        ExactAdiabat.seeded_barriers = counted
+        try:
+            self.rate = rate(lam, coupling, T, eta)
+        finally:
+            ExactAdiabat.seeded_barriers = seeded_barriers
+
+
+def best_us(f):
+    return 1e6 * min(timeit.repeat(f, number=1, repeat=REPEATS))
+
+
+def stages():
+    lam, coupling, T, eta = 4.0, LinearCoupling(0.1, 0.5), 300.0, -0.3
+    adiabat = exact_adiabat(lam, coupling)
+    rate(lam, coupling, T, eta)  # warm: pieces, seeds and rule
+    b = beta(T)
+    t, dg, weight = rates._exact_nodes(adiabat.rule, eta)
+    x = 2.0 * t - 1.0
+    x = np.concatenate([x, x])  # q_r and q_ts rows, as seeded_barriers sums them
+    e_star, _ok = adiabat.seeded_barriers(t, dg)
+    coef = adiabat.seeds[0]
+    times = {
+        "rate": best_us(lambda: rate(lam, coupling, T, eta)),
+        "nodes": best_us(lambda: rates._exact_nodes(adiabat.rule, eta)),
+        "seeds": best_us(lambda: barriers._clenshaw(coef, x)),
+        "seeded_barriers": best_us(lambda: adiabat.seeded_barriers(t, dg)),
+        "kernel": best_us(
+            lambda: np.sum(weight * rates._fermi_boltzmann(b, eta - dg, e_star))
+        ),
+    }
+    times["newton"] = times["seeded_barriers"] - times["seeds"]
+    print("== stages: lam 4, V = 0.1 + 0.4 q, eta -0.3, 300 K; best of "
+          f"{REPEATS}, microseconds")
+    for name in ("rate", "nodes", "seeds", "newton", "kernel"):
+        print(f"{name:>8} {times[name]:8.1f}")
+    print(f"{'terms':>8} {coef.shape[0]:8d}  (seed series after trimming)")
+
+
+def report(against):
+    print(f"== draws: {N_DRAWS} rates")
+    print(f"{'#':>3} {'steps':>5} {'seed':>4} {'fall':>4} {'gap':>9} {'ref_err':>9}  rate")
+    gaps, errors, steps = [], [], []
+    seeded = fallback = raised = 0
+    for i, (label, lam, coupling, T, eta) in enumerate(draws()):
+        gap = err = math.nan
+        try:
+            got = Traffic(lam, coupling, T, eta)
+        except SurfaceTopologyError:
+            raised += 1
+            print(f"{i:3d} {'-':>5} {'-':>4} {'-':>4} {gap:9.2e} {err:9.2e}  {label} [raises]")
+            continue
+        if against is not None and against[i][0].isdigit():  # not an exception's name
+            other = float(against[i])
+            gap = 0.0 if got.rate == other else abs(got.rate - other) / abs(other)
+        ref = reference_rate(lam, coupling, T, eta)
+        err = abs(got.rate - ref) / abs(ref)
+        seeded += got.seeded
+        fallback += got.fallback
+        if got.seeded:
+            steps.append(got.steps)
+        gaps.append(gap)
+        errors.append(err)
+        print(f"{i:3d} {got.steps:5d} {got.seeded:4d} {got.fallback:4d} "
+              f"{gap:9.2e} {err:9.2e}  {label}")
+    counts = np.bincount(steps)
+    print(
+        f"draws: {N_DRAWS} rates, {raised} raise; pieces seeded {seeded}, "
+        f"fallback {fallback}; Newton steps per seeded rate "
+        + ", ".join(f"{k}: {v}" for k, v in enumerate(counts) if v)
+        + (f"; max gap {np.nanmax([0.0, *gaps]):.2e}" if against is not None else "")
+        + f"; error vs 2 x {REFERENCE_NODES} reference median {np.median(errors):.2e} "
+        f"max {max(errors):.2e}"
+    )
+
+
+def main():
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--save", help="write the draws' rates here and stop")
+    p.add_argument("--against", help="rates written by --save, for the gap column")
+    args = p.parse_args()
+    if args.save:
+        saved = [saved_rate(*draw[1:]) for draw in draws()]
+        with open(args.save, "w") as f:
+            json.dump(saved, f, indent=0)
+        return
+    against = None
+    if args.against:
+        with open(args.against) as f:
+            against = json.load(f)
+    stages()
+    report(against)
+
+
+if __name__ == "__main__":
+    main()

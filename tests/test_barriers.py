@@ -32,7 +32,13 @@ from etkit.model import (
     PolynomialCoupling,
     lower_adiabat,
 )
-from etkit.rates import ElectrodeConditions, RateRequest, mhc_rate_numeric
+from etkit.rates import (
+    ElectrodeConditions,
+    PrefactorKind,
+    RateRequest,
+    mhc_rate_numeric,
+    prefactor,
+)
 
 
 def scan_barrier(s, c, n=20001):
@@ -628,3 +634,26 @@ class TestValidityReport:
             DiabaticSystem(4.0, 0.0), ConstantCoupling(0.01)
         )
         assert any("non-adiabatic" in w for w in warnings)
+
+    def test_prefactor_ratio_flags_non_adiabatic_above_k_t(self):
+        # golden-rule/classical prefactor 0.554 at V = 0.03 eV > kT
+        sys, c = DiabaticSystem(8.0, 0.0), ConstantCoupling(0.03)
+        ratio = prefactor(PrefactorKind.NON_ADIABATIC, sys, 0.03, 400.0) / prefactor(
+            PrefactorKind.ADIABATIC, sys, 0.03, 400.0
+        )
+        assert ratio == pytest.approx(0.554, abs=1e-3)
+        warnings = validity_report(sys, c, temperature=400.0)
+        assert not any("below k_B*T" in w for w in warnings)
+        assert [w for w in warnings if "golden-rule prefactor is 0.554" in w]
+
+    def test_prefactor_ratio_silent_below_k_t(self):
+        # ratio 1.41 at V = 0.02 eV, below kT at 300 K: only the fixed
+        # threshold fires
+        sys, c = DiabaticSystem(1.0, 0.0), ConstantCoupling(0.02)
+        ratio = prefactor(PrefactorKind.NON_ADIABATIC, sys, 0.02, 250.0) / prefactor(
+            PrefactorKind.ADIABATIC, sys, 0.02, 250.0
+        )
+        assert ratio == pytest.approx(1.41, abs=1e-2)
+        warnings = validity_report(sys, c, temperature=250.0)
+        assert not any("golden-rule" in w for w in warnings)
+        assert any("below k_B*T" in w for w in warnings)

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 from pin_oracles import trapezoid_marcus_rate
 
 from etkit import numerics
-from etkit.barriers import BARRIER, BarrierMethod, ExactAdiabat, exact_adiabat
+from etkit.barriers import (
+    BARRIER,
+    BarrierMethod,
+    ExactAdiabat,
+    adiabatic_driving_force,
+    barrier,
+    exact_adiabat,
+)
 from etkit.constants import H, K_B, beta
 from etkit.errors import (
     AccuracyError,
@@ -123,6 +130,12 @@ class TestConditionsValidation:
     def test_rejects_non_finite_overpotential(self):
         with pytest.raises(ValueError):
             ElectrodeConditions(300.0, math.inf)
+
+    @pytest.mark.parametrize("kind", ["adiabatic", None, 1.0])
+    def test_rejects_prefactor_that_is_no_kind(self, kind):
+        # a string was accepted, and the first rate raised instead
+        with pytest.raises(TypeError, match="unknown prefactor kind"):
+            ElectrodeConditions(300.0, 0.0, 1.0, kind)
 
     @pytest.mark.parametrize("T", [5e-324, 1e-310])
     def test_beta_rejects_subnormal_temperature(self, T):
@@ -547,6 +560,61 @@ class TestExactRouteFixedRule:
         for v in (1e-11, 1e-10, 1e-9, 1e-8):
             assert exact_rate(lam, (v,), T, eta) / ref == pytest.approx(1.0, rel=1e-5)
 
+    @pytest.mark.parametrize(
+        "lam, coeffs, T, eta, pin",
+        [
+            # the five couplings of the tafel_exact benchmark, three etas each
+            (4.0, (0.5,), 300.0, -0.8, 70042789.36368881),
+            (4.0, (0.5,), 300.0, -0.3, 36546.69099305614),
+            (4.0, (0.5,), 300.0, 0.2, 3.649318890968494),
+            (4.0, (0.1, 0.4), 300.0, -0.8, 125071.71195958578),
+            (4.0, (0.1, 0.4), 300.0, -0.3, 100.5235748977214),
+            (4.0, (0.1, 0.4), 300.0, 0.2, 0.02177366331093433),
+            (4.0, (0.2, 0.8), 300.0, -0.8, 500640749.47141385),
+            (4.0, (0.2, 0.8), 300.0, -0.3, 1980012.0471130933),
+            (4.0, (0.2, 0.8), 300.0, 0.2, 1914.688314810161),
+            (4.0, (0.6, 0.4), 300.0, -0.8, 77984401258.49998),
+            (4.0, (0.6, 0.4), 300.0, -0.3, 328014489.06105256),
+            (4.0, (0.6, 0.4), 300.0, 0.2, 183696.7874578536),
+            (4.0, (0.3, 0.5, -0.4), 300.0, -0.8, 34415538.343613096),
+            (4.0, (0.3, 0.5, -0.4), 300.0, -0.3, 21797.222156652686),
+            (4.0, (0.3, 0.5, -0.4), 300.0, 0.2, 2.489057241012386),
+            # 400 K, and a fold where E* is about 0.65 eV
+            (4.0, (0.6, 0.4), 400.0, 0.4, 912940.7991629479),
+            # two seeded barrier pieces, summed in one Clenshaw pass
+            (2.0, (0.2, -0.6), 300.0, -0.4, 4171855.827399624),
+            (4.0, (0.1, -0.1, -0.25), 300.0, -1.0, 458.82277419038286),
+            # a kink: every piece falls back to ExactAdiabat.barriers
+            (4.0, (0.2, -0.4), 300.0, -0.3, 0.0024867253378102906),
+            # a quadratic coupling off lam 4 and 300 K
+            (2.0, (0.1, 0.3, -0.2), 350.0, -0.5, 16802391270.605501),
+            # a tiny Condon coupling, near its fold points
+            (4.0, (1e-10,), 300.0, -0.3, 0.0021274091052646436),
+            # no barrier piece: one downhill piece in closed form
+            (1.0, (0.8,), 300.0, -0.3, 1875297196046.9292),
+        ],
+    )
+    def test_rates_pinned(self, lam, coeffs, T, eta, pin):
+        # repr of each rate when every seeded root was polished and E_minus
+        # evaluated again there, from the untrimmed seed series: E* from the
+        # last Newton step moves E_minus by about E''*(1e-10)^2/2 at most,
+        # the trimmed series a seed by at most 1e-12 in q
+        assert exact_rate(lam, coeffs, T, eta) == pytest.approx(pin, rel=1e-13, abs=0)
+
+    def test_rule_is_built_on_the_first_rate_only(self):
+        # barrier() and adiabatic_driving_force() pay for no rate set-up
+        lam, c = 3.0, PolynomialCoupling((0.31, 0.27))
+        exact_adiabat.cache_clear()
+        sys = DiabaticSystem(lam, -0.2)
+        barrier(sys, c, BarrierMethod.EXACT_ADIABAT)
+        adiabatic_driving_force(sys, c)
+        adiabat = exact_adiabat(lam, c)
+        assert not {"pieces", "seeds", "rule"} & set(vars(adiabat))
+        exact_rate(lam, c.coeffs, 300.0, -0.2)
+        assert {"pieces", "seeds", "rule"} <= set(vars(adiabat))
+        assert all(not column.flags.writeable for column in adiabat.rule)
+        assert all(not x.flags.writeable for x in adiabat.seeds)
+
     def test_no_adaptive_quadrature(self, monkeypatch):
         def refuse(*_args, **_kwargs):
             raise AssertionError("the exact route called numerics.integrate")
@@ -616,9 +684,14 @@ class TestExactRouteFixedRule:
         def open_ended(self):
             return np.array([-np.inf]), np.array([np.inf]), np.array([BARRIER])
 
+        # a fresh set-up: the rule that a warm one keeps never reads the
+        # patched pieces
+        exact_adiabat.cache_clear()
         monkeypatch.setattr(ExactAdiabat, "pieces", property(open_ended))
-        with pytest.raises(SurfaceTopologyError):
-            exact_rate(4.0, (0.5,), 300.0, -0.3)
+        # the rule keeps nothing when it raises, so every rate raises
+        for _ in range(2):
+            with pytest.raises(SurfaceTopologyError):
+                exact_rate(4.0, (0.5,), 300.0, -0.3)
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(
