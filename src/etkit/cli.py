@@ -3,10 +3,13 @@
 Subcommands: surface, barrier, sweep, tafel, arrhenius, fit, extract-v.
 Option precedence is built-in defaults < JSON config file (--config) <
 command-line flags; config keys mirror flag names with dashes replaced by
-underscores. Tables are written as CSV to stdout or --out.
+underscores. A config key of another subcommand is allowed, so one file can
+serve several; a key of none is rejected. Tables are written as CSV to
+stdout or --out.
 
 Exit codes: 0 success (including partial success with warnings), 2 usage
-or domain error, 3 model error under --strict, 4 fit non-convergence.
+or domain error (an unknown config key or an unwritable --out among them),
+3 model error under --strict, 4 fit non-convergence.
 """
 
 import argparse
@@ -68,66 +71,6 @@ def _parse_methods(name):
         ) from None
 
 
-# (flag, json key, type, built-in default) per subcommand; None default
-# means the flag is required after merging.
-_OPTIONS = {
-    "surface": [
-        ("--lambda", "lambda", float, None),
-        ("--dg", "dg", float, 0.0),
-        ("--coupling", "coupling", str, None),
-        ("--qmin", "qmin", float, -0.5),
-        ("--qmax", "qmax", float, 1.5),
-        ("--n", "n", int, 401),
-    ],
-    "barrier": [
-        ("--lambda", "lambda", float, None),
-        ("--dg", "dg", float, 0.0),
-        ("--coupling", "coupling", str, None),
-        ("--method", "method", str, "all"),
-    ],
-    "sweep": [
-        ("--x", "x", str, None),
-        ("--from", "from", float, None),
-        ("--to", "to", float, None),
-        ("--n", "n", int, 33),
-        ("--lambda", "lambda", float, None),
-        ("--dg", "dg", float, 0.0),
-        ("--coupling", "coupling", str, None),
-        ("--method", "method", str, "all"),
-    ],
-    "tafel": [
-        ("--lambda", "lambda", float, None),
-        ("--coupling", "coupling", str, None),
-        ("--temp", "temp", float, 300.0),
-        ("--eta-from", "eta_from", float, -1.0),
-        ("--eta-to", "eta_to", float, 0.5),
-        ("--n", "n", int, 61),
-        ("--rho", "rho", float, 1.0),
-        ("--method", "method", str, "all"),
-    ],
-    "arrhenius": [
-        ("--lambda", "lambda", float, None),
-        ("--coupling", "coupling", str, None),
-        ("--eta", "eta", float, -0.3),
-        ("--tmin", "tmin", float, 250.0),
-        ("--tmax", "tmax", float, 350.0),
-        ("--n", "n", int, 21),
-        ("--rho", "rho", float, 1.0),
-        ("--method", "method", str, "all"),
-    ],
-    "fit": [
-        ("--input", "input", str, None),
-        ("--temp", "temp", float, 300.0),
-        ("--rho", "rho", float, 1.0),
-        ("--ycol", "ycol", str, ""),
-    ],
-    "extract-v": [
-        ("--lambda", "lambda", float, None),
-        ("--lambda-eff", "lambda_eff", float, None),
-    ],
-}
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="etkit",
@@ -142,21 +85,16 @@ def _build_parser():
     common.add_argument("--strict", action="store_true")
     common.add_argument("--quiet", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-    help_text = {
-        "surface": "tabulate diabats and adiabats against q",
-        "barrier": "activation barrier by one or all methods",
-        "sweep": "barrier sweep against dg, v or lambda",
-        "tafel": "log10 rate against formal overpotential",
-        "arrhenius": "ln rate against inverse temperature",
-        "fit": "recover lambda_eff from a Tafel CSV",
-        "extract-v": "coupling from lambda and lambda_eff",
-    }
-    for name, options in _OPTIONS.items():
-        p = sub.add_parser(name, parents=[common], help=help_text[name])
-        for flag, key, typ, _default in options:
-            p.add_argument(flag, dest=key.replace("-", "_"), type=typ,
-                           default=None)
+    for name, (_handler, help_line, options) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_line)
+        for flag, typ, _default in options:
+            p.add_argument(flag, type=typ)
     return parser
+
+
+def _key(flag):
+    """The config key and argparse dest of a flag: --eta-from -> eta_from."""
+    return flag[2:].replace("-", "_")
 
 
 def _config_value(key, typ, value):
@@ -174,47 +112,59 @@ def _config_value(key, typ, value):
     raise UsageError(f"config key {key!r} has invalid value {value!r}")
 
 
+def _read_config(path):
+    """The flat JSON object in path. Its keys may belong to any subcommand,
+    so one file can serve several; a key of none is a typo."""
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read config {path!r}: {exc}")
+    if not isinstance(config, dict):
+        raise UsageError("config must be a flat JSON object")
+    known = {_key(o[0]) for _c, _h, opts in _COMMANDS.values() for o in opts}
+    unknown = [key for key in config if key not in known]
+    if unknown:
+        raise UsageError(
+            "unknown config keys: " + ", ".join(map(repr, unknown))
+        )
+    return config
+
+
 def _merge_options(args):
     """defaults < config file < flags, with aggregated validation."""
-    options = _OPTIONS[args.command]
-    merged = {key: default for _flag, key, _typ, default in options}
-    if args.config is not None:
-        try:
-            with open(args.config) as fh:
-                config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {args.config!r}: {exc}")
-        if not isinstance(config, dict):
-            raise UsageError("config must be a flat JSON object")
-        for _flag, key, typ, _default in options:
-            if key in config:
-                merged[key] = _config_value(key, typ, config[key])
-    for _flag, key, _typ, _default in options:
-        value = getattr(args, key.replace("-", "_"))
-        if value is not None:
-            merged[key] = value
-    missing = [
-        flag
-        for flag, key, _typ, _default in options
-        if merged[key] is None
-    ]
+    options = _COMMANDS[args.command][2]
+    config = {} if args.config is None else _read_config(args.config)
+    merged = {}
+    for flag, typ, default in options:
+        key = _key(flag)
+        if key in config:
+            default = _config_value(key, typ, config[key])
+        value = getattr(args, key)
+        merged[key] = default if value is None else value
+    missing = [flag for flag, *_ in options if merged[_key(flag)] is None]
     if missing:
         raise UsageError("missing required options: " + ", ".join(missing))
     return merged
 
 
-def _emit(text, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+def _finish(text, warnings, args):
+    """Write the CSV to --out or stdout and the warnings to stderr (unless
+    --quiet); the exit code is 3 under --strict when there are warnings."""
+    if args.out:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(
+                f"cannot write output {args.out!r}: {exc.strerror}"
+            ) from None
     else:
         _sys.stdout.write(text)
-
-
-def _warn(lines, quiet):
-    if not quiet:
-        for line in lines:
+    if not args.quiet:
+        for line in warnings:
             print(f"warning: {line}", file=_sys.stderr)
+    return 3 if warnings and args.strict else 0
 
 
 def _one_row_csv(columns, values):
@@ -225,8 +175,7 @@ def _cmd_surface(opt, args):
     sys_ = DiabaticSystem(opt["lambda"], opt["dg"])
     c = parse_coupling(opt["coupling"])
     table = surface_table(sys_, c, opt["qmin"], opt["qmax"], opt["n"])
-    _emit(table.to_csv(), args.out)
-    return 0
+    return _finish(table.to_csv(), (), args)
 
 
 def _cmd_barrier(opt, args):
@@ -243,38 +192,29 @@ def _cmd_barrier(opt, args):
             warnings.append(f"{name}: {exc}")
             lines.append(f"{name},,,,,")
             continue
-        lines.append(
-            ",".join(
-                [
-                    name,
-                    format_number(res.e_star),
-                    format_number(res.q_ts),
-                    format_number(res.q_r),
-                    format_number(res.lambda_used),
-                    "true" if res.activationless else "false",
-                ]
-            )
-        )
-    _emit("\n".join(lines) + "\n", args.out)
-    _warn(warnings, args.quiet)
-    if warnings and args.strict:
-        return 3
-    return 0
+        numbers = (res.e_star, res.q_ts, res.q_r, res.lambda_used)
+        lines.append(",".join(
+            [name, *map(format_number, numbers),
+             "true" if res.activationless else "false"]
+        ))
+    return _finish("\n".join(lines) + "\n", warnings, args)
 
 
-_SWEEP_X = {
-    "dg": SweepVariable.DG0,
-    "v": SweepVariable.COUPLING_SCALAR,
-    "lambda": SweepVariable.LAMBDA,
-}
+def _run_sweep(run, opt, args, variable, start, stop, dg=0.0, conditions=None):
+    """The SweepSpec of sweep, tafel or arrhenius, run and written out;
+    conditions is the (temperature, eta) pair of a rate sweep, whose rho
+    is --rho."""
+    spec = SweepSpec(
+        variable, start, stop, opt["n"], DiabaticSystem(opt["lambda"], dg),
+        parse_coupling(opt["coupling"]), _parse_methods(opt["method"]),
+        conditions and ElectrodeConditions(*conditions, opt["rho"]),
+    )
+    table = run(spec)
+    return _finish(table.to_csv(), table.warnings, args)
 
 
-def _finish_table(table, args):
-    _emit(table.to_csv(), args.out)
-    _warn(table.warnings, args.quiet)
-    if table.warnings and args.strict:
-        return 3
-    return 0
+_SWEEP_X = {"dg": SweepVariable.DG0, "v": SweepVariable.COUPLING_SCALAR,
+            "lambda": SweepVariable.LAMBDA}
 
 
 def _cmd_sweep(opt, args):
@@ -282,46 +222,26 @@ def _cmd_sweep(opt, args):
         raise UsageError(
             f"unknown sweep variable {opt['x']!r}; expected dg, v or lambda"
         )
-    spec = SweepSpec(
-        variable=_SWEEP_X[opt["x"]],
-        start=opt["from"],
-        stop=opt["to"],
-        n=opt["n"],
-        system=DiabaticSystem(opt["lambda"], opt["dg"]),
-        coupling=parse_coupling(opt["coupling"]),
-        methods=_parse_methods(opt["method"]),
+    return _run_sweep(
+        barrier_sweep, opt, args, _SWEEP_X[opt["x"]], opt["from"], opt["to"],
+        opt["dg"],
     )
-    return _finish_table(barrier_sweep(spec), args)
 
 
 def _cmd_tafel(opt, args):
-    spec = SweepSpec(
-        variable=SweepVariable.ETA_F,
-        start=opt["eta_from"],
-        stop=opt["eta_to"],
-        n=opt["n"],
-        system=DiabaticSystem(opt["lambda"], 0.0),
-        coupling=parse_coupling(opt["coupling"]),
-        methods=_parse_methods(opt["method"]),
-        conditions=ElectrodeConditions(opt["temp"], 0.0, opt["rho"]),
+    return _run_sweep(
+        tafel_sweep, opt, args, SweepVariable.ETA_F, opt["eta_from"],
+        opt["eta_to"], conditions=(opt["temp"], 0.0),
     )
-    return _finish_table(tafel_sweep(spec), args)
 
 
 def _cmd_arrhenius(opt, args):
     if not (opt["tmin"] > 0 and opt["tmax"] > opt["tmin"]):
         raise UsageError("need 0 < tmin < tmax")
-    spec = SweepSpec(
-        variable=SweepVariable.INV_TEMPERATURE,
-        start=1.0 / opt["tmax"],
-        stop=1.0 / opt["tmin"],
-        n=opt["n"],
-        system=DiabaticSystem(opt["lambda"], 0.0),
-        coupling=parse_coupling(opt["coupling"]),
-        methods=_parse_methods(opt["method"]),
-        conditions=ElectrodeConditions(300.0, opt["eta"], opt["rho"]),
+    return _run_sweep(
+        arrhenius_sweep, opt, args, SweepVariable.INV_TEMPERATURE,
+        1.0 / opt["tmax"], 1.0 / opt["tmin"], conditions=(300.0, opt["eta"]),
     )
-    return _finish_table(arrhenius_sweep(spec), args)
 
 
 def _cmd_fit(opt, args):
@@ -342,26 +262,19 @@ def _cmd_fit(opt, args):
         ycol = candidates[0]
     elif ycol not in table.columns:
         raise UsageError(f"input has no column {ycol!r}")
-    eta = table.column("eta_f_V")
-    y = table.column(ycol)
+    eta, y = table.column("eta_f_V"), table.column(ycol)
     try:
         fit = fit_lambda_eff(eta, y, opt["temp"], opt["rho"])
     except ValueError as exc:
         raise UsageError(str(exc))
-    _emit(
-        _one_row_csv(
-            ["lambda_eff_eV", "log10_scale", "rms_residual_dex",
-             "n_points", "converged"],
-            [
-                format_number(fit.lambda_eff),
-                format_number(fit.log10_scale),
-                format_number(fit.rms_residual),
-                str(fit.n_points),
-                "true" if fit.converged else "false",
-            ],
-        ),
-        args.out,
+    numbers = (fit.lambda_eff, fit.log10_scale, fit.rms_residual)
+    text = _one_row_csv(
+        ["lambda_eff_eV", "log10_scale", "rms_residual_dex", "n_points",
+         "converged"],
+        [*map(format_number, numbers), str(fit.n_points),
+         "true" if fit.converged else "false"],
     )
+    _finish(text, (), args)
     return 0 if fit.converged else 4
 
 
@@ -370,27 +283,54 @@ def _cmd_extract_v(opt, args):
         v = extract_coupling(opt["lambda"], opt["lambda_eff"])
     except ValueError as exc:
         raise UsageError(str(exc))
-    _emit(_one_row_csv(["V_eV"], [format_number(v)]), args.out)
-    return 0
+    return _finish(_one_row_csv(["V_eV"], [format_number(v)]), (), args)
 
 
+# An option is (flag, type, built-in default); its config key is the flag
+# without dashes (_key), and a None default makes it required after merging.
+_LAMBDA = ("--lambda", float, None)
+_COUPLING = ("--coupling", str, None)
+_DG = ("--dg", float, 0.0)
+_METHOD = ("--method", str, "all")
+_RHO = ("--rho", float, 1.0)
+
+# name -> (handler, help line, options in flag order)
 _COMMANDS = {
-    "surface": _cmd_surface,
-    "barrier": _cmd_barrier,
-    "sweep": _cmd_sweep,
-    "tafel": _cmd_tafel,
-    "arrhenius": _cmd_arrhenius,
-    "fit": _cmd_fit,
-    "extract-v": _cmd_extract_v,
+    "surface": (_cmd_surface, "tabulate diabats and adiabats against q", [
+        _LAMBDA, _DG, _COUPLING,
+        ("--qmin", float, -0.5), ("--qmax", float, 1.5), ("--n", int, 401),
+    ]),
+    "barrier": (_cmd_barrier, "activation barrier by one or all methods", [
+        _LAMBDA, _DG, _COUPLING, _METHOD,
+    ]),
+    "sweep": (_cmd_sweep, "barrier sweep against dg, v or lambda", [
+        ("--x", str, None), ("--from", float, None), ("--to", float, None),
+        ("--n", int, 33), _LAMBDA, _DG, _COUPLING, _METHOD,
+    ]),
+    "tafel": (_cmd_tafel, "log10 rate against formal overpotential", [
+        _LAMBDA, _COUPLING, ("--temp", float, 300.0),
+        ("--eta-from", float, -1.0), ("--eta-to", float, 0.5),
+        ("--n", int, 61), _RHO, _METHOD,
+    ]),
+    "arrhenius": (_cmd_arrhenius, "ln rate against inverse temperature", [
+        _LAMBDA, _COUPLING, ("--eta", float, -0.3),
+        ("--tmin", float, 250.0), ("--tmax", float, 350.0),
+        ("--n", int, 21), _RHO, _METHOD,
+    ]),
+    "fit": (_cmd_fit, "recover lambda_eff from a Tafel CSV", [
+        ("--input", str, None), ("--temp", float, 300.0), _RHO,
+        ("--ycol", str, ""),
+    ]),
+    "extract-v": (_cmd_extract_v, "coupling from lambda and lambda_eff", [
+        _LAMBDA, ("--lambda-eff", float, None),
+    ]),
 }
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        opt = _merge_options(args)
-        return _COMMANDS[args.command](opt, args)
+        return _COMMANDS[args.command][0](_merge_options(args), args)
     except UsageError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         print(f"run 'etkit {args.command} --help' for usage",

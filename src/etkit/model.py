@@ -196,7 +196,6 @@ def surface_table(sys, c, q_lo=-0.5, q_hi=1.5, n=401):
         raise ValueError(f"need finite q_lo < q_hi, got {q_lo}, {q_hi}")
     qs = np.linspace(q_lo, q_hi, n)
     ea, eb, em, ep, v = adiabat_energies(sys, c, qs)
-    v = v + 0.0 * qs  # broadcast for constant couplings
     rows = [
         [float(qs[i]), float(ea[i]), float(eb[i]), float(em[i]),
          float(ep[i]), float(v[i])]

@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from etkit.cli import main, parse_coupling
+from etkit.cli import (
+    UsageError, _build_parser, _merge_options, main, parse_coupling,
+)
 from etkit.model import ConstantCoupling, LinearCoupling, PolynomialCoupling
 from etkit.rates import ElectrodeConditions, mhc_rate_closed_form
 from etkit.tables import SweepTable
@@ -49,6 +51,69 @@ class TestParseCoupling:
 
         with pytest.raises(UsageError):
             parse_coupling(bad)
+
+
+# Required flags of each subcommand, then every option it merges, in flag
+# order, with its built-in default (or the value of the required flag).
+_REQUIRED = {
+    "surface": ["--lambda", "4", "--coupling", "const:0.5"],
+    "barrier": ["--lambda", "4", "--coupling", "const:0.5"],
+    "sweep": ["--x", "dg", "--from", "-1", "--to", "0.5",
+              "--lambda", "4", "--coupling", "const:0.5"],
+    "tafel": ["--lambda", "4", "--coupling", "const:0.5"],
+    "arrhenius": ["--lambda", "4", "--coupling", "const:0.5"],
+    "fit": ["--input", "tafel.csv"],
+    "extract-v": ["--lambda", "4", "--lambda-eff", "1"],
+}
+_MERGED = {
+    "surface": {"lambda": 4.0, "dg": 0.0, "coupling": "const:0.5",
+                "qmin": -0.5, "qmax": 1.5, "n": 401},
+    "barrier": {"lambda": 4.0, "dg": 0.0, "coupling": "const:0.5",
+                "method": "all"},
+    "sweep": {"x": "dg", "from": -1.0, "to": 0.5, "n": 33, "lambda": 4.0,
+              "dg": 0.0, "coupling": "const:0.5", "method": "all"},
+    "tafel": {"lambda": 4.0, "coupling": "const:0.5", "temp": 300.0,
+              "eta_from": -1.0, "eta_to": 0.5, "n": 61, "rho": 1.0,
+              "method": "all"},
+    "arrhenius": {"lambda": 4.0, "coupling": "const:0.5", "eta": -0.3,
+                  "tmin": 250.0, "tmax": 350.0, "n": 21, "rho": 1.0,
+                  "method": "all"},
+    "fit": {"input": "tafel.csv", "temp": 300.0, "rho": 1.0, "ycol": ""},
+    "extract-v": {"lambda": 4.0, "lambda_eff": 1.0},
+}
+_MISSING = {
+    "surface": "--lambda, --coupling",
+    "barrier": "--lambda, --coupling",
+    "sweep": "--x, --from, --to, --lambda, --coupling",
+    "tafel": "--lambda, --coupling",
+    "arrhenius": "--lambda, --coupling",
+    "fit": "--input",
+    "extract-v": "--lambda, --lambda-eff",
+}
+
+
+class TestOptionTable:
+    """Each subcommand's config keys, built-in defaults and required
+    flags, frozen."""
+
+    @pytest.mark.parametrize("command", list(_MERGED))
+    def test_keys_and_defaults(self, command):
+        args = _build_parser().parse_args([command] + _REQUIRED[command])
+        merged = _merge_options(args)
+        expected = _MERGED[command]
+        assert list(merged) == list(expected)
+        assert {k: (v, type(v)) for k, v in merged.items()} == {
+            k: (v, type(v)) for k, v in expected.items()
+        }
+
+    @pytest.mark.parametrize("command", list(_MISSING))
+    def test_missing_options_in_flag_order(self, command):
+        args = _build_parser().parse_args([command])
+        with pytest.raises(UsageError) as info:
+            _merge_options(args)
+        assert str(info.value) == (
+            "missing required options: " + _MISSING[command]
+        )
 
 
 class TestSurface:
@@ -189,6 +254,37 @@ class TestConfigPrecedence:
         assert code == 2
         assert "config" in err
 
+
+    @pytest.mark.parametrize("key", ["temperature", "out"])
+    def test_unknown_config_key_exits_2(self, capsys, tmp_path, key):
+        # "temperature" for "temp" was dropped, and tafel ran at 300 K;
+        # --out is a flag only
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"lambda": 4, "coupling": "const:0.5", key: 350, "n": 3}
+        ))
+        code, out, err = run(
+            capsys, "tafel", "--config", str(cfg), "--method", "eff",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: unknown config keys: {key!r}\n"
+            "run 'etkit tafel --help' for usage\n"
+        )
+
+    def test_key_of_another_subcommand_is_accepted(self, capsys, tmp_path):
+        # one file can serve tafel and arrhenius; tafel has no --eta
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"lambda": 4, "coupling": "const:0.5", "eta": -0.2, "n": 3}
+        ))
+        code, out, err = run(
+            capsys, "tafel", "--config", str(cfg), "--method", "eff",
+        )
+        assert code == 0
+        assert err == ""
+        assert len(out.strip().split("\n")) == 1 + 3
 
 class TestSweep:
     def test_barrier_sweep_over_dg(self, capsys):
@@ -439,3 +535,25 @@ class TestExtractV:
         assert code == 2
         assert out == ""
         assert "lam must be positive and finite" in err
+
+
+class TestUnwritableOut:
+    """An --out in a missing directory exits 2 with a message; it ended
+    in a FileNotFoundError traceback."""
+
+    @pytest.mark.parametrize("command", ["barrier", "tafel", "fit"])
+    def test_exits_2_with_message(self, capsys, tmp_path, command):
+        argv = {
+            "barrier": ["--lambda", "4", "--coupling", "const:0.5"],
+            "tafel": ["--lambda", "4", "--coupling", "const:0.5",
+                      "--method", "eff", "--n", "3"],
+            "fit": ["--input", str(TestFit().write_tafel(tmp_path))],
+        }[command]
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, command, *argv, "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(
+            f"error: cannot write output {str(path)!r}: No such file or directory\n"
+        )
+        assert not path.parent.exists()
