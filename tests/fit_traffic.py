@@ -5,14 +5,18 @@ a minute. The lines are closed-form Tafel data drawn from one fixed seed
 over lam_eff 0.06-9 eV, 200-400 K, 8-61 points and 0-0.2 dex of noise.
 For each fit it prints:
 
-- ``calls``: objective calls after the 200-point scan, counted as
+- ``scan``: lam_eff candidates the scan evaluated, in its two
+  ``closed_form_rates`` calls (coarse, then fine) on the 200-point grid;
+- ``calls``: objective calls after the scan, counted as
   ``closed_form_rates`` calls;
 - ``evals``: closed-form rates evaluated by the whole fit;
 - ``conv``: the ``converged`` flag;
 - ``dlam``, ``drms``: lambda_eff and rms_residual less those of the
   scipy-Brent fit ``pin_oracles.fit_closed_form`` (NaN when unconverged).
 
-A summary line closes the table.
+A summary line closes the table. It also counts the scans that picked
+the best point of the whole 200-point grid, as one objective call on the
+grid picks it.
 """
 
 import math
@@ -50,14 +54,28 @@ def oracle_rms(lam_eff, eta, y, T):
     return float(np.sqrt(np.mean((r - r.mean()) ** 2)))
 
 
+def rms_residuals(k, y):
+    # the objective of fit_lambda_eff on rates k, one row per candidate
+    model = np.log10(k)
+    s = np.mean(y - model, axis=-1)
+    return np.sqrt(np.mean((model + s[..., None] - y) ** 2, axis=-1))
+
+
+def best_of_grid(eta, y, T):
+    """The best point of the whole 200-point grid, from one call."""
+    grid = np.geomspace(0.05, 10.0, 200)
+    k = closed_form_rates(grid[:, None], eta, T, 1.0)
+    return grid[np.argmin(rms_residuals(k, y))]
+
+
 def traffic(eta, y, T):
-    """fit_lambda_eff's result, objective calls after the scan, and
-    closed-form evaluations."""
-    sizes = []
+    """fit_lambda_eff's result, candidates of the scan, objective calls
+    after the scan, closed-form evaluations and the scan's best point."""
+    calls = []
 
     def counted(*args):
         k = closed_form_rates(*args)
-        sizes.append(k.size)
+        calls.append((np.ravel(args[0]), k))
         return k
 
     etkit.analysis.closed_form_rates = counted
@@ -65,15 +83,22 @@ def traffic(eta, y, T):
         res = etkit.analysis.fit_lambda_eff(eta, y, T)
     finally:
         etkit.analysis.closed_form_rates = closed_form_rates
-    return res, len(sizes) - 1, sum(sizes)
+    lam = np.concatenate([c[0] for c in calls[:2]])
+    k = np.concatenate([c[1] for c in calls[:2]])
+    order = np.argsort(lam)
+    best = lam[order][np.argmin(rms_residuals(k[order], y))]
+    return (res, len(lam), len(calls) - 2, sum(c[1].size for c in calls),
+            best)
 
 
 def main():
-    print(f"{'#':>3} {'lam':>7} {'T':>6} {'n':>3} {'calls':>5} {'evals':>6} "
-          f"{'conv':>5} {'dlam':>10} {'drms':>10}")
-    calls, evals, dlams, drms, unconverged = [], [], [], [], 0
+    print(f"{'#':>3} {'lam':>7} {'T':>6} {'n':>3} {'scan':>4} {'calls':>5} "
+          f"{'evals':>6} {'conv':>5} {'dlam':>10} {'drms':>10}")
+    scans, calls, evals, dlams, drms = [], [], [], [], []
+    unconverged = same = 0
     for i, (lam, T, eta, y) in enumerate(draws()):
-        res, c, e = traffic(eta, y, T)
+        res, n_scan, c, e, best = traffic(eta, y, T)
+        same += best == best_of_grid(eta, y, T)
         dl = dr = math.nan
         if res.converged:
             ref = fit_closed_form(eta, y, T)
@@ -83,11 +108,14 @@ def main():
             drms.append(dr)
         else:
             unconverged += 1
+        scans.append(n_scan)
         calls.append(c)
         evals.append(e)
-        print(f"{i:3d} {lam:7.4f} {T:6.1f} {len(eta):3d} {c:5d} {e:6d} "
-              f"{str(res.converged):>5} {dl:10.2e} {dr:10.2e}")
+        print(f"{i:3d} {lam:7.4f} {T:6.1f} {len(eta):3d} {n_scan:4d} {c:5d} "
+              f"{e:6d} {str(res.converged):>5} {dl:10.2e} {dr:10.2e}")
     print(
+        f"scan median {np.median(scans):g} max {max(scans)}; "
+        f"best of grid {same} of {len(scans)}; "
         f"calls median {np.median(calls):g} max {max(calls)}; "
         f"evals median {np.median(evals):g}; unconverged {unconverged}; "
         f"|dlam| max {max(dlams):.2e}; drms max {max(drms):.2e}"

@@ -353,6 +353,82 @@ class TestFitTraffic:
             assert res.rms_residual <= np.std(r) + 1e-12
 
 
+# lines of tests/fit_traffic.py's draws(3000, seed=11) on which the values
+# at every 8th grid point and both ends have two local minima: both inside
+# the grid on 80 and 140, both at its ends on 1016, one inside and one at
+# the 10 eV end on the others. On 442 a fine pass around the best coarse
+# point only would miss the best grid point at a coarse step of 12
+TWO_MINIMA = (80, 140, 255, 442, 1016, 1101, 2064)
+TWO_MINIMA_LINES = draws(max(TWO_MINIMA) + 1, seed=11)
+
+
+class TestCoarseToFineScan:
+    GRID = np.geomspace(0.05, 10.0, 200)
+
+    @staticmethod
+    def scan_candidates(monkeypatch, eta, y, T):
+        # fit_lambda_eff's result and the lam_eff candidates of its first
+        # two closed_form_rates calls: the scan
+        calls = []
+
+        def counted(lam_eff, *args):
+            calls.append(np.ravel(lam_eff))
+            return closed_form_rates(lam_eff, *args)
+
+        monkeypatch.setattr(etkit.analysis, "closed_form_rates", counted)
+        res = fit_lambda_eff(eta, y, T)
+        return res, np.concatenate(calls[:2])
+
+    @pytest.mark.parametrize(
+        "k", TWO_MINIMA, ids=[f"draw{k}" for k in TWO_MINIMA]
+    )
+    def test_lines_with_two_coarse_minima(self, monkeypatch, k):
+        _, T, eta, y = TWO_MINIMA_LINES[k]
+        res, scanned = self.scan_candidates(monkeypatch, eta, y, T)
+        grid = self.GRID
+        v = np.std(log10_closed_form(grid[:, None], eta, T) - y, axis=1)
+        i = int(np.argmin(v))
+        assert res.converged == (0 < i < len(grid) - 1)
+        if res.converged:
+            assert grid[i - 1] < res.lambda_eff < grid[i + 1]
+        # the fine pass covers the 7 grid points either side of both
+        # coarse local minima
+        coarse = np.r_[0:199:8, 199]
+        c = np.r_[np.inf, v[coarse], np.inf]
+        minima = coarse[(c[1:-1] <= c[:-2]) & (c[1:-1] <= c[2:])]
+        assert len(minima) == 2
+        for m in minima:
+            assert np.isin(grid[max(m - 7, 0) : m + 8], scanned).all()
+
+    @pytest.mark.parametrize(
+        "k", TWO_MINIMA, ids=[f"draw{k}" for k in TWO_MINIMA]
+    )
+    def test_scan_evaluates_at_most_60_candidates(self, monkeypatch, k):
+        _, T, eta, y = TWO_MINIMA_LINES[k]
+        _, scanned = self.scan_candidates(monkeypatch, eta, y, T)
+        assert len(np.unique(scanned)) == len(scanned) <= 60
+        assert np.isin(scanned, self.GRID).all()
+
+    def test_underflow_at_the_10_ev_end_only_raises(self):
+        # bisect T to where the rate underflows on the 10 eV end of the
+        # grid only: the coarse pass holds both ends, so the fit still
+        # raises as a scan of the whole grid does
+        eta = np.linspace(-0.5, 0.2, 11)
+
+        def underflows(lam_eff, T):
+            return not np.all(closed_form_rates(lam_eff, eta, T, 1.0) > 0.0)
+
+        lo, hi = 20.0, 45.0
+        assert underflows(10.0, lo) and not underflows(10.0, hi)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if underflows(10.0, mid) else (lo, mid)
+        assert underflows(self.GRID[-1], lo)
+        assert not underflows(self.GRID[:-1, None], lo)
+        with pytest.raises(ValueError, match="underflows"):
+            fit_lambda_eff(eta, -8.0 * eta, lo)
+
+
 def exact_tafel_line(coupling):
     # criterion 10's data: exact-route Tafel line at lam = 4, 300 K
     t = tafel_sweep(
@@ -397,7 +473,7 @@ class TestFitAgainstScipyOracle:
         self.check(*self.noisy_line(lam_eff, seed))
 
     def test_refinement_calls(self, monkeypatch):
-        # closed_form_rates calls after the 200-point scan on the seven
+        # closed_form_rates calls after the two calls of the scan on the seven
         # lines above: a zoom to the same width by 9 evenly spaced points
         # per call makes 11-13 each (83 in all). The last steps of a noisy line run where the mean
         # squared residuals differ by rounding only, so its count moves
@@ -416,7 +492,7 @@ class TestFitAgainstScipyOracle:
         for eta, y in lines:
             calls.clear()
             assert fit_lambda_eff(eta, y, 300.0).converged
-            counts.append(len(calls) - 1)
+            counts.append(len(calls) - 2)
         assert sum(counts) <= 8 * len(counts)
         assert np.median(counts) <= 5
 

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from etkit.tables import SweepTable
 
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -557,3 +560,21 @@ class TestUnwritableOut:
             f"error: cannot write output {str(path)!r}: No such file or directory\n"
         )
         assert not path.parent.exists()
+
+
+class TestReadmePipeline:
+    """The README's CLI example runs: its tafel line writes the one
+    log10k_* column that its fit line reads."""
+
+    def test_tafel_then_fit(self, capsys, tmp_path, monkeypatch):
+        blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+        (block,) = [b for b in blocks if "etkit fit" in b]
+        argvs = [shlex.split(line)[1:] for line in block.splitlines()]
+        steps = [a for a in argvs if a[0] in ("tafel", "fit")]
+        assert [a[0] for a in steps] == ["tafel", "fit"]
+        monkeypatch.chdir(tmp_path)
+        for argv in steps:
+            code, out, _err = run(capsys, *argv)
+            assert code == 0, argv
+        header, row = out.strip().split("\n")
+        assert dict(zip(header.split(","), row.split(",")))["converged"] == "true"
