@@ -344,7 +344,11 @@ def fit_lambda_eff(eta_f, log10_k, T, rho=1.0):
 
 
 def effective_activation_energy(inv_t, ln_k):
-    """Activation energy in eV from the slope of ln k against beta."""
+    """Activation energy in eV from the slope of ln k against beta.
+
+    Raises ValueError with fewer than 3 finite points, or fewer than 2
+    distinct temperatures among them (no slope).
+    """
     inv_t = np.asarray(inv_t, dtype=float)
     ln_k = np.asarray(ln_k, dtype=float)
     keep = np.isfinite(inv_t) & np.isfinite(ln_k)
@@ -353,6 +357,9 @@ def effective_activation_energy(inv_t, ln_k):
         raise ValueError(
             f"need at least 3 finite points, got {len(inv_t)}"
         )
+    distinct = len(np.unique(inv_t))
+    if distinct < 2:
+        raise ValueError(f"need at least 2 distinct temperatures, got {distinct}")
     betas = inv_t / K_B
     slope = np.polyfit(betas, ln_k, 1)[0]
     return -float(slope)

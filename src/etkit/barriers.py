@@ -5,8 +5,9 @@ constant shift by V(1/2), a Marcus-form barrier built from a reduced
 effective reorganization energy, and exact extremum analysis of the lower
 adiabat, whose stationary points are the real roots of a polynomial.
 ``ExactAdiabat`` also cuts the axis of level shifts into pieces on which
-the exact barrier is smooth, and keeps per-piece seeds from which
-Newton's method finds it at many level shifts without the roots.
+the exact barrier is smooth, and is the one owner of the exact rate's
+rule (``ExactAdiabat.rule`` and ``rate_nodes``), whose per-piece seeds
+let Newton's method find the barrier at its nodes without the roots.
 """
 
 import enum
@@ -60,7 +61,8 @@ _KINK_V = 1e-12
 _CUBE = np.array([-1.0, 6.0, -12.0, 8.0])
 # level shifts closer than this (eV) count as one
 _SAME_SHIFT = 1e-12
-# Chebyshev-Gauss points per BARRIER piece behind ExactAdiabat.seeds
+# Chebyshev-Gauss points per BARRIER piece behind the seeds of
+# ExactAdiabat.rule
 _SEED_POINTS = 32
 # Gauss-Legendre nodes on each side of the Fermi step in a BARRIER piece
 # (ExactAdiabat.rule)
@@ -77,7 +79,7 @@ _POLISH_MOVE = 1e-6
 CLOSED, DOWNHILL, BARRIER = 0, 1, 2
 
 # ExactAdiabat.rule
-ExactRule = namedtuple("ExactRule", "down_lo down_hi lo hi width u half_w")
+ExactRule = namedtuple("ExactRule", "down_lo down_hi lo hi width u half_w coef seeded")
 
 
 class BarrierMethod(enum.Enum):
@@ -179,13 +181,14 @@ class ExactAdiabat:
     crossing, E_minus has a kink there that is no root of E_minus', so
     the crossing is added as a candidate.
 
-    ``shifts``, ``center_shift``, ``pieces``, ``seeds`` and ``rule``
-    depend on (lam, c) only: each is computed on first use and kept, its
-    arrays read-only. Callers share one instance per pair through
+    ``shifts``, ``center_shift``, ``pieces`` and ``rule`` depend on
+    (lam, c) only: each is computed on first use and kept, its arrays
+    read-only. Callers share one instance per pair through
     ``exact_adiabat``. ``barriers`` solves for every stationary point at
-    each level shift; ``seeded_barriers`` serves the exact rate's nodes on
-    the BARRIER pieces without an eigenvalue solve, by Newton's method
-    from ``seeds``.
+    each level shift; ``rate_nodes`` gives the exact rate's nodes on the
+    BARRIER pieces, their weights and barriers, served without an
+    eigenvalue solve by ``seeded_barriers``, Newton's method from the
+    seeds of ``rule``.
     """
 
     def __init__(self, lam, c):
@@ -405,62 +408,28 @@ class ExactAdiabat:
         return out
 
     @cached_property
-    def seeds(self):
-        """Chebyshev series of the reactant well q_r(t) and the transition
-        state q_ts(t) on each BARRIER piece (lo, hi), with t in [0, 1]
-        under ``piece_shifts``, the map of the exact rate's rule; and which
-        pieces they seed.
-
-        One ``barriers`` call at _SEED_POINTS interior Chebyshev-Gauss
-        points of every BARRIER piece gives them. A piece is seeded only if
-        it is bounded and at every point the surface has two wells, the
-        transition state lies right of the reactant well and the diabatic
-        crossing is no kink. The series end at the shortest prefix whose
-        dropped coefficients sum to at most 1e-12 in every column, which
-        bounds what the cut moves a seed. Returns (coef, seeded): coef[k]
-        holds the coefficients of T_k(2t - 1) as a column of 2 * pieces
-        rows, q_r of every piece then q_ts (shape (terms, 2 * pieces, 1),
-        for ``_clenshaw``); seeded one flag per BARRIER piece in order.
-        Seeds nothing if the samples leave the scan window (``barriers``
-        raises).
-        """
-        lo, hi, kind = self.pieces
-        lo, hi = lo[kind == BARRIER], hi[kind == BARRIER]
-        n = _SEED_POINTS
-        theta = np.pi * (np.arange(n) + 0.5) / n
-        coef = np.zeros((n, 2, len(lo)))
-        seeded = np.isfinite(lo) & np.isfinite(hi)
-        dg = piece_shifts(lo[seeded, None], hi[seeded, None], 0.5 + 0.5 * np.cos(theta))
-        try:
-            _e, q_ts, q_r, single = self.barriers(dg.ravel())
-        except SurfaceTopologyError:
-            seeded[:] = False
-        else:
-            q_r, q_ts = q_r.reshape(dg.shape), q_ts.reshape(dg.shape)
-            good = ~single.reshape(dg.shape) & (q_r < q_ts) & ~self._crossing(dg)[1]
-            good = good.all(axis=1)
-            # the discrete Chebyshev transform at the Gauss points
-            samples = np.where(good[:, None], np.stack([q_r, q_ts]), 0.0)
-            c = samples @ np.cos(np.outer(np.arange(n), theta)).T * (2.0 / n)
-            c[:, :, 0] *= 0.5
-            coef[:, :, seeded] = c.transpose(2, 0, 1)
-            seeded[seeded] = good
-        coef = coef.reshape(n, -1)
-        # tail[k]: the largest sum over a column of |coef[j]|, j >= k
-        tail = np.abs(coef)[::-1].cumsum(axis=0)[::-1].max(axis=1, initial=0.0)
-        coef = coef[: max(np.count_nonzero(tail > 1e-12), 1), :, None]
-        for x in coef, seeded:
-            x.flags.writeable = False
-        return coef, seeded
-
-    @cached_property
     def rule(self):
         """The exact rate's quadrature rule less what depends on the
         overpotential and the temperature, as an ``ExactRule``: the ends
         (down_lo, down_hi) of the DOWNHILL pieces; the ends (lo, hi) and
-        the width hi - lo of the BARRIER pieces, each a column; and the
+        the width hi - lo of the BARRIER pieces, each a column; the
         _EXACT_NODES Gauss-Legendre points mapped to [0, 1] (u), with
-        their weights halved (half_w).
+        their weights halved (half_w); and the seeds of
+        ``seeded_barriers``: Chebyshev series of the reactant well q_r(t)
+        and the transition state q_ts(t) on each BARRIER piece, t in
+        [0, 1] under ``piece_shifts``, and which pieces they seed.
+
+        One ``barriers`` call at _SEED_POINTS interior Chebyshev-Gauss
+        points of every BARRIER piece gives the seeds. A piece is seeded
+        only if at every point the surface has two wells, the transition
+        state lies right of the reactant well and the diabatic crossing is
+        no kink; none is if the points leave the scan window (``barriers``
+        raises). The series end at the shortest prefix whose dropped
+        coefficients sum to at most 1e-12 in every column, which bounds
+        what the cut moves a seed. coef[k] holds the coefficients of
+        T_k(2t - 1) as a column of 2 * pieces rows, q_r of every piece then
+        q_ts (shape (terms, 2 * pieces, 1), for ``_clenshaw``); seeded is
+        one flag per BARRIER piece in order.
 
         Raises SurfaceTopologyError, and keeps nothing, if a BARRIER piece
         or a DOWNHILL one above it is unbounded: the rate integral has no
@@ -473,21 +442,81 @@ class ExactAdiabat:
                 "a barrier piece of the level-shift axis, or a downhill one "
                 "above it, is unbounded: the exact rate integral has no end"
             )
-        x, w = gauss_legendre(_EXACT_NODES)
         ends = lo[barrier, None], hi[barrier, None]
-        width = ends[1] - ends[0]
-        rule = ExactRule(lo[down], hi[down], *ends, width, 0.5 * (x + 1.0), 0.5 * w)
+        n = _SEED_POINTS
+        theta = np.pi * (np.arange(n) + 0.5) / n
+        dg = piece_shifts(*ends, 0.5 + 0.5 * np.cos(theta))
+        try:
+            _e, q_ts, q_r, single = self.barriers(dg.ravel())
+            q_r, q_ts = q_r.reshape(dg.shape), q_ts.reshape(dg.shape)
+            seeded = ~single.reshape(dg.shape) & (q_r < q_ts) & ~self._crossing(dg)[1]
+            seeded = seeded.all(axis=1)
+        except SurfaceTopologyError:
+            # nothing is seeded, and the samples below are all 0
+            q_r = q_ts = dg
+            seeded = np.zeros(len(dg), dtype=bool)
+        # the discrete Chebyshev transform at the Gauss points
+        samples = np.where(seeded[:, None], np.stack([q_r, q_ts]), 0.0)
+        coef = samples @ np.cos(np.outer(np.arange(n), theta)).T * (2.0 / n)
+        coef[:, :, 0] *= 0.5
+        coef = coef.transpose(2, 0, 1).reshape(n, -1)
+        # tail[k]: the largest sum over a column of |coef[j]|, j >= k
+        tail = np.abs(coef)[::-1].cumsum(axis=0)[::-1].max(axis=1, initial=0.0)
+        coef = coef[: max(np.count_nonzero(tail > 1e-12), 1), :, None]
+        x, w = gauss_legendre(_EXACT_NODES)
+        rule = ExactRule(
+            lo[down], hi[down], *ends, ends[1] - ends[0], 0.5 * (x + 1.0), 0.5 * w,
+            coef, seeded,
+        )
         for column in rule:
             column.flags.writeable = False
         return rule
+
+    def rate_nodes(self, eta):
+        """The nodes of the exact rate's rule at overpotential eta on the
+        BARRIER pieces: (dg, weight, e_star), the level shifts, their
+        weights and the exact barriers there, flattened, 2 * _EXACT_NODES
+        per piece in order.
+
+        A piece (lo, hi) of ``rule`` is mapped by dg = lo + (hi - lo)
+        sin^2(pi t / 2) (``piece_shifts``), which makes the integrand
+        analytic in t at fold singularities, and split at the Fermi step
+        dg = eta (or at t = 1/2 where the step lies outside); each part
+        takes the rule's Gauss-Legendre points, and the weights include
+        d dg / dt. E* comes from ``seeded_barriers``; the nodes of the
+        pieces it does not accept go into one ``barriers`` call, and a
+        closed node there (``closed_channel``) gets E* = +inf.
+        """
+        rule = self.rule
+        lo, width = rule.lo, rule.width
+        # the t of the Fermi step, or t = 1/2 where the step lies outside
+        s = (eta - lo) / width
+        s = np.where((0.0 < s) & (s < 1.0), s, 0.5)
+        split = np.arcsin(np.sqrt(s)) / (0.5 * np.pi)
+        # t and its weights on [0, split] and [split, 1], one row per part
+        start = np.stack([np.zeros_like(split), split], axis=1)
+        length = np.stack([split, 1.0 - split], axis=1)
+        t = start + length * rule.u
+        phase = 0.5 * np.pi * t
+        # d dg / dt = (hi - lo) * (pi/2) * sin(pi t)
+        weight = length * rule.half_w * width[:, None] * np.pi * np.sin(phase) * np.cos(phase)
+        # one row of nodes per piece
+        t = t.reshape(len(t), 2 * len(rule.u))
+        dg = piece_shifts(lo, rule.hi, t)
+        e_star, seeded = self.seeded_barriers(t, dg)
+        if not seeded.all():
+            e, _q_ts, q_r, single = self.barriers(dg[~seeded].ravel())
+            e = np.where(closed_channel(q_r, single), np.inf, e)
+            e_star[~seeded] = e.reshape(-1, dg.shape[1])
+        return dg.ravel(), weight.ravel(), e_star.ravel()
 
     def seeded_barriers(self, t, dg):
         """Exact barriers at the level shifts dg = piece_shifts(lo, hi, t)
         of the BARRIER pieces, without an eigenvalue solve.
 
         t and dg have shape (pieces, nodes), one row per BARRIER piece in
-        order. The reactant well and the transition state come from
-        ``seeds`` by Clenshaw's recurrence and are polished by Newton's
+        order. The reactant well and the transition state come from the
+        seeds of ``rule`` by Clenshaw's recurrence and are polished by Newton's
         method on F (``_newton_step``). E* = E_minus(q_ts) - E_minus(q_r)
         is taken at the q of the last step, as the diabat mean less the
         sqrt(g) that the step forms: no second pass over the adiabat. That
@@ -500,7 +529,8 @@ class ExactAdiabat:
         seed or q_r >= q_ts. e_star is meaningful only where ok; such a
         piece takes ``barriers`` at its nodes.
         """
-        coef, ok = self.seeds
+        rule = self.rule
+        coef, ok = rule.coef, rule.seeded
         if not ok.any():
             return np.full(dg.shape, np.nan), ok
         x = 2.0 * t - 1.0

@@ -5,7 +5,10 @@ The total reduction rate integrates single-level Marcus-type rates over
 the Fermi-weighted continuum (wide-band density of states): by trapezoid
 and Simpson sums on intervals halved until one of them converges, on the
 Marcus-form routes, and by a fixed Gauss-Legendre rule between the fold
-points of the lower adiabat on the exact route. A closed-form
+points of the lower adiabat on the exact route, whose nodes, weights and
+barriers all come from ``barriers.ExactAdiabat`` (``rule`` and
+``rate_nodes``): this module adds the downhill closed form and the
+kernel. A closed-form
 approximation of that integral is provided for the Marcus-form barrier,
 and the driving-force-dependent effective reorganization energy supplies
 the inverse problem of extracting the coupling.
@@ -18,14 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numerics
-from .barriers import (
-    BarrierMethod,
-    closed_channel,
-    effective_lambda,
-    exact_adiabat,
-    marcus_form,
-    piece_shifts,
-)
+from .barriers import BarrierMethod, effective_lambda, exact_adiabat, marcus_form
 from .constants import H, HBAR, K_B, beta
 from .errors import AccuracyError, NumericalDomainError, SingularRegimeError
 from .model import coupling_eval
@@ -117,65 +113,6 @@ def prefactor(kind, sys, coupling_at_crossing, T):
     raise TypeError(f"unknown prefactor kind: {kind!r}")
 
 
-def _exact_nodes(rule, eta):
-    """The nodes t of an ``ExactAdiabat.rule`` at overpotential eta, their
-    level shifts dg and their weights, each of shape (BARRIER pieces,
-    2 * nodes of the rule), one row per piece.
-
-    A barrier piece (lo, hi) is mapped by dg = lo + (hi - lo)*sin^2(pi*t/2)
-    (``piece_shifts``), which makes the integrand analytic in t at fold
-    singularities, and split at the Fermi step dg = eta (or at t = 1/2
-    where the step lies outside); each part takes the rule's
-    Gauss-Legendre points, and the weights include d dg / dt.
-    """
-    lo, width = rule.lo, rule.width
-    # the t of the Fermi step, or t = 1/2 where the step lies outside
-    s = (eta - lo) / width
-    s = np.where((0.0 < s) & (s < 1.0), s, 0.5)
-    split = np.arcsin(np.sqrt(s)) / (0.5 * np.pi)
-    # t and its weights on [0, split] and [split, 1], one row per part
-    start = np.stack([np.zeros_like(split), split], axis=1)
-    length = np.stack([split, 1.0 - split], axis=1)
-    t = start + length * rule.u
-    phase = 0.5 * np.pi * t
-    # d dg / dt = (hi - lo) * (pi/2) * sin(pi t)
-    weight = length * rule.half_w * width[:, None] * np.pi * np.sin(phase) * np.cos(phase)
-    # one row of nodes per piece
-    t = t.reshape(len(t), 2 * len(rule.u))
-    return t, piece_shifts(lo, rule.hi, t), weight.reshape(t.shape)
-
-
-def _exact_integral(adiabat, eta, b):
-    """integral of n(eps) * exp(-b*E*(eta - eps)) over eps on the exact
-    route at inverse temperature b, piece by piece of the level-shift axis.
-
-    Closed pieces and nodes (E* = +inf) contribute 0. On a downhill piece
-    E* = 0 and the integral of the Fermi function is kT*ln(1 + e^(-b*eps))
-    between its ends. A barrier piece is integrated by the Gauss-Legendre
-    rule of ``_exact_nodes``. What depends on (lam, c) only, the ends of
-    the pieces and the rule's points and weights, is ``adiabat.rule``,
-    built on the first rate; a rate computes the Fermi split, its nodes
-    and weights, E* and the kernel. E* at the nodes comes from
-    ``ExactAdiabat.seeded_barriers`` (Newton's method from the pieces'
-    cached seeds); the nodes of the pieces it does not accept go into one
-    ``barriers`` call.
-    """
-    rule = adiabat.rule
-    # kT*ln(1 + e^(-b*eps)) at eps = eta - hi minus at eps = eta - lo
-    downhill = np.sum(
-        np.logaddexp(0.0, -b * (eta - rule.down_hi))
-        - np.logaddexp(0.0, -b * (eta - rule.down_lo))
-    ) / b
-    t, dg, weight = _exact_nodes(rule, eta)
-    e_star, seeded = adiabat.seeded_barriers(t, dg)
-    if not seeded.all():
-        e, _q_ts, q_r, single = adiabat.barriers(dg[~seeded].ravel())
-        e = np.where(closed_channel(q_r, single), np.inf, e)
-        e_star[~seeded] = e.reshape(-1, dg.shape[1])
-    nodes = weight.ravel() * _fermi_boltzmann(b, eta - dg.ravel(), e_star.ravel())
-    return float(downhill + np.sum(nodes))
-
-
 def mhc_rate_numeric(req):
     """Reduction rate in 1/s, integrated over the continuum.
 
@@ -186,15 +123,12 @@ def mhc_rate_numeric(req):
     On the EXACT_ADIABAT route the integral has no window and no
     adaptivity: closed forms on the downhill pieces of the level-shift
     axis and a fixed Gauss-Legendre rule on its barrier pieces (see
-    ``ExactAdiabat.pieces``), which depend on (lam, coupling) only: the
-    ``ExactAdiabat`` of a pair comes from ``barriers.exact_adiabat``, shared
-    with ``barrier()``, and builds the rule (``ExactAdiabat.rule``) and the
-    seeds on the pair's first rate. A rate then computes only what depends
-    on eta and T: the Fermi split, the nodes and weights, E* and the
-    kernel. The barrier at the rule's nodes is exact: Newton's method from
-    the pieces' cached seeds (``ExactAdiabat.seeded_barriers``), E_minus
-    from the last step's own evaluation, or the eigenvalue path
-    ``ExactAdiabat.barriers`` on a piece that the seeds cannot serve. It
+    ``ExactAdiabat.pieces``). The ``ExactAdiabat`` of a pair comes from
+    ``barriers.exact_adiabat``, shared with ``barrier()``, and is the one
+    owner of the rule: ``ExactAdiabat.rule`` holds what depends on
+    (lam, coupling) only, built on the pair's first rate, and
+    ``ExactAdiabat.rate_nodes`` gives the nodes, weights and exact E* at
+    eta. A rate adds the downhill closed form and one kernel sum. It
     raises SurfaceTopologyError if a barrier piece is unbounded or a
     stationary point leaves the scan window inside one.
 
@@ -234,7 +168,16 @@ def mhc_rate_numeric(req):
         return 0.0
     scale = a_pref * cond.rho
     if req.barrier_method is BarrierMethod.EXACT_ADIABAT:
-        return scale * _exact_integral(exact_adiabat(sys.lam, c), cond.eta_f, b)
+        adiabat, eta = exact_adiabat(sys.lam, c), cond.eta_f
+        rule = adiabat.rule
+        # kT*ln(1 + e^(-b*eps)) at eps = eta - hi minus at eps = eta - lo
+        downhill = np.sum(
+            np.logaddexp(0.0, -b * (eta - rule.down_hi))
+            - np.logaddexp(0.0, -b * (eta - rule.down_lo))
+        ) / b
+        dg, weight, e_star = adiabat.rate_nodes(eta)
+        nodes = weight * _fermi_boltzmann(b, eta - dg, e_star)
+        return scale * float(downhill + np.sum(nodes))
     e_star = marcus_form(sys.lam, c, req.barrier_method)
 
     def integrand(eps):

@@ -5,7 +5,8 @@ a few seconds on one core. Two parts:
 
 - ``stages``: one warm rate (lam 4 eV, V = 0.1 + 0.4 q, eta -0.3 V,
   300 K) timed whole and by stage, best of 300 runs: the nodes and
-  weights of the rule (``rates._exact_nodes``), the seeds' Chebyshev sum
+  weights of the rule (``ExactAdiabat.rate_nodes`` less its
+  ``seeded_barriers`` call), the seeds' Chebyshev sum
   (``barriers._clenshaw``), Newton's polish (the rest of
   ``ExactAdiabat.seeded_barriers``) and the kernel
   (``rates._fermi_boltzmann`` and the sum).
@@ -141,25 +142,44 @@ def best_us(f):
     return 1e6 * min(timeit.repeat(f, number=1, repeat=REPEATS))
 
 
+def seeded_arguments(adiabat, eta):
+    """The (t, dg) that ``adiabat.rate_nodes(eta)`` passes to
+    ``seeded_barriers``, one row per barrier piece."""
+    seen = []
+    seeded_barriers = ExactAdiabat.seeded_barriers
+
+    def recorded(adiabat, t, dg):
+        seen.append((t, dg))
+        return seeded_barriers(adiabat, t, dg)
+
+    ExactAdiabat.seeded_barriers = recorded
+    try:
+        adiabat.rate_nodes(eta)
+    finally:
+        ExactAdiabat.seeded_barriers = seeded_barriers
+    return seen[0]
+
+
 def stages():
     lam, coupling, T, eta = 4.0, LinearCoupling(0.1, 0.5), 300.0, -0.3
     adiabat = exact_adiabat(lam, coupling)
-    rate(lam, coupling, T, eta)  # warm: pieces, seeds and rule
+    rate(lam, coupling, T, eta)  # warm: pieces and rule
     b = beta(T)
-    t, dg, weight = rates._exact_nodes(adiabat.rule, eta)
+    t, dg = seeded_arguments(adiabat, eta)
     x = 2.0 * t - 1.0
     x = np.concatenate([x, x])  # q_r and q_ts rows, as seeded_barriers sums them
-    e_star, _ok = adiabat.seeded_barriers(t, dg)
-    coef = adiabat.seeds[0]
+    nodes, weight, e_star = adiabat.rate_nodes(eta)
+    coef = adiabat.rule.coef
     times = {
         "rate": best_us(lambda: rate(lam, coupling, T, eta)),
-        "nodes": best_us(lambda: rates._exact_nodes(adiabat.rule, eta)),
+        "rate_nodes": best_us(lambda: adiabat.rate_nodes(eta)),
         "seeds": best_us(lambda: barriers._clenshaw(coef, x)),
         "seeded_barriers": best_us(lambda: adiabat.seeded_barriers(t, dg)),
         "kernel": best_us(
-            lambda: np.sum(weight * rates._fermi_boltzmann(b, eta - dg, e_star))
+            lambda: np.sum(weight * rates._fermi_boltzmann(b, eta - nodes, e_star))
         ),
     }
+    times["nodes"] = times["rate_nodes"] - times["seeded_barriers"]
     times["newton"] = times["seeded_barriers"] - times["seeds"]
     print("== stages: lam 4, V = 0.1 + 0.4 q, eta -0.3, 300 K; best of "
           f"{REPEATS}, microseconds")

@@ -250,6 +250,15 @@ class TestEffectiveActivationEnergy:
         with pytest.raises(ValueError):
             effective_activation_energy([1 / 300.0, 1 / 310.0], [1.0, 2.0])
 
+    def test_rejects_a_single_temperature(self):
+        # no slope: np.polyfit would return one from a rank-deficient fit
+        with pytest.raises(ValueError, match="distinct temperatures"):
+            effective_activation_energy([1 / 300.0] * 4, [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(ValueError, match="distinct temperatures"):
+            effective_activation_energy(
+                [1 / 300.0, 1 / 300.0, 1 / 300.0, math.nan], [1.0, 2.0, 3.0, 4.0]
+            )
+
 
 def synthetic(lam_eff, offset, n=31, T=300.0, rho=1.0):
     # log10 of the closed form plus offset, on eta in [-0.8, 0.4]

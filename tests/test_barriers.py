@@ -523,6 +523,36 @@ class TestWindowEdges:
             assert (is_min.sum(axis=1) >= 2).all(), (a, b)
 
 
+class TestRateNodes:
+    # the exact rate's nodes on every barrier piece: the weights carry the
+    # sin^2 map's Jacobian, and the split at the Fermi step keeps the rule
+    # exact on dg^0 and dg^1
+
+    @pytest.mark.parametrize(
+        "lam, coeffs",
+        [(4.0, (0.1, 0.4)), (2.0, (0.2, -0.6)), (4.0, (0.1, -0.1, -0.25))],
+    )
+    def test_weights_integrate_the_level_shift(self, lam, coeffs):
+        adiabat = exact_adiabat(lam, PolynomialCoupling(coeffs))
+        rule = adiabat.rule
+        lo, hi = rule.lo[:, 0], rule.hi[:, 0]
+        assert rule.seeded.all()
+        # each piece's midpoint is inside it and outside the others;
+        # below every piece, each splits at t = 1/2
+        for eta in (*(0.5 * (lo + hi)), lo[0] - 1.0):
+            dg, weight, e_star = (x.reshape(len(lo), -1) for x in adiabat.rate_nodes(eta))
+            # the two parts meet at the Fermi step, or at the midpoint
+            # dg(t = 1/2) of a piece that does not hold it
+            step = np.where((lo < eta) & (eta < hi), eta, 0.5 * (lo + hi))
+            half = dg.shape[1] // 2
+            assert (dg[:, :half].max(axis=1) < step).all()
+            assert (dg[:, half:].min(axis=1) > step).all()
+            assert weight.sum(axis=1) == pytest.approx(hi - lo, rel=1e-13, abs=0)
+            moment = (weight * dg).sum(axis=1)
+            assert moment == pytest.approx(0.5 * (hi * hi - lo * lo), rel=1e-13, abs=0)
+            assert np.isfinite(e_star[rule.seeded]).all()
+
+
 class TestExactAdiabatCache:
     # barrier(), adiabatic_driving_force() and the exact rate route share
     # one ExactAdiabat per (lam, coupling), kept by exact_adiabat

@@ -609,11 +609,11 @@ class TestExactRouteFixedRule:
         barrier(sys, c, BarrierMethod.EXACT_ADIABAT)
         adiabatic_driving_force(sys, c)
         adiabat = exact_adiabat(lam, c)
-        assert not {"pieces", "seeds", "rule"} & set(vars(adiabat))
+        assert not {"pieces", "rule"} & set(vars(adiabat))
         exact_rate(lam, c.coeffs, 300.0, -0.2)
-        assert {"pieces", "seeds", "rule"} <= set(vars(adiabat))
+        assert {"pieces", "rule"} <= set(vars(adiabat))
         assert all(not column.flags.writeable for column in adiabat.rule)
-        assert all(not x.flags.writeable for x in adiabat.seeds)
+        assert adiabat.rule.seeded.all()
 
     def test_no_adaptive_quadrature(self, monkeypatch):
         def refuse(*_args, **_kwargs):
@@ -630,7 +630,7 @@ class TestExactRouteFixedRule:
         # on a warm cache the nodes of a seeded piece take Newton's method
         # from the seeds, not ExactAdiabat.barriers
         exact_rate(lam, coeffs, 300.0, eta)
-        assert exact_adiabat(lam, PolynomialCoupling(coeffs)).seeds[1].all()
+        assert exact_adiabat(lam, PolynomialCoupling(coeffs)).rule.seeded.all()
         calls = counted_barriers(monkeypatch)
         assert exact_rate(lam, coeffs, 300.0, eta) > 0.0
         assert calls == []
@@ -650,7 +650,7 @@ class TestExactRouteFixedRule:
         # go to one ExactAdiabat.barriers call (the quad pins above)
         exact_rate(lam, coeffs, 300.0, eta)
         adiabat = exact_adiabat(lam, PolynomialCoupling(coeffs))
-        assert not adiabat.seeds[1].any()
+        assert not adiabat.rule.seeded.any()
         pieces = np.count_nonzero(adiabat.pieces[2] == BARRIER)
         calls = counted_barriers(monkeypatch)
         got = exact_rate(lam, coeffs, 300.0, eta)
