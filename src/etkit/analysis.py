@@ -24,6 +24,7 @@ from .rates import (
     ElectrodeConditions,
     PrefactorKind,
     RateRequest,
+    closed_form_model,
     closed_form_rates,
     mhc_rate_numeric,
 )
@@ -243,6 +244,19 @@ _FIT_HI = 10.0
 # tests/fit_traffic.py, always with the argmin of the whole grid)
 _FIT_SCAN = 200
 _FIT_STEP = 8
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+# the grid, its index and the coarse pass's indices, shared by every fit
+_FIT_GRID = _read_only(np.geomspace(_FIT_LO, _FIT_HI, _FIT_SCAN))
+_FIT_INDEX = _read_only(np.arange(_FIT_SCAN))
+_FIT_COARSE = _read_only(
+    np.concatenate([_FIT_INDEX[:-1:_FIT_STEP], _FIT_INDEX[-1:]])
+)
 # width (eV) of the bracket at which the parabolic refinement of the scan
 # stops: about 5 objective calls after the scan (at most 11 on 300 noisy
 # and clean Tafel lines, tests/fit_traffic.py)
@@ -260,8 +274,11 @@ def fit_lambda_eff(eta_f, log10_k, T, rho=1.0):
     until it is 1e-9 eV wide. The scan evaluates every 8th grid point and
     both ends, then, in a second call, the grid points within 7 points of
     every local minimum of those (not only of the best one); the best
-    scan point is the best evaluated one. converged is False when it is
-    at an edge of the grid or the data are flat. Raises ValueError if T
+    scan point is the best evaluated one. The closed form's terms that
+    depend on the data only are formed once per fit
+    (``rates.closed_form_model``); each objective call rates one batch of
+    candidates. converged is False when the best scan point is at an
+    edge of the grid or the data are flat. Raises ValueError if T
     or rho is not positive, or if the closed form underflows to 0 (very
     low T; the rate is smallest at an end of the grid).
 
@@ -282,30 +299,33 @@ def fit_lambda_eff(eta_f, log10_k, T, rho=1.0):
     if len(eta) < 5:
         raise ValueError(f"need at least 5 finite points, got {len(eta)}")
 
+    # the data's part of the closed form, formed once per fit
+    rates = closed_form_model(eta, T, rho)
+    n = len(eta)
+
     def objective(lam_eff):
-        # rms residual and offset for each candidate lam_eff; the last
-        # axis of the rates runs over the data points
-        k = closed_form_rates(np.expand_dims(lam_eff, -1), eta, T, rho)
-        if not np.all(k > 0.0):
+        # rms residual and offset for each candidate of the 1-D lam_eff;
+        # the rates' rows run over the candidates, their columns over the
+        # data points. add.reduce(...) / n is np.mean, bit for bit
+        k = rates(lam_eff[:, None])
+        if not (k > 0.0).all():
             raise ValueError(
                 "closed-form rate underflows to 0 on the lambda_eff "
                 f"search range [{_FIT_LO}, {_FIT_HI}] eV at T={T} K"
             )
-        model = np.log10(k)
-        s = np.mean(y - model, axis=-1)
-        rms = np.sqrt(np.mean((model + s[..., None] - y) ** 2, axis=-1))
+        log_k = np.log10(k)
+        s = np.add.reduce(y - log_k, axis=-1) / n
+        rms = np.sqrt(np.add.reduce((log_k + s[:, None] - y) ** 2, axis=-1) / n)
         return rms, s
 
-    grid = np.geomspace(_FIT_LO, _FIT_HI, _FIT_SCAN)
+    grid, index, coarse = _FIT_GRID, _FIT_INDEX, _FIT_COARSE
     # a candidate's rms and offset do not depend on the other candidates
     # of its call, so the scan's points hold the values a call on the
     # whole grid gives them; the points it skips hold inf
     values = np.full(_FIT_SCAN, np.inf)
     offsets = np.zeros(_FIT_SCAN)
-    index = np.arange(_FIT_SCAN)
-    coarse = np.r_[index[:-1:_FIT_STEP], index[-1]]
     values[coarse], offsets[coarse] = objective(grid[coarse])
-    v = np.r_[np.inf, values[coarse], np.inf]
+    v = np.concatenate([[np.inf], values[coarse], [np.inf]])
     minima = coarse[(v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])]
     near = np.abs(index[:, None] - minima).min(axis=1) < _FIT_STEP
     fine = index[near & np.isinf(values)]

@@ -35,6 +35,7 @@ __all__ = [
     "mhc_rate_numeric",
     "effective_lambda_overpotential",
     "mhc_rate_closed_form",
+    "closed_form_model",
     "closed_form_rates",
     "extract_coupling",
 ]
@@ -216,45 +217,71 @@ def effective_lambda_overpotential(sys, c, eta_f):
     return effective_lambda(replace(sys, dg0=eta_f), c)
 
 
+def closed_form_model(eta_f, T, rho):
+    """The closed form's rates (1/s) at eta_f, T and rho, as a function
+    of lambda_eff.
+
+    Forms what does not depend on lambda_eff once: 1/kT, beta*eta_f, its
+    square, the occupancy 1/(1 + e^(beta*eta_f)) and beta*h. The
+    returned function takes lambda_eff, broadcast against eta_f and T,
+    and gives the rates of ``closed_form_rates``, bit for bit; a row of
+    lambda_eff gives the same rates whatever the other rows are. It
+    raises SingularRegimeError if any lambda_eff is not positive, and
+    NumericalDomainError if an erfc argument is not finite (e.g. a NaN
+    or infinite lambda_eff). T is taken as valid (finite and positive),
+    as ``ElectrodeConditions`` makes it.
+
+    numpy has no erfc, so ``math.erfc`` is mapped over the flattened
+    arguments into a float64 array of their broadcast shape, at about
+    80-100 ns per rate: the floor of a call's cost.
+    """
+    b = 1.0 / (K_B * np.asarray(T, dtype=float))
+    be = b * np.asarray(eta_f, dtype=float)
+    bh = b * H
+    # an overflowing e^(b*eta) makes the occupancy 0
+    with np.errstate(over="ignore"):
+        be2 = be * be
+        occupancy = 1.0 / (1.0 + np.exp(be))
+
+    def rates(lambda_eff):
+        lambda_eff = np.asarray(lambda_eff, dtype=float)
+        if (lambda_eff <= 0.0).any():
+            raise SingularRegimeError(
+                f"lambda_eff must be positive, got {lambda_eff}"
+            )
+        bl = b * lambda_eff
+        # an infinite lambda_eff makes inf - inf: NaN, reported below
+        with np.errstate(invalid="ignore", over="ignore"):
+            root = np.sqrt(bl)
+            arg = (bl - np.sqrt((1.0 + root) + be2)) / (2.0 * root)
+        finite = np.isfinite(arg)
+        if not finite.all():
+            raise NumericalDomainError(
+                f"erfc requires finite x, got {float(arg[~finite][0])}"
+            )
+        erfc = np.fromiter(map(math.erfc, arg.ravel().tolist()), float, arg.size)
+        return (
+            rho
+            * np.sqrt(math.pi * lambda_eff / b)
+            / bh
+            * occupancy
+            * erfc.reshape(arg.shape)
+        )
+
+    return rates
+
+
 def closed_form_rates(lambda_eff, eta_f, T, rho):
     """Closed-form rates (1/s), lambda_eff, eta_f and T broadcast against
     each other.
 
     The array form of ``mhc_rate_closed_form``, with the same arithmetic
-    element by element. T is taken as valid (finite and positive), as
-    ``ElectrodeConditions`` makes it. Raises SingularRegimeError if any
-    lambda_eff is not positive, and NumericalDomainError if an erfc
-    argument is not finite (e.g. a NaN or infinite lambda_eff).
-
-    numpy has no erfc, so ``math.erfc`` is mapped over the flattened
-    arguments into a float64 array of their broadcast shape.
+    element by element: ``closed_form_model(eta_f, T, rho)`` called once
+    on lambda_eff, with its raises. A caller that rates many lambda_eff
+    at one (eta_f, T, rho), as ``fit_lambda_eff`` does, builds the model
+    once instead.
     """
-    lambda_eff = np.asarray(lambda_eff, dtype=float)
-    if np.any(lambda_eff <= 0.0):
-        raise SingularRegimeError(
-            f"lambda_eff must be positive, got {lambda_eff}"
-        )
-    b = 1.0 / (K_B * np.asarray(T, dtype=float))
-    bl = b * lambda_eff
-    be = b * np.asarray(eta_f, dtype=float)
-    # an infinite lambda_eff makes inf - inf: NaN, reported below; an
-    # overflowing e^(b*eta) makes the occupancy 0
-    with np.errstate(invalid="ignore", over="ignore"):
-        arg = (bl - np.sqrt(1.0 + np.sqrt(bl) + be * be)) / (2.0 * np.sqrt(bl))
-        occupancy = 1.0 / (1.0 + np.exp(be))
-    finite = np.isfinite(arg)
-    if not finite.all():
-        raise NumericalDomainError(
-            f"erfc requires finite x, got {float(arg[~finite][0])}"
-        )
-    erfc = np.fromiter(map(math.erfc, arg.ravel().tolist()), float, arg.size)
-    return (
-        rho
-        * np.sqrt(math.pi * lambda_eff / b)
-        / (b * H)
-        * occupancy
-        * erfc.reshape(arg.shape)
-    )
+    return closed_form_model(eta_f, T, rho)(lambda_eff)
 
 
 def mhc_rate_closed_form(lambda_eff, cond):

@@ -5,10 +5,10 @@ a minute. The lines are closed-form Tafel data drawn from one fixed seed
 over lam_eff 0.06-9 eV, 200-400 K, 8-61 points and 0-0.2 dex of noise.
 For each fit it prints:
 
-- ``scan``: lam_eff candidates the scan evaluated, in its two
-  ``closed_form_rates`` calls (coarse, then fine) on the 200-point grid;
-- ``calls``: objective calls after the scan, counted as
-  ``closed_form_rates`` calls;
+- ``scan``: lam_eff candidates the scan evaluated, in its two objective
+  calls (coarse, then fine) on the 200-point grid;
+- ``calls``: objective calls after the scan, counted as calls of the
+  closed-form model the fit builds (``closed_form_model``);
 - ``evals``: closed-form rates evaluated by the whole fit;
 - ``conv``: the ``converged`` flag;
 - ``dlam``, ``drms``: lambda_eff and rms_residual less those of the
@@ -16,18 +16,23 @@ For each fit it prints:
 
 A summary line closes the table. It also counts the scans that picked
 the best point of the whole 200-point grid, as one objective call on the
-grid picks it.
+grid picks it. The tool exits 1 when a fit counts fewer than the scan's
+two objective calls (the counter counts nothing), when a scan misses the
+best point of the whole grid, or when a scan evaluates more than
+``MAX_SCAN`` candidates.
 """
 
 import math
+import sys
 
 import numpy as np
 from pin_oracles import fit_closed_form, log10_closed_form
 
 import etkit.analysis
-from etkit.rates import closed_form_rates
+from etkit.rates import closed_form_model, closed_form_rates
 
 N_DRAWS = 300
+MAX_SCAN = 60
 
 
 def draws(n=N_DRAWS, seed=2026):
@@ -68,21 +73,34 @@ def best_of_grid(eta, y, T):
     return grid[np.argmin(rms_residuals(k, y))]
 
 
+def counting_model(calls):
+    """A stand-in for ``closed_form_model`` whose models append the
+    candidates and rates of each call, one objective call of
+    ``fit_lambda_eff`` each, to calls."""
+    def build(*args):
+        rates = closed_form_model(*args)
+
+        def counted(lam_eff):
+            k = rates(lam_eff)
+            calls.append((np.ravel(lam_eff), k))
+            return k
+
+        return counted
+
+    return build
+
+
 def traffic(eta, y, T):
     """fit_lambda_eff's result, candidates of the scan, objective calls
     after the scan, closed-form evaluations and the scan's best point."""
     calls = []
-
-    def counted(*args):
-        k = closed_form_rates(*args)
-        calls.append((np.ravel(args[0]), k))
-        return k
-
-    etkit.analysis.closed_form_rates = counted
+    etkit.analysis.closed_form_model = counting_model(calls)
     try:
         res = etkit.analysis.fit_lambda_eff(eta, y, T)
     finally:
-        etkit.analysis.closed_form_rates = closed_form_rates
+        etkit.analysis.closed_form_model = closed_form_model
+    if len(calls) < 2:
+        return res, 0, len(calls) - 2, 0, math.nan
     lam = np.concatenate([c[0] for c in calls[:2]])
     k = np.concatenate([c[1] for c in calls[:2]])
     order = np.argsort(lam)
@@ -120,7 +138,17 @@ def main():
         f"evals median {np.median(evals):g}; unconverged {unconverged}; "
         f"|dlam| max {max(dlams):.2e}; drms max {max(drms):.2e}"
     )
+    failures = []
+    if min(calls) < 0:
+        failures.append("a fit counted fewer than the scan's two objective calls")
+    if same < len(scans):
+        failures.append(f"{len(scans) - same} scans missed the best point of the grid")
+    if max(scans) > MAX_SCAN:
+        failures.append(f"a scan evaluated {max(scans)} > {MAX_SCAN} candidates")
+    for f in failures:
+        print(f"FAIL: {f}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

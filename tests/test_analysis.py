@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from fit_traffic import draws
+from fit_traffic import counting_model, draws
 from pin_oracles import fit_closed_form, log10_closed_form
 
 import etkit.analysis
@@ -377,16 +377,12 @@ class TestCoarseToFineScan:
     @staticmethod
     def scan_candidates(monkeypatch, eta, y, T):
         # fit_lambda_eff's result and the lam_eff candidates of its first
-        # two closed_form_rates calls: the scan
+        # two objective calls: the scan
         calls = []
-
-        def counted(lam_eff, *args):
-            calls.append(np.ravel(lam_eff))
-            return closed_form_rates(lam_eff, *args)
-
-        monkeypatch.setattr(etkit.analysis, "closed_form_rates", counted)
+        monkeypatch.setattr(etkit.analysis, "closed_form_model", counting_model(calls))
         res = fit_lambda_eff(eta, y, T)
-        return res, np.concatenate(calls[:2])
+        assert len(calls) >= 2
+        return res, np.concatenate([lam for lam, _ in calls[:2]])
 
     @pytest.mark.parametrize(
         "k", TWO_MINIMA, ids=[f"draw{k}" for k in TWO_MINIMA]
@@ -482,25 +478,23 @@ class TestFitAgainstScipyOracle:
         self.check(*self.noisy_line(lam_eff, seed))
 
     def test_refinement_calls(self, monkeypatch):
-        # closed_form_rates calls after the two calls of the scan on the seven
+        # objective calls after the two calls of the scan on the seven
         # lines above: a zoom to the same width by 9 evenly spaced points
         # per call makes 11-13 each (83 in all). The last steps of a noisy line run where the mean
         # squared residuals differ by rounding only, so its count moves
         # by a few calls under ulp-sized changes of the data (6-10 for
         # the 4.5 eV line); the bound is on their mean, not on each line
         calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return closed_form_rates(*args)
-
-        monkeypatch.setattr(etkit.analysis, "closed_form_rates", counted)
+        monkeypatch.setattr(etkit.analysis, "closed_form_model", counting_model(calls))
         counts = []
         lines = [self.clean_line(lam) for lam in CLEAN_LINES]
         lines += [self.noisy_line(*a) for a in NOISY_LINES]
         for eta, y in lines:
             calls.clear()
             assert fit_lambda_eff(eta, y, 300.0).converged
+            # the scan's two calls and at least one refinement step: a
+            # counter that counts nothing fails here
+            assert len(calls) >= 3
             counts.append(len(calls) - 2)
         assert sum(counts) <= 8 * len(counts)
         assert np.median(counts) <= 5

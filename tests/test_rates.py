@@ -36,6 +36,7 @@ from etkit.rates import (
     PrefactorKind,
     RateRequest,
     _fermi_boltzmann,
+    closed_form_model,
     closed_form_rates,
     effective_lambda_overpotential,
     extract_coupling,
@@ -584,7 +585,9 @@ class TestExactRouteFixedRule:
             # two seeded barrier pieces, summed in one Clenshaw pass
             (2.0, (0.2, -0.6), 300.0, -0.4, 4171855.827399624),
             (4.0, (0.1, -0.1, -0.25), 300.0, -1.0, 458.82277419038286),
-            # a kink: every piece falls back to ExactAdiabat.barriers
+            # V = 0.2 - 0.4 q vanishes at the crossing only at dg = 0, a
+            # piece end: both barrier pieces are seeded (the kink fallback
+            # is pinned by test_kink_pieces_fall_back_to_barriers)
             (4.0, (0.2, -0.4), 300.0, -0.3, 0.0024867253378102906),
             # a quadratic coupling off lam 4 and 300 K
             (2.0, (0.1, 0.3, -0.2), 350.0, -0.5, 16802391270.605501),
@@ -966,6 +969,61 @@ class TestClosedForm:
             mhc_rate_closed_form(math.inf, ElectrodeConditions(300.0, 0.0))
         with pytest.raises(NumericalDomainError, match=message):
             closed_form_rates([1.0, math.inf], -0.3, 300.0, 1.0)
+
+
+class TestClosedFormModel:
+    LAM = np.array([0.05, 0.8, 2.25, 4.0, 10.0, 120.0])
+    ETA = np.array([-1.5, -0.3, 0.0, 0.4, 20.0])
+
+    def test_a_row_does_not_depend_on_the_others(self):
+        # the scan's premise: a candidate's rates are the same in any call
+        model = closed_form_model(self.ETA, 300.0, 1.0)
+        lam = self.LAM[:, None]
+        whole = model(lam)
+        assert np.array_equal(model(lam[[0, 3]]), whole[[0, 3]])
+        assert np.array_equal(model(lam[[4]]), whole[[4]])
+
+    def test_a_model_called_twice_gives_the_same_rates(self):
+        model = closed_form_model(self.ETA, 300.0, 2.0)
+        first = model(self.LAM[:, None])
+        second = model(self.LAM[:, None])
+        assert first is not second
+        assert np.array_equal(first, second)
+        assert np.any(first == 0.0) and np.any(first > 0.0)
+
+    @pytest.mark.parametrize(
+        "lam_eff, eta, T",
+        [
+            (2.25, -0.3, 300.0),
+            (LAM[:, None], ETA, 300.0),
+            (LAM[:, None], ETA, 20.0),
+            # the arrhenius eff column: one temperature per point
+            (LAM[:3], -0.3, np.array([250.0, 300.0, 350.0])),
+        ],
+        ids=["scalar", "k x 1 by n", "k x 1 by n, 20 K", "array T"],
+    )
+    def test_closed_form_rates_is_the_model(self, lam_eff, eta, T):
+        got = closed_form_rates(lam_eff, eta, T, 1.5)
+        want = closed_form_model(eta, T, 1.5)(lam_eff)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "lam_eff, error",
+        [
+            ([1.0, 0.0], SingularRegimeError),
+            ([1.0, -2.0], SingularRegimeError),
+            ([1.0, math.nan], NumericalDomainError),
+            ([1.0, math.inf], NumericalDomainError),
+        ],
+    )
+    def test_the_same_raises(self, lam_eff, error):
+        model = closed_form_model(-0.3, 300.0, 1.0)
+        with pytest.raises(error) as from_model:
+            model(lam_eff)
+        with pytest.raises(error) as from_rates:
+            closed_form_rates(lam_eff, -0.3, 300.0, 1.0)
+        assert str(from_model.value) == str(from_rates.value)
 
 
 class TestExtractCoupling:
