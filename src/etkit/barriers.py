@@ -3,10 +3,10 @@
 Four methods are provided: the uncoupled Marcus barrier, the traditional
 constant shift by V(1/2), a Marcus-form barrier built from a reduced
 effective reorganization energy, and exact extremum analysis of the lower
-adiabat, whose stationary points are the real roots of a polynomial.
-``ExactAdiabat`` also cuts the axis of level shifts into pieces on which
-the exact barrier is smooth, and is the one owner of the exact rate's
-rule (``ExactAdiabat.rule`` and ``rate_nodes``), whose per-piece seeds
+adiabat in the model's q window, whose stationary points are the real
+roots of a polynomial. ``ExactAdiabat`` also cuts the axis of level shifts
+into pieces on which the exact barrier is smooth, and is the one owner of
+the exact rate's rule (``rule`` and ``rate_nodes``), whose per-piece seeds
 let Newton's method find the barrier at its nodes without the roots.
 """
 
@@ -18,9 +18,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .constants import K_B
 from .errors import SingularRegimeError, SurfaceTopologyError
 from .model import (
+    SCAN_Q_HI,
+    SCAN_Q_LO,
     _coeffs,
     coupling_eval,
     coupling_max,
@@ -48,13 +49,8 @@ __all__ = [
     "DOWNHILL",
     "BARRIER",
     "adiabatic_driving_force",
-    "validity_report",
 ]
 
-# window for adiabat extrema: both diabatic minima (q=0, 1) and the
-# crossing lie strictly inside for the normal regime
-SCAN_Q_LO = -0.5
-SCAN_Q_HI = 1.5
 # |V| (eV) at the diabatic crossing below which it counts as a kink
 _KINK_V = 1e-12
 # (2q - 1)^3, ascending
@@ -742,52 +738,3 @@ def adiabatic_driving_force(sys, c):
         )
     return float(minima[1] - minima[0])
 
-
-def validity_report(sys, c, temperature=300.0):
-    """Heuristic warnings for regimes where the reduced-lambda barrier
-    formula degrades.
-
-    The last one measures adiabaticity with the model's own prefactors
-    (``rates.prefactor``) at lam and the temperature (K): the golden-rule
-    (V(1/2)^2/hbar) sqrt(pi beta/lam) below the classical kT/h marks the
-    non-adiabatic regime, where the reduced lam_eff does not apply.
-    """
-    from .rates import PrefactorKind, prefactor
-
-    warnings = []
-    v_max = coupling_max(c)
-    try:
-        lam_eff = effective_lambda(sys, c)
-    except SingularRegimeError:
-        lam_eff = 0.0
-    if lam_eff <= 0.1 * sys.lam:
-        warnings.append(
-            f"effective reorganization energy {lam_eff:.4g} eV is <= 10% of "
-            f"lam={sys.lam:.4g} eV; Marcus-form barrier near singular"
-        )
-    if abs(sys.dg0) / sys.lam > 0.25:
-        warnings.append(
-            f"|dg0|/lam = {abs(sys.dg0) / sys.lam:.3g} > 0.25; truncated "
-            "higher-order terms may matter"
-        )
-    if v_max / sys.lam > 0.5:
-        warnings.append(
-            f"max coupling {v_max:.4g} eV exceeds lam/2; expansion about the "
-            "crossing unreliable"
-        )
-    if v_max < K_B * 300.0:
-        warnings.append(
-            f"max coupling {v_max:.4g} eV is below k_B*T at 300 K; system is "
-            "in the non-adiabatic regime"
-        )
-    v_half = float(coupling_eval(c, 0.5))
-    ratio = prefactor(PrefactorKind.NON_ADIABATIC, sys, v_half, temperature) / prefactor(
-        PrefactorKind.ADIABATIC, sys, v_half, temperature
-    )
-    if ratio < 1.0:
-        warnings.append(
-            f"golden-rule prefactor is {ratio:.3g} of kT/h at lam={sys.lam:.4g} eV "
-            f"and T={temperature:.4g} K (V(1/2) = {v_half:.4g} eV); the rate is "
-            "non-adiabatic by the model's own prefactors"
-        )
-    return warnings

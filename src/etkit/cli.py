@@ -27,6 +27,8 @@ from .analysis import (
 from .barriers import BarrierMethod, barrier
 from .errors import EtkitError
 from .model import (
+    SCAN_Q_HI,
+    SCAN_Q_LO,
     ConstantCoupling,
     DiabaticSystem,
     LinearCoupling,
@@ -293,12 +295,13 @@ _COUPLING = ("--coupling", str, None)
 _DG = ("--dg", float, 0.0)
 _METHOD = ("--method", str, "all")
 _RHO = ("--rho", float, 1.0)
+_TEMP = ("--temp", float, 300.0)
 
 # name -> (handler, help line, options in flag order)
 _COMMANDS = {
     "surface": (_cmd_surface, "tabulate diabats and adiabats against q", [
         _LAMBDA, _DG, _COUPLING,
-        ("--qmin", float, -0.5), ("--qmax", float, 1.5), ("--n", int, 401),
+        ("--qmin", float, SCAN_Q_LO), ("--qmax", float, SCAN_Q_HI), ("--n", int, 401),
     ]),
     "barrier": (_cmd_barrier, "activation barrier by one or all methods", [
         _LAMBDA, _DG, _COUPLING, _METHOD,
@@ -308,7 +311,7 @@ _COMMANDS = {
         ("--n", int, 33), _LAMBDA, _DG, _COUPLING, _METHOD,
     ]),
     "tafel": (_cmd_tafel, "log10 rate against formal overpotential", [
-        _LAMBDA, _COUPLING, ("--temp", float, 300.0),
+        _LAMBDA, _COUPLING, _TEMP,
         ("--eta-from", float, -1.0), ("--eta-to", float, 0.5),
         ("--n", int, 61), _RHO, _METHOD,
     ]),
@@ -318,7 +321,7 @@ _COMMANDS = {
         ("--n", int, 21), _RHO, _METHOD,
     ]),
     "fit": (_cmd_fit, "recover lambda_eff from a Tafel CSV", [
-        ("--input", str, None), ("--temp", float, 300.0), _RHO,
+        ("--input", str, None), _TEMP, _RHO,
         ("--ycol", str, ""),
     ]),
     "extract-v": (_cmd_extract_v, "coupling from lambda and lambda_eff", [

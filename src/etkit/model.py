@@ -16,6 +16,11 @@ import numpy as np
 
 from .tables import SweepTable
 
+# window for adiabat extrema: both diabatic minima (q=0, 1) and the
+# crossing lie strictly inside for the normal regime
+SCAN_Q_LO = -0.5
+SCAN_Q_HI = 1.5
+
 __all__ = [
     "DiabaticSystem",
     "ConstantCoupling",
@@ -188,7 +193,7 @@ def adiabats(sys, c, q):
     )
 
 
-def surface_table(sys, c, q_lo=-0.5, q_hi=1.5, n=401):
+def surface_table(sys, c, q_lo=SCAN_Q_LO, q_hi=SCAN_Q_HI, n=401):
     """Uniform sampling of the surfaces on [q_lo, q_hi] as a SweepTable."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")

@@ -8,10 +8,11 @@ Marcus-form routes, and by a fixed Gauss-Legendre rule between the fold
 points of the lower adiabat on the exact route, whose nodes, weights and
 barriers all come from ``barriers.ExactAdiabat`` (``rule`` and
 ``rate_nodes``): this module adds the downhill closed form and the
-kernel. A closed-form
-approximation of that integral is provided for the Marcus-form barrier,
-and the driving-force-dependent effective reorganization energy supplies
-the inverse problem of extracting the coupling.
+kernel. A closed-form approximation of that integral is provided for the
+Marcus-form barrier, and the driving-force-dependent effective
+reorganization energy supplies the inverse problem of extracting the
+coupling. ``validity_report`` judges the regime the reduced lam_eff needs,
+the adiabatic limit of the Marcus normal regime, by the prefactors here.
 """
 
 import enum
@@ -24,7 +25,7 @@ from . import numerics
 from .barriers import BarrierMethod, effective_lambda, exact_adiabat, marcus_form
 from .constants import H, HBAR, K_B, beta
 from .errors import AccuracyError, NumericalDomainError, SingularRegimeError
-from .model import coupling_eval
+from .model import coupling_eval, coupling_max
 
 __all__ = [
     "PrefactorKind",
@@ -32,6 +33,7 @@ __all__ = [
     "RateRequest",
     "fermi_dirac",
     "prefactor",
+    "validity_report",
     "mhc_rate_numeric",
     "effective_lambda_overpotential",
     "mhc_rate_closed_form",
@@ -112,6 +114,54 @@ def prefactor(kind, sys, coupling_at_crossing, T):
         v = coupling_at_crossing
         return (v * v / HBAR) * math.sqrt(math.pi * b / sys.lam)
     raise TypeError(f"unknown prefactor kind: {kind!r}")
+
+
+def validity_report(sys, c, temperature=300.0):
+    """Heuristic warnings for regimes where the reduced-lambda barrier
+    formula degrades.
+
+    The last one measures adiabaticity with the model's own prefactors
+    (``rates.prefactor``) at lam and the temperature (K): the golden-rule
+    (V(1/2)^2/hbar) sqrt(pi beta/lam) below the classical kT/h marks the
+    non-adiabatic regime, where the reduced lam_eff does not apply.
+    """
+    warnings = []
+    v_max = coupling_max(c)
+    try:
+        lam_eff = effective_lambda(sys, c)
+    except SingularRegimeError:
+        lam_eff = 0.0
+    if lam_eff <= 0.1 * sys.lam:
+        warnings.append(
+            f"effective reorganization energy {lam_eff:.4g} eV is <= 10% of "
+            f"lam={sys.lam:.4g} eV; Marcus-form barrier near singular"
+        )
+    if abs(sys.dg0) / sys.lam > 0.25:
+        warnings.append(
+            f"|dg0|/lam = {abs(sys.dg0) / sys.lam:.3g} > 0.25; truncated "
+            "higher-order terms may matter"
+        )
+    if v_max / sys.lam > 0.5:
+        warnings.append(
+            f"max coupling {v_max:.4g} eV exceeds lam/2; expansion about the "
+            "crossing unreliable"
+        )
+    if v_max < K_B * 300.0:
+        warnings.append(
+            f"max coupling {v_max:.4g} eV is below k_B*T at 300 K; system is "
+            "in the non-adiabatic regime"
+        )
+    v_half = float(coupling_eval(c, 0.5))
+    ratio = prefactor(PrefactorKind.NON_ADIABATIC, sys, v_half, temperature) / prefactor(
+        PrefactorKind.ADIABATIC, sys, v_half, temperature
+    )
+    if ratio < 1.0:
+        warnings.append(
+            f"golden-rule prefactor is {ratio:.3g} of kT/h at lam={sys.lam:.4g} eV "
+            f"and T={temperature:.4g} K (V(1/2) = {v_half:.4g} eV); the rate is "
+            "non-adiabatic by the model's own prefactors"
+        )
+    return warnings
 
 
 def mhc_rate_numeric(req):

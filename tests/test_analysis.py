@@ -60,6 +60,10 @@ class TestSweepSpec:
         g = s.grid()
         assert list(g) == sorted(g)
 
+    def test_rejects_no_methods(self):
+        with pytest.raises(ValueError, match="^sweep needs at least one method$"):
+            spec(SweepVariable.DG0, 0.0, 1.0, 5, methods=())
+
 
 class TestBarrierSweep:
     def test_columns_and_shape(self):
@@ -141,6 +145,15 @@ class TestBarrierSweep:
         )
         assert len(t.rows) == 33 and not t.warnings
         assert built == [4.0]
+
+    def test_coupling_scalar_of_a_non_coupling_raises(self):
+        # no EtkitError: a TypeError is no empty cell, it ends the sweep
+        s = SweepSpec(
+            SweepVariable.COUPLING_SCALAR, 0.1, 0.5, 3, DiabaticSystem(4.0, 0.0),
+            "const:0.5", (BarrierMethod.MARCUS,),
+        )
+        with pytest.raises(TypeError, match="^not a coupling model: 'const:0.5'$"):
+            barrier_sweep(s)
 
 
 class TestTafelSweep:

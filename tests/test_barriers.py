@@ -21,8 +21,8 @@ from etkit.barriers import (
     effective_lambda,
     exact_adiabat,
     marcus_barrier,
+    marcus_form,
     marcus_ts,
-    validity_report,
 )
 from etkit.errors import SingularRegimeError, SurfaceTopologyError
 from etkit.model import (
@@ -38,6 +38,7 @@ from etkit.rates import (
     RateRequest,
     mhc_rate_numeric,
     prefactor,
+    validity_report,
 )
 
 
@@ -116,6 +117,11 @@ class TestEffectiveLambda:
 
 
 class TestBarrier:
+    def test_marcus_form_rejects_the_exact_method(self):
+        # the exact barrier has no Marcus form: barrier() routes it apart
+        with pytest.raises(TypeError, match="^not a Marcus-form barrier method: "):
+            marcus_form(4.0, ConstantCoupling(0.5), BarrierMethod.EXACT_ADIABAT)
+
     def test_exact_symmetric_condon(self):
         # stationary analysis: E* = lam/4 - V + V^2/lam = lam_eff/4
         res = barrier(

@@ -562,6 +562,56 @@ class TestUnwritableOut:
         assert not path.parent.exists()
 
 
+class TestUsageErrorMessages:
+    """Exit 2 with nothing on stdout, and on stderr the message, then the
+    hint to the subcommand's --help."""
+
+    def assert_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\nrun 'etkit {argv[0]} --help' for usage\n"
+
+    def test_unknown_method(self, capsys):
+        self.assert_usage_error(
+            capsys,
+            ["barrier", "--lambda", "4", "--coupling", "const:1", "--method", "foo"],
+            "unknown method 'foo'; expected all, marcus, shift, eff or exact",
+        )
+
+    def test_config_value_its_type_rejects(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda": "four"}))
+        self.assert_usage_error(
+            capsys, ["surface", "--config", str(cfg), "--coupling", "const:1"],
+            "config key 'lambda' has invalid value 'four'",
+        )
+
+    def test_config_that_is_no_object(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([1, 2]))
+        self.assert_usage_error(
+            capsys,
+            ["surface", "--config", str(cfg), "--lambda", "4", "--coupling", "const:1"],
+            "config must be a flat JSON object",
+        )
+
+    def test_fit_input_missing(self, capsys, tmp_path):
+        path = str(tmp_path / "missing.csv")
+        self.assert_usage_error(
+            capsys, ["fit", "--input", path],
+            f"cannot read input {path!r}: [Errno 2] No such file or directory: {path!r}",
+        )
+
+    def test_fit_ycol_absent(self, capsys, tmp_path):
+        path = tmp_path / "tafel.csv"
+        path.write_text("eta_f_V,log10k_eff\n-0.1,1.0\n0.1,0.5\n")
+        self.assert_usage_error(
+            capsys, ["fit", "--input", str(path), "--ycol", "nope"],
+            "input has no column 'nope'",
+        )
+
+
 class TestReadmePipeline:
     """The README's CLI example runs: its tafel line writes the one
     log10k_* column that its fit line reads."""

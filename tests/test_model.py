@@ -88,6 +88,35 @@ class TestCoupling:
         c = PolynomialCoupling((0.1, 0.7, -1.9, 1.1))
         assert coupling_max(c) == pytest.approx(0.17387377120470642, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: ConstantCoupling(math.nan), "coupling must be finite, got nan"),
+            (
+                lambda: LinearCoupling(0.1, math.inf),
+                "coupling must be finite, got LinearCoupling(v0=0.1, v1=inf)",
+            ),
+            (
+                lambda: PolynomialCoupling(()),
+                "polynomial coupling needs at least one coefficient",
+            ),
+            (
+                lambda: PolynomialCoupling((0.1, math.nan)),
+                "coupling coefficients must be finite, got (0.1, nan)",
+            ),
+        ],
+        ids=["constant-nan", "linear-inf", "polynomial-empty", "polynomial-nan"],
+    )
+    def test_rejects_non_finite_or_empty(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
+    def test_eval_of_a_non_coupling_raises(self):
+        # a bare tuple of coefficients is no coupling model
+        with pytest.raises(TypeError, match=r"^not a coupling model: \(0\.5,\)$"):
+            coupling_eval((0.5,), 0.5)
+
     def test_canonicalization_is_value_identical(self):
         rng = np.random.default_rng(3)
         models = [ConstantCoupling(0.7), LinearCoupling(0.6, 1.0)]

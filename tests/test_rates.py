@@ -118,6 +118,11 @@ class TestPrefactor:
         req = RateRequest(s, ConstantCoupling(0.0), cond, BarrierMethod.MARCUS)
         assert mhc_rate_numeric(req) == 0.0
 
+    def test_unknown_kind_raises(self):
+        # the kind's value is no kind
+        with pytest.raises(TypeError, match="^unknown prefactor kind: 'adiabatic'$"):
+            prefactor("adiabatic", DiabaticSystem(4.0, 0.0), 0.5, 300.0)
+
 
 class TestConditionsValidation:
     def test_rejects_bad_temperature(self):
@@ -710,6 +715,27 @@ class TestExactRouteFixedRule:
         coeffs = tuple(f * lam for f in shape)
         ks = [exact_rate(lam, coeffs, T, eta) for eta in np.linspace(-1.0, 0.5, 7)]
         assert all(a > b for a, b in zip(ks, ks[1:]))
+
+
+    def test_unseeded_rule_gives_the_seeded_rate(self, monkeypatch):
+        # a rule whose seed call fails seeds no piece, and every node then
+        # takes ExactAdiabat.barriers
+        c = PolynomialCoupling((0.1, 0.4))
+        adiabat = ExactAdiabat(4.0, c)
+        adiabat.pieces  # the set-up before the seeds runs unpatched
+
+        def leaves_window(self, dg):
+            raise SurfaceTopologyError("no minimum of the lower adiabat in the scan window")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ExactAdiabat, "barriers", leaves_window)
+            rule = adiabat.rule
+        assert rule.seeded.size and not rule.seeded.any()
+        assert rule.coef.shape[0] == 1 and not rule.coef.any()
+        assert exact_adiabat(4.0, c).rule.seeded.all()
+        seeded = exact_rate(4.0, c.coeffs, 300.0, -0.3)
+        monkeypatch.setattr("etkit.rates.exact_adiabat", lambda lam, c: adiabat)
+        assert exact_rate(4.0, c.coeffs, 300.0, -0.3) == pytest.approx(seeded, rel=1e-12)
 
 
 class TestExactAdiabatCache:
