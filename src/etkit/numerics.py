@@ -1,5 +1,5 @@
-"""Numerical substrate: trapezoid and Simpson quadrature on halved grids,
-and the Gauss-Legendre rule.
+"""Numerical substrate: trapezoid quadrature on halved grids, and the
+Gauss-Legendre rule.
 
 ``integrate`` takes a vectorized integrand: a function of a 1-D float
 array of abscissae that returns the values as an array of the same
@@ -41,27 +41,23 @@ REL_TOL = 1e-9
 
 
 def integrate(f, a, b):
-    """Trapezoid and Simpson quadrature of a vectorized f on [a, b], on
-    equal intervals halved until one of them converges.
+    """Trapezoid quadrature of a vectorized f on [a, b], on equal
+    intervals halved until two successive sums agree.
 
     ``f`` takes a 1-D float array of abscissae and returns the values as
     an array of the same length; ``a`` and ``b`` are floats.
 
     The rule starts from the trapezoid sum T_n on n = FIRST_BATCH equal
     intervals, whose n + 1 nodes are f's first call, and halves its
-    intervals, one call of f with the new midpoints per doubling. After
-    each doubling from the second on it tests two columns, each against
-    its value on half as many intervals, and returns the first that
-    agrees to REL_TOL: the Simpson sum S_2n = (4*T_2n - T_n)/3 if
-    |S_2n - S_n| <= REL_TOL*|S_2n|, else the trapezoid sum T_2n if
-    |T_2n - T_n| <= REL_TOL*|T_2n|. The first tests compare 4*FIRST_BATCH
-    intervals against 2*FIRST_BATCH. Simpson makes the rule exact on
-    cubics; the trapezoid column converges geometrically on an integrand
-    that is analytic in a strip about [a, b] and negligible at both ends,
-    such as a Marcus-form rate's over its window, and there stops a
-    doubling before Simpson. Raises ValueError unless a and b are finite
-    with a < b, and AccuracyError (carrying the last Simpson sum) before
-    a doubling would evaluate more than MAX_LEVEL_NODES new nodes.
+    intervals, one call of f with the new midpoints per doubling. From
+    the second doubling on it returns T_2n once
+    |T_2n - T_n| <= REL_TOL*|T_2n|; the first test compares
+    4*FIRST_BATCH intervals against 2*FIRST_BATCH. The sums converge
+    geometrically on an integrand that is analytic in a strip about
+    [a, b] and negligible at both ends, such as a Marcus-form rate's over
+    its window. Raises ValueError unless a and b are finite with a < b,
+    and AccuracyError (carrying the last trapezoid sum) before a
+    doubling would evaluate more than MAX_LEVEL_NODES new nodes.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got {a}, {b}")
@@ -71,22 +67,18 @@ def integrate(f, a, b):
     x[-1] = b
     y = np.asarray(f(x))
     trap = h * (np.sum(y) - 0.5 * (y[0] + y[-1]))
-    simpson = math.nan  # no sum to test against before the first doubling
     while True:
         if n > MAX_LEVEL_NODES:
             raise AccuracyError(
                 f"quadrature would evaluate {n} new nodes in one doubling "
                 f"(limit MAX_LEVEL_NODES = {MAX_LEVEL_NODES}) on [{a}, {b}]",
-                best_estimate=float(simpson),
+                best_estimate=float(trap),
             )
         mids = f(a + h * (np.arange(n) + 0.5))
         h *= 0.5
         n *= 2
-        last_trap, trap = trap, 0.5 * trap + h * np.sum(mids)
-        last, simpson = simpson, (4.0 * trap - last_trap) / 3.0
-        if abs(simpson - last) <= REL_TOL * abs(simpson):
-            return float(simpson)
-        if n > 2 * FIRST_BATCH and abs(trap - last_trap) <= REL_TOL * abs(trap):
+        last, trap = trap, 0.5 * trap + h * np.sum(mids)
+        if n > 2 * FIRST_BATCH and abs(trap - last) <= REL_TOL * abs(trap):
             return float(trap)
 
 

@@ -3,7 +3,7 @@ electron with a metallic continuum.
 
 The total reduction rate integrates single-level Marcus-type rates over
 the Fermi-weighted continuum (wide-band density of states): by trapezoid
-and Simpson sums on intervals halved until one of them converges, on the
+sums on intervals halved until two successive sums agree, on the
 Marcus-form routes, and by a fixed Gauss-Legendre rule between the fold
 points of the lower adiabat on the exact route, whose nodes, weights and
 barriers all come from ``barriers.ExactAdiabat`` (``rule`` and
@@ -146,10 +146,10 @@ def validity_report(sys, c, temperature=300.0):
             f"max coupling {v_max:.4g} eV exceeds lam/2; expansion about the "
             "crossing unreliable"
         )
-    if v_max < K_B * 300.0:
+    if v_max < K_B * temperature:
         warnings.append(
-            f"max coupling {v_max:.4g} eV is below k_B*T at 300 K; system is "
-            "in the non-adiabatic regime"
+            f"max coupling {v_max:.4g} eV is below k_B*T at {temperature:.4g} K; "
+            "system is in the non-adiabatic regime"
         )
     v_half = float(coupling_eval(c, 0.5))
     ratio = prefactor(PrefactorKind.NON_ADIABATIC, sys, v_half, temperature) / prefactor(
@@ -189,19 +189,18 @@ def mhc_rate_numeric(req):
 
     On the Marcus-form routes, one quadrature (``numerics.integrate``:
     64 intervals, whose 65 nodes are one call, then halved until two
-    successive Simpson sums, or else two successive trapezoid sums,
-    agree to relative ``numerics.REL_TOL`` = 1e-9, first tested at 256
-    against 128 intervals) runs over the window [-W, W],
-    W = 2*lam + |e*eta_f| + 40*kT. There the integrand is analytic in
-    a strip of half-width pi*kT (unless an eff channel closes inside
-    the window) and negligible at both ends, so the trapezoid sums
-    converge geometrically and stop the rule a doubling before the
-    Simpson sums would. The mass outside the window is bounded in
-    closed form: every Marcus-form barrier has E*(dg) >= dg - v_s and
-    E* >= -v_s, with v_s = max(V(1/2), 0) on the shift route and 0 on
-    the others, because (l + dg)^2/(4 l) - dg = (l - dg)^2/(4 l) >= 0
-    for every l > 0. With n(eps) <= e^(-beta*eps) above the window and
-    n <= 1 below it, the tails hold at most
+    successive trapezoid sums agree to relative ``numerics.REL_TOL`` =
+    1e-9, first tested at 256 against 128 intervals) runs over the
+    window [-W, W], W = 2*lam + |e*eta_f| + 40*kT. There the integrand
+    is analytic in a strip of half-width pi*kT (unless an eff channel
+    closes inside the window) and negligible at both ends, so the
+    trapezoid sums converge geometrically. The mass outside the window
+    is bounded in closed form: every Marcus-form barrier has
+    E*(dg) >= dg - v_s and E* >= -v_s, with v_s = max(V(1/2), 0) on the
+    shift route and 0 on the others, because
+    (l + dg)^2/(4 l) - dg = (l - dg)^2/(4 l) >= 0 for every l > 0. With
+    n(eps) <= e^(-beta*eps) above the window and n <= 1 below it, the
+    tails hold at most
     B = kT (e^(beta(v_s - W)) + e^(beta(v_s - e*eta_f - W))). Raises
     AccuracyError, carrying the best estimate of the rate, unless
     B <= REL_TOL times the window's integral; if that integral is 0 (a

@@ -1,11 +1,9 @@
 """Quadrature traffic of the Marcus-form rates: ``numerics.integrate``
-against a Simpson-only rule.
+against a dense trapezoid.
 
 Run directly (`PYTHONPATH=src python3 tests/quadrature_traffic.py`); takes
-about ten minutes on one core. Each rate runs twice through
-``mhc_rate_numeric``: with ``integrate``, which stops on the first of its
-Simpson and trapezoid columns to converge, and with ``simpson_only``, the
-same doublings stopped by the Simpson column alone. Three sets of rates:
+about ten minutes on one core. Each rate runs once through
+``mhc_rate_numeric``. Three sets of rates:
 
 - ``bench``: the ``rate_quadrature`` operations of seeds 0-9, from
   ``perfbench/workloads.py`` (imported, not changed);
@@ -20,11 +18,11 @@ same doublings stopped by the Simpson column alone. Three sets of rates:
   integrand is not analytic, is marked ``[closes]``.
 
 For each rate it prints the nodes, integrand calls and stop level
-(intervals) of both rules, and the relative gap between their rates,
-NaN where either raised AccuracyError. On the narrow and broad sets it also
-prints each rule's relative error against a 2^22-interval trapezoid of
-the same integrand on the same window. A summary line closes each set;
-on the broad set a second one covers the ``[closes]`` draws.
+(intervals) of ``integrate``. On the narrow and broad sets it also prints
+the relative error of the window's integral against a 2^22-interval
+trapezoid of the same integrand on the same window, NaN where the rate
+raised AccuracyError. A summary line closes each set; on the broad set a
+second one covers the ``[closes]`` draws.
 """
 
 import importlib
@@ -50,28 +48,6 @@ ROUTES = {
 DENSE_INTERVALS = 2**22
 
 
-def simpson_only(f, a, b):
-    """integrate's doublings, stopped when two successive Simpson sums
-    agree to REL_TOL (first tested at 4*FIRST_BATCH intervals)."""
-    n = numerics.FIRST_BATCH
-    h = (b - a) / n
-    x = a + h * np.arange(n + 1)
-    x[-1] = b
-    y = np.asarray(f(x))
-    trap = h * (np.sum(y) - 0.5 * (y[0] + y[-1]))
-    simpson = math.nan
-    while True:
-        if n > numerics.MAX_LEVEL_NODES:
-            raise AccuracyError("simpson_only gave up", best_estimate=simpson)
-        mids = f(a + h * (np.arange(n) + 0.5))
-        h *= 0.5
-        n *= 2
-        last_trap, trap = trap, 0.5 * trap + h * np.sum(mids)
-        last, simpson = simpson, (4.0 * trap - last_trap) / 3.0
-        if abs(simpson - last) <= numerics.REL_TOL * abs(simpson):
-            return float(simpson)
-
-
 def dense_trapezoid(f, a, b, n=DENSE_INTERVALS, chunk=2**16):
     """Trapezoid sum of f on n equal intervals of [a, b], in chunks."""
     h = (b - a) / n
@@ -83,13 +59,14 @@ def dense_trapezoid(f, a, b, n=DENSE_INTERVALS, chunk=2**16):
 
 
 class Run:
-    """One rate under one rule: nodes, calls, intervals at the stop, the
-    window integral and the integrand, or raised=True."""
+    """One rate under ``integrate``: nodes, calls, intervals at the stop,
+    the window integral and the integrand, or raised=True."""
 
-    def __init__(self, rate, rule):
+    def __init__(self, rate):
         self.nodes = self.calls = 0
         self.f = self.window = self.value = None
         self.raised = False
+        integrate = numerics.integrate
 
         def recorded(f, a, b):
             def counted(x):
@@ -98,27 +75,20 @@ class Run:
                 return f(x)
 
             self.f, self.window = f, (a, b)
-            self.value = rule(counted, a, b)
+            self.value = integrate(counted, a, b)
             return self.value
 
-        saved = numerics.integrate
         numerics.integrate = recorded
         try:
-            self.rate = rate()
+            rate()
         except AccuracyError:
             self.raised = True
-            self.rate = math.nan
         finally:
-            numerics.integrate = saved
+            numerics.integrate = integrate
 
     @property
     def stop(self):
         return self.nodes - 1
-
-    def error(self, dense):
-        if self.raised:
-            return math.nan
-        return abs(self.value - dense) / abs(dense)
 
 
 def bench_rates():
@@ -175,60 +145,45 @@ def broad_rates(n=1500):
         yield label, rate_of(lam, coupling, T, eta, route)
 
 
-def maxima(rows, dense):
-    """The largest gap (and errors) over (gap, err, ref_err) rows, NaN (a
-    raise) left out, as summary text."""
-    gap, err, ref_err = np.nanmax(np.array([(0.0, 0.0, 0.0), *rows]), axis=0)
-    text = f"; max gap {gap:.2e}"
-    if dense:
-        text += f"; max error vs dense trapezoid {err:.2e} (Simpson only {ref_err:.2e})"
-    return text
+def max_error(errors):
+    """The largest error, NaN (a raise) left out, as summary text."""
+    return f"; max error vs dense trapezoid {np.nanmax([0.0, *errors]):.2e}"
 
 
 def report(name, rates, dense):
     print(f"== {name}")
-    print(f"{'#':>5} {'nodes':>6} {'calls':>5} {'stop':>5} {'ref_nodes':>9} "
-          f"{'ref_stop':>8} {'gap':>9}" + (f" {'err':>9} {'ref_err':>9}" if dense else "")
+    print(f"{'#':>5} {'nodes':>6} {'calls':>5} {'stop':>5}" + (f" {'err':>9}" if dense else "")
           + "  rate")
-    nodes, ref_nodes, calls, ref_calls = [], [], [], []
-    raised = ref_raised = 0
-    stops, shifts = Counter(), Counter()
-    rows, closing = [], []  # (gap, err, ref_err) of every row, of [closes] rows
+    nodes, calls = [], []
+    raised = 0
+    stops = Counter()
+    errors, closing = [], []  # error of every row, of [closes] rows
     for i, (label, rate) in enumerate(rates):
-        got, ref = Run(rate, numerics.integrate), Run(rate, simpson_only)
+        got = Run(rate)
         raised += got.raised
-        ref_raised += ref.raised
         nodes.append(got.nodes)
-        ref_nodes.append(ref.nodes)
         calls.append(got.calls)
-        ref_calls.append(ref.calls)
-        gap = err = ref_err = math.nan
-        if not (got.raised or ref.raised):
+        err = math.nan
+        if not got.raised:
             stops[got.stop] += 1
-            shifts[round(math.log2(ref.stop / got.stop))] += 1
-            gap = abs(got.rate - ref.rate) / abs(ref.rate)
-        line = (f"{i:5d} {got.nodes:6d} {got.calls:5d} {got.stop:5d} "
-                f"{ref.nodes:9d} {ref.stop:8d} {gap:9.2e}")
+        line = f"{i:5d} {got.nodes:6d} {got.calls:5d} {got.stop:5d}"
         if dense:
             if not got.raised:
                 d = dense_trapezoid(got.f, *got.window)
-                err, ref_err = got.error(d), ref.error(d)
-            line += f" {err:9.2e} {ref_err:9.2e}"
+                err = abs(got.value - d) / abs(d)
+            line += f" {err:9.2e}"
         print(f"{line}  {label}")
-        rows.append((gap, err, ref_err))
+        errors.append(err)
         if label.endswith("[closes]"):
-            closing.append(rows[-1])
+            closing.append(err)
     summary = (
-        f"{name}: {len(nodes)} rates; nodes per rate {np.mean(ref_nodes):,.0f} -> "
-        f"{np.mean(nodes):,.0f}, calls per rate {np.mean(ref_calls):.2f} -> "
-        f"{np.mean(calls):.2f}; raises {ref_raised} -> {raised}; stop intervals "
+        f"{name}: {len(nodes)} rates; nodes per rate {np.mean(nodes):,.0f}, calls per "
+        f"rate {np.mean(calls):.2f}; raises {raised}; stop intervals "
         + ", ".join(f"{k}: {v}" for k, v in sorted(stops.items()))
-        + "; doublings saved "
-        + ", ".join(f"{k}: {v}" for k, v in sorted(shifts.items()))
-        + maxima(rows, dense)
+        + (max_error(errors) if dense else "")
     )
     if closing:
-        summary += f"\n{name} [closes]: {len(closing)} rates" + maxima(closing, dense)
+        summary += f"\n{name} [closes]: {len(closing)} rates" + max_error(closing)
     print(summary)
     return summary
 

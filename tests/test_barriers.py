@@ -672,19 +672,30 @@ class TestValidityReport:
         assert any("non-adiabatic" in w for w in warnings)
 
     def test_prefactor_ratio_flags_non_adiabatic_above_k_t(self):
-        # golden-rule/classical prefactor 0.554 at V = 0.03 eV > kT
-        sys, c = DiabaticSystem(8.0, 0.0), ConstantCoupling(0.03)
-        ratio = prefactor(PrefactorKind.NON_ADIABATIC, sys, 0.03, 400.0) / prefactor(
-            PrefactorKind.ADIABATIC, sys, 0.03, 400.0
+        # golden-rule/classical prefactor 0.696 at V = 0.04 eV, above kT
+        # at 400 K (0.0345 eV)
+        sys, c = DiabaticSystem(16.0, 0.0), ConstantCoupling(0.04)
+        ratio = prefactor(PrefactorKind.NON_ADIABATIC, sys, 0.04, 400.0) / prefactor(
+            PrefactorKind.ADIABATIC, sys, 0.04, 400.0
         )
-        assert ratio == pytest.approx(0.554, abs=1e-3)
+        assert ratio == pytest.approx(0.696, abs=1e-3)
         warnings = validity_report(sys, c, temperature=400.0)
         assert not any("below k_B*T" in w for w in warnings)
-        assert [w for w in warnings if "golden-rule prefactor is 0.554" in w]
+        assert [w for w in warnings if "golden-rule prefactor is 0.696" in w]
+
+    def test_coupling_checked_against_k_t_at_the_temperature(self):
+        # V = 0.03 eV is above kT at 300 K (0.0259 eV), below it at 400 K
+        sys, c = DiabaticSystem(4.0, 0.0), ConstantCoupling(0.03)
+        assert validity_report(sys, c, temperature=300.0) == []
+        warnings = validity_report(sys, c, temperature=400.0)
+        assert warnings[0] == (
+            "max coupling 0.03 eV is below k_B*T at 400 K; system is in the "
+            "non-adiabatic regime"
+        )
 
     def test_prefactor_ratio_silent_below_k_t(self):
-        # ratio 1.41 at V = 0.02 eV, below kT at 300 K: only the fixed
-        # threshold fires
+        # ratio 1.41 at V = 0.02 eV, below kT at 250 K (0.0215 eV): only
+        # the k_B*T threshold fires
         sys, c = DiabaticSystem(1.0, 0.0), ConstantCoupling(0.02)
         ratio = prefactor(PrefactorKind.NON_ADIABATIC, sys, 0.02, 250.0) / prefactor(
             PrefactorKind.ADIABATIC, sys, 0.02, 250.0

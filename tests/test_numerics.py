@@ -9,7 +9,7 @@ import pytest
 from pin_oracles import trapezoid_marcus_rate
 
 import etkit
-from etkit import BarrierMethod, ConstantCoupling, DiabaticSystem
+from etkit import BarrierMethod, ConstantCoupling, DiabaticSystem, numerics
 from etkit.cli import main
 from etkit.constants import H, K_B
 from etkit.errors import AccuracyError
@@ -113,22 +113,6 @@ class TestIntegrate:
         val = integrate(lambda x: np.exp(-x * x / 2), -40.0, 40.0)
         assert val == pytest.approx(math.sqrt(2 * math.pi), rel=0, abs=1e-15)
 
-    def test_polynomial_exactness_random_cubics(self):
-        # Simpson's rule is exact through cubics on any interval
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            coeffs = rng.uniform(-2.0, 2.0, size=4)
-            a = rng.uniform(-3.0, 0.0)
-            b = a + rng.uniform(0.5, 4.0)
-            exact = sum(
-                c * (b ** (k + 1) - a ** (k + 1)) / (k + 1)
-                for k, c in enumerate(coeffs)
-            )
-            got = integrate(
-                lambda x: sum(c * x**k for k, c in enumerate(coeffs)), a, b
-            )
-            assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
-
     def test_continuum_integrand_vs_dense_trapezoid(self):
         # Marcus-barrier integrand at lam=4, V=0.5, 300 K, eta=-0.3
         lam, eta, w, f = continuum_integrand()
@@ -161,7 +145,7 @@ class TestIntegrate:
         assert nodes == pytest.approx(grid, rel=0, abs=1e-12 * w)
 
     def test_depth_cap_raises_accuracy_error(self):
-        # the jump keeps both columns' errors O(h): no doubling below
+        # the jump keeps the trapezoid error O(h): no doubling below
         # MAX_LEVEL_NODES new nodes reaches REL_TOL
         with pytest.raises(
             AccuracyError, match=f"limit MAX_LEVEL_NODES = {MAX_LEVEL_NODES}"
@@ -189,50 +173,71 @@ class TestIntegrate:
 
 
 def reference_rule(f, a, b):
-    """The trapezoid and Simpson columns on 2, 4, 8, ... times FIRST_BATCH
-    intervals, each sum from scratch at its own nodes. From 4*FIRST_BATCH
-    intervals on, the Simpson sum is returned if it agrees with its
-    predecessor to REL_TOL, else the trapezoid sum if it does; returns
-    (that sum, its number of intervals, "simpson" or "trapezoid")."""
+    """Trapezoid sums on 2, 4, 8, ... times FIRST_BATCH intervals, each
+    from scratch at its own nodes. From 4*FIRST_BATCH intervals on, the
+    sum is returned once it agrees with its predecessor to REL_TOL;
+    returns (that sum, its number of intervals)."""
 
-    def sums(n):
+    def trapezoid(n):
         y = f(np.linspace(a, b, n + 1))
-        h = (b - a) / n
-        trap = h * (0.5 * y[0] + y[1:-1].sum() + 0.5 * y[-1])
-        inner = 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()
-        return trap, h / 3.0 * (y[0] + inner + y[-1])
+        return (b - a) / n * (0.5 * y[0] + y[1:-1].sum() + 0.5 * y[-1])
 
     n = 2 * FIRST_BATCH
-    trap, simpson = sums(n)
+    trap = trapezoid(n)
     while True:
         n *= 2
-        last_trap, last = trap, simpson
-        trap, simpson = sums(n)
-        if abs(simpson - last) <= REL_TOL * abs(simpson):
-            return simpson, n, "simpson"
-        if abs(trap - last_trap) <= REL_TOL * abs(trap):
-            return trap, n, "trapezoid"
+        last, trap = trap, trapezoid(n)
+        if abs(trap - last) <= REL_TOL * abs(trap):
+            return trap, n
+
+
+def rate_integrand(req):
+    """(f, a, b) that mhc_rate_numeric passes to numerics.integrate."""
+    seen = []
+
+    def recorded(f, a, b):
+        seen.append((f, a, b))
+        return integrate(f, a, b)
+
+    numerics.integrate = recorded
+    try:
+        mhc_rate_numeric(req)
+    finally:
+        numerics.integrate = integrate
+    return seen[0]
 
 
 def reference_cases():
     _lam, _eta, w, f = continuum_integrand()
+    # a rate_quadrature benchmark rate (seed 0) on whose integrand a
+    # Simpson column, tested before the trapezoid one, returned first at
+    # 16*FIRST_BATCH intervals: the trapezoid sums stop there too
+    marcus = RateRequest(
+        DiabaticSystem(1.0504117008274259, 0.0),
+        ConstantCoupling(0.13320096268048218),
+        ElectrodeConditions(
+            335.888463421509, -0.035007082618920715, 1.0, PrefactorKind.NON_ADIABATIC
+        ),
+        BarrierMethod.MARCUS,
+    )
     return [
-        # exact, or (exp) converged to 2e-11 between 128 and 256
-        # intervals: Simpson stops at the first test
+        # polynomials and exp: the O(h^2) error stops the rule far beyond
+        # the first test
         pytest.param(lambda x: x * x, 0.0, 1.0, id="square"),
         pytest.param(
             lambda x: 1.5 - 0.5 * x + 2.0 * x**2 - x**3, -1.0, 2.5, id="cubic"
         ),
         pytest.param(np.exp, 0.0, 1.0, id="exp"),
-        # analytic in a strip and negligible at both ends: the trapezoid
-        # column stops a doubling before Simpson's
+        # analytic in a strip and negligible at both ends: geometric
+        # convergence
         pytest.param(f, -w, w, id="continuum"),
         pytest.param(lambda x: np.exp(-x * x / 2), -40.0, 40.0, id="gaussian"),
+        pytest.param(*rate_integrand(marcus), id="marcus_rate"),
     ]
 
 
-class TestAgainstReferenceSimpson:
-    """integrate is the two-column rule of ``reference_rule``, however it
+class TestAgainstReferenceTrapezoid:
+    """integrate is the trapezoid rule of ``reference_rule``, however it
     batches its calls of f."""
 
     @pytest.mark.parametrize("f, a, b", reference_cases())
@@ -244,18 +249,16 @@ class TestAgainstReferenceSimpson:
             return f(x)
 
         got = integrate(counted, a, b)
-        ref, n, _column = reference_rule(f, a, b)
+        ref, n = reference_rule(f, a, b)
         assert got == pytest.approx(ref, rel=1e-14, abs=0)
         # the nodes of n intervals and no more
         assert sum(sizes) == n + 1
 
     def test_cases_stop_at_and_beyond_the_first_test(self):
-        stops = [reference_rule(*p.values)[1:] for p in reference_cases()]
-        assert stops[:3] == [(4 * FIRST_BATCH, "simpson")] * 3
-        # Simpson alone stops the continuum case at 4,096 intervals and
-        # the Gaussian at 512
-        assert stops[3] == (32 * FIRST_BATCH, "trapezoid")
-        assert stops[4] == (4 * FIRST_BATCH, "trapezoid")
+        stops = [reference_rule(*p.values)[1] for p in reference_cases()]
+        assert stops == [
+            2**16, 2**15, 2**14, 32 * FIRST_BATCH, 4 * FIRST_BATCH, 16 * FIRST_BATCH
+        ]
 
 
 class TestGaussLegendre:
