@@ -6,8 +6,9 @@ effective reorganization energy, and exact extremum analysis of the lower
 adiabat in the model's q window, whose stationary points are the real
 roots of a polynomial. ``ExactAdiabat`` also cuts the axis of level shifts
 into pieces on which the exact barrier is smooth, and is the one owner of
-the exact rate's rule (``rule`` and ``rate_nodes``), whose per-piece seeds
-let Newton's method find the barrier at its nodes without the roots.
+the exact rate's rule (``rule`` and ``rate_nodes``), whose per-piece
+samples of the wells and transition states, interpolated, seed Newton's
+method at its nodes without the roots.
 """
 
 import enum
@@ -57,9 +58,14 @@ _KINK_V = 1e-12
 _CUBE = np.array([-1.0, 6.0, -12.0, 8.0])
 # level shifts closer than this (eV) count as one
 _SAME_SHIFT = 1e-12
-# Chebyshev-Gauss points per BARRIER piece behind the seeds of
-# ExactAdiabat.rule
+# ExactAdiabat.rule samples each BARRIER piece at the _SEED_POINTS
+# Chebyshev-Gauss points x_j = cos(theta_j) in 2t - 1, theta_j =
+# (j + 1/2) pi / _SEED_POINTS; _SEED_W are their barycentric weights
+# (-1)^j sin(theta_j) (_barycentric)
 _SEED_POINTS = 32
+_SEED_X = np.cos(np.pi * (np.arange(_SEED_POINTS) + 0.5) / _SEED_POINTS)
+_SEED_W = np.sin(np.pi * (np.arange(_SEED_POINTS) + 0.5) / _SEED_POINTS)
+_SEED_W[1::2] *= -1.0
 # Gauss-Legendre nodes on each side of the Fermi step in a BARRIER piece
 # (ExactAdiabat.rule)
 _EXACT_NODES = 128
@@ -75,7 +81,7 @@ _POLISH_MOVE = 1e-6
 CLOSED, DOWNHILL, BARRIER = 0, 1, 2
 
 # ExactAdiabat.rule
-ExactRule = namedtuple("ExactRule", "down_lo down_hi lo hi width u half_w coef seeded")
+ExactRule = namedtuple("ExactRule", "down_lo down_hi lo hi width u half_w samples seeded")
 
 
 class BarrierMethod(enum.Enum):
@@ -184,7 +190,7 @@ class ExactAdiabat:
     each level shift; ``rate_nodes`` gives the exact rate's nodes on the
     BARRIER pieces, their weights and barriers, served without an
     eigenvalue solve by ``seeded_barriers``, Newton's method from the
-    seeds of ``rule``.
+    interpolated samples of ``rule``.
     """
 
     def __init__(self, lam, c):
@@ -411,21 +417,18 @@ class ExactAdiabat:
         the width hi - lo of the BARRIER pieces, each a column; the
         _EXACT_NODES Gauss-Legendre points mapped to [0, 1] (u), with
         their weights halved (half_w); and the seeds of
-        ``seeded_barriers``: Chebyshev series of the reactant well q_r(t)
-        and the transition state q_ts(t) on each BARRIER piece, t in
-        [0, 1] under ``piece_shifts``, and which pieces they seed.
+        ``seeded_barriers``: the reactant well q_r and the transition state
+        q_ts at the _SEED_POINTS Chebyshev-Gauss points 2t - 1 = _SEED_X
+        of each BARRIER piece, t in [0, 1] under ``piece_shifts``
+        (samples, shape (pieces, _SEED_POINTS, 2), 0 on a piece that is
+        not seeded), and which pieces they seed (seeded, one flag per
+        BARRIER piece in order).
 
-        One ``barriers`` call at _SEED_POINTS interior Chebyshev-Gauss
-        points of every BARRIER piece gives the seeds. A piece is seeded
-        only if at every point the surface has two wells, the transition
-        state lies right of the reactant well and the diabatic crossing is
-        no kink; none is if the points leave the scan window (``barriers``
-        raises). The series end at the shortest prefix whose dropped
-        coefficients sum to at most 1e-12 in every column, which bounds
-        what the cut moves a seed. coef[k] holds the coefficients of
-        T_k(2t - 1) as a column of 2 * pieces rows, q_r of every piece then
-        q_ts (shape (terms, 2 * pieces, 1), for ``_clenshaw``); seeded is
-        one flag per BARRIER piece in order.
+        One ``barriers`` call at those points gives the samples. A piece
+        is seeded only if at every point the surface has two wells, the
+        transition state lies right of the reactant well and the diabatic
+        crossing is no kink; none is if the points leave the scan window
+        (``barriers`` raises).
 
         Raises SurfaceTopologyError, and keeps nothing, if a BARRIER piece
         or a DOWNHILL one above it is unbounded: the rate integral has no
@@ -439,9 +442,7 @@ class ExactAdiabat:
                 "above it, is unbounded: the exact rate integral has no end"
             )
         ends = lo[barrier, None], hi[barrier, None]
-        n = _SEED_POINTS
-        theta = np.pi * (np.arange(n) + 0.5) / n
-        dg = piece_shifts(*ends, 0.5 + 0.5 * np.cos(theta))
+        dg = piece_shifts(*ends, 0.5 + 0.5 * _SEED_X)
         try:
             _e, q_ts, q_r, single = self.barriers(dg.ravel())
             q_r, q_ts = q_r.reshape(dg.shape), q_ts.reshape(dg.shape)
@@ -451,18 +452,11 @@ class ExactAdiabat:
             # nothing is seeded, and the samples below are all 0
             q_r = q_ts = dg
             seeded = np.zeros(len(dg), dtype=bool)
-        # the discrete Chebyshev transform at the Gauss points
-        samples = np.where(seeded[:, None], np.stack([q_r, q_ts]), 0.0)
-        coef = samples @ np.cos(np.outer(np.arange(n), theta)).T * (2.0 / n)
-        coef[:, :, 0] *= 0.5
-        coef = coef.transpose(2, 0, 1).reshape(n, -1)
-        # tail[k]: the largest sum over a column of |coef[j]|, j >= k
-        tail = np.abs(coef)[::-1].cumsum(axis=0)[::-1].max(axis=1, initial=0.0)
-        coef = coef[: max(np.count_nonzero(tail > 1e-12), 1), :, None]
+        samples = np.where(seeded[:, None, None], np.stack([q_r, q_ts], axis=-1), 0.0)
         x, w = gauss_legendre(_EXACT_NODES)
         rule = ExactRule(
             lo[down], hi[down], *ends, ends[1] - ends[0], 0.5 * (x + 1.0), 0.5 * w,
-            coef, seeded,
+            samples, seeded,
         )
         for column in rule:
             column.flags.writeable = False
@@ -511,27 +505,28 @@ class ExactAdiabat:
         of the BARRIER pieces, without an eigenvalue solve.
 
         t and dg have shape (pieces, nodes), one row per BARRIER piece in
-        order. The reactant well and the transition state come from the
-        seeds of ``rule`` by Clenshaw's recurrence and are polished by Newton's
-        method on F (``_newton_step``). E* = E_minus(q_ts) - E_minus(q_r)
-        is taken at the q of the last step, as the diabat mean less the
-        sqrt(g) that the step forms: no second pass over the adiabat. That
-        step is at most _POLISH_STEP, so E_minus there is within about
-        E'' _POLISH_STEP^2 / 2 (1e-19 eV) of its value at the root.
+        order. The reactant well and the transition state are seeded by
+        the polynomials through the samples of ``rule`` (``_barycentric``)
+        and polished by Newton's method on F (``_newton_step``).
+        E* = E_minus(q_ts) - E_minus(q_r) is taken at the q of the last
+        step, as the diabat mean less the sqrt(g) that the step forms: no
+        second pass over the adiabat. That step is at most _POLISH_STEP,
+        so E_minus there is within about E'' _POLISH_STEP^2 / 2 (1e-19 eV)
+        of its value at the root.
         Returns (e_star, ok), ok one flag per piece: False where the piece
         is not seeded (with no piece seeded, nothing is evaluated), or at
         some node the diabatic crossing is a kink, the last Newton step
         exceeds _POLISH_STEP, a root moved more than _POLISH_MOVE from its
-        seed or q_r >= q_ts. e_star is meaningful only where ok; such a
+        seed (a node on a sample point has a NaN seed, which fails this)
+        or q_r >= q_ts. e_star is meaningful only where ok; such a
         piece takes ``barriers`` at its nodes.
         """
         rule = self.rule
-        coef, ok = rule.coef, rule.seeded
+        ok = rule.seeded
         if not ok.any():
             return np.full(dg.shape, np.nan), ok
-        x = 2.0 * t - 1.0
         # q_r and q_ts at every node, one row each
-        seed = _clenshaw(coef, np.concatenate([x, x])).reshape(2, -1)
+        seed = _barycentric(2.0 * t - 1.0, rule.samples).transpose(2, 0, 1).reshape(2, -1)
         dg_all = dg.ravel()
         lam = self.lam
         q = seed
@@ -587,19 +582,15 @@ def piece_shifts(lo, hi, t):
     return lo + (hi - lo) * sin * sin
 
 
-def _clenshaw(coef, x):
-    """sum_k coef[k] T_k(x) by Clenshaw's recurrence, coef[k] a column of
-    shape (rows, 1) and x of shape (rows, nodes); returns shape (rows,
-    nodes). One pass over three buffers, updated in place."""
-    x2 = 2.0 * x
-    b1, b2, b0 = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
-    for c in coef[:0:-1]:
-        # b1, b2 = x2 * b1 - b2 + c, b1
-        np.multiply(x2, b1, out=b0)
-        b0 -= b2
-        b0 += c
-        b1, b2, b0 = b0, b1, b2
-    return x * b1 - b2 + coef[0]
+def _barycentric(x, samples):
+    """The polynomials through samples (shape (pieces, _SEED_POINTS, k))
+    at the points _SEED_X, at x (shape (pieces, nodes)), by the
+    barycentric formula, which is forward-stable at Chebyshev points;
+    returns shape (pieces, nodes, k). An x on a sample point gives NaN,
+    without a warning."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = _SEED_W / (x[:, :, None] - _SEED_X)
+        return w @ samples / w.sum(axis=2, keepdims=True)
 
 
 def _padd(*polys):

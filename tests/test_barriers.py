@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
+import numpy.polynomial.chebyshev as cheb
 import numpy.polynomial.polynomial as npoly
 import pytest
 import scipy.optimize
@@ -14,6 +16,8 @@ from etkit.barriers import (
     DOWNHILL,
     SCAN_Q_HI,
     SCAN_Q_LO,
+    _SEED_POINTS,
+    _SEED_X,
     BarrierMethod,
     ExactAdiabat,
     adiabatic_driving_force,
@@ -21,8 +25,10 @@ from etkit.barriers import (
     effective_lambda,
     exact_adiabat,
     marcus_barrier,
+    _barycentric,
     marcus_form,
     marcus_ts,
+    piece_shifts,
 )
 from etkit.errors import SingularRegimeError, SurfaceTopologyError
 from etkit.model import (
@@ -557,6 +563,45 @@ class TestRateNodes:
             moment = (weight * dg).sum(axis=1)
             assert moment == pytest.approx(0.5 * (hi * hi - lo * lo), rel=1e-13, abs=0)
             assert np.isfinite(e_star[rule.seeded]).all()
+
+
+class TestSeeds:
+    # seeded_barriers starts Newton's method from the polynomials through
+    # the rule's samples at the Chebyshev-Gauss points _SEED_X
+
+    @pytest.mark.parametrize("lam, coeffs", [(4.0, (0.1, 0.4)), (2.0, (0.2, -0.6))])
+    def test_seeds_are_the_interpolant(self, lam, coeffs):
+        rule = exact_adiabat(lam, PolynomialCoupling(coeffs)).rule
+        assert rule.seeded.all()
+        t = np.random.default_rng(11).random((len(rule.seeded), 200))
+        got = _barycentric(2.0 * t - 1.0, rule.samples)
+        for piece, samples in enumerate(rule.samples):
+            coef = cheb.chebfit(_SEED_X, samples, _SEED_POINTS - 1)
+            want = cheb.chebval(2.0 * t[piece] - 1.0, coef).T
+            assert np.abs(got[piece] - want).max() <= 1e-13
+
+    def test_a_node_on_a_sample_point(self):
+        # there the barycentric formula is 0/0: no warning, and the node's
+        # E* is that of ExactAdiabat.barriers or its piece falls back; the
+        # other piece keeps its barriers
+        adiabat = exact_adiabat(2.0, PolynomialCoupling((0.2, -0.6)))
+        rule = adiabat.rule
+        assert rule.seeded.all() and len(rule.seeded) == 2
+        t = np.tile(np.linspace(0.05, 0.95, 7), (2, 1))
+        e_before, ok_before = adiabat.seeded_barriers(t, piece_shifts(rule.lo, rule.hi, t))
+        assert ok_before.all()
+        # 2t - 1 gives x_j back exactly where x_j <= -1/2
+        x = _SEED_X[-1]
+        t[0, 3] = 0.5 * (1.0 + x)
+        assert 2.0 * t[0, 3] - 1.0 == x
+        dg = piece_shifts(rule.lo, rule.hi, t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e_star, ok = adiabat.seeded_barriers(t, dg)
+        if ok[0]:
+            assert abs(e_star[0, 3] - adiabat.barriers(dg[0, 3])[0][0]) <= 1e-12
+        assert ok[1]
+        assert e_star[1] == pytest.approx(e_before[1], rel=0, abs=1e-12)
 
 
 class TestExactAdiabatCache:

@@ -587,7 +587,7 @@ class TestExactRouteFixedRule:
             (4.0, (0.3, 0.5, -0.4), 300.0, 0.2, 2.489057241012386),
             # 400 K, and a fold where E* is about 0.65 eV
             (4.0, (0.6, 0.4), 400.0, 0.4, 912940.7991629479),
-            # two seeded barrier pieces, summed in one Clenshaw pass
+            # two seeded barrier pieces, interpolated in one pass
             (2.0, (0.2, -0.6), 300.0, -0.4, 4171855.827399624),
             (4.0, (0.1, -0.1, -0.25), 300.0, -1.0, 458.82277419038286),
             # V = 0.2 - 0.4 q vanishes at the crossing only at dg = 0, a
@@ -604,9 +604,9 @@ class TestExactRouteFixedRule:
     )
     def test_rates_pinned(self, lam, coeffs, T, eta, pin):
         # repr of each rate when every seeded root was polished and E_minus
-        # evaluated again there, from the untrimmed seed series: E* from the
-        # last Newton step moves E_minus by about E''*(1e-10)^2/2 at most,
-        # the trimmed series a seed by at most 1e-12 in q
+        # evaluated again there, seeded by the degree-31 polynomial through
+        # the rule's samples, as now: E* from the last Newton step moves
+        # E_minus by about E''*(1e-10)^2/2 at most
         assert exact_rate(lam, coeffs, T, eta) == pytest.approx(pin, rel=1e-13, abs=0)
 
     def test_rule_is_built_on_the_first_rate_only(self):
@@ -731,7 +731,7 @@ class TestExactRouteFixedRule:
             mp.setattr(ExactAdiabat, "barriers", leaves_window)
             rule = adiabat.rule
         assert rule.seeded.size and not rule.seeded.any()
-        assert rule.coef.shape[0] == 1 and not rule.coef.any()
+        assert not rule.samples.any()
         assert exact_adiabat(4.0, c).rule.seeded.all()
         seeded = exact_rate(4.0, c.coeffs, 300.0, -0.3)
         monkeypatch.setattr("etkit.rates.exact_adiabat", lambda lam, c: adiabat)
