@@ -81,7 +81,9 @@ _POLISH_MOVE = 1e-6
 CLOSED, DOWNHILL, BARRIER = 0, 1, 2
 
 # ExactAdiabat.rule
-ExactRule = namedtuple("ExactRule", "down_lo down_hi lo hi width u half_w samples seeded")
+ExactRule = namedtuple(
+    "ExactRule", "down_lo down_hi lo hi width u half_w second samples seeded"
+)
 
 
 class BarrierMethod(enum.Enum):
@@ -205,8 +207,9 @@ class ExactAdiabat:
         ddv = derivative(dv)
         taylor = np.zeros((3, len(v)))
         taylor[0], taylor[1, : len(dv)], taylor[2, : len(ddv)] = v, dv, ddv
-        # for horner: ascending coefficients, each a (3, 1, 1) column
-        self._taylor = taylor.T[:, :, None, None]
+        # shape (d + 1, 3): the ascending coefficients of V, V' and V''
+        # as columns (_newton_step)
+        self._taylor = taylor.T
         l2 = lam * lam
         m2 = np.zeros(n)  # M'^2 = lam^2 (2q - 1)^2
         m2[:3] = l2, -4.0 * l2, 4.0 * l2
@@ -279,15 +282,19 @@ class ExactAdiabat:
         return cand, mid, is_min, is_max
 
     def _newton_step(self, q, dg):
-        """Newton step toward a stationary point of E_minus at each q of a
-        2-D array, M'*h there and sqrt(g), the half gap of the adiabats
-        (E_minus is the diabat mean less it); dg broadcasts against q.
+        """Newton step toward a stationary point of E_minus at each q of an
+        array of any rank, M'*h there and sqrt(g), the half gap of the
+        adiabats (E_minus is the diabat mean less it); dg broadcasts
+        against q.
 
         The step is on F = M' sqrt(g) - h, whose genuine roots are simple
         (F' = 2 lam sqrt(g) + M' h / sqrt(g) - h'), unlike those of P.
         """
         lam = self.lam
-        v, dv, ddv = horner(self._taylor, q)
+        # V, V' and V'' stacked on a leading axis: each coefficient is
+        # shaped (3, 1, ..., 1) to the rank of q, so that the stack never
+        # pairs with an axis of q of length 3
+        v, dv, ddv = horner(self._taylor.reshape(self._taylor.shape + (1,) * q.ndim), q)
         slope = lam * (2.0 * q - 1.0)
         delta = slope - dg
         h = 0.5 * lam * delta + v * dv
@@ -416,13 +423,15 @@ class ExactAdiabat:
         (down_lo, down_hi) of the DOWNHILL pieces; the ends (lo, hi) and
         the width hi - lo of the BARRIER pieces, each a column; the
         _EXACT_NODES Gauss-Legendre points mapped to [0, 1] (u), with
-        their weights halved (half_w); and the seeds of
-        ``seeded_barriers``: the reactant well q_r and the transition state
-        q_ts at the _SEED_POINTS Chebyshev-Gauss points 2t - 1 = _SEED_X
-        of each BARRIER piece, t in [0, 1] under ``piece_shifts``
-        (samples, shape (pieces, _SEED_POINTS, 2), 0 on a piece that is
-        not seeded), and which pieces they seed (seeded, one flag per
-        BARRIER piece in order).
+        their weights halved (half_w), twice over, one copy for each side
+        of the Fermi step, and which entries are the second side's
+        (second), each of shape (2 * _EXACT_NODES,); and the seeds of
+        ``seeded_barriers``: the reactant well q_r and the transition
+        state q_ts at the _SEED_POINTS Chebyshev-Gauss points
+        2t - 1 = _SEED_X of each BARRIER piece, t in [0, 1] under
+        ``piece_shifts`` (samples, shape (pieces, 2, _SEED_POINTS), 0 on a
+        piece that is not seeded), and which pieces they seed (seeded,
+        one flag per BARRIER piece in order).
 
         One ``barriers`` call at those points gives the samples. A piece
         is seeded only if at every point the surface has two wells, the
@@ -452,11 +461,13 @@ class ExactAdiabat:
             # nothing is seeded, and the samples below are all 0
             q_r = q_ts = dg
             seeded = np.zeros(len(dg), dtype=bool)
-        samples = np.where(seeded[:, None, None], np.stack([q_r, q_ts], axis=-1), 0.0)
+        samples = np.where(seeded[:, None, None], np.stack([q_r, q_ts], axis=1), 0.0)
         x, w = gauss_legendre(_EXACT_NODES)
+        # both sides of the Fermi step in one row of nodes
+        u, half_w = np.tile(0.5 * (x + 1.0), 2), np.tile(0.5 * w, 2)
+        second = np.arange(2 * _EXACT_NODES) >= _EXACT_NODES
         rule = ExactRule(
-            lo[down], hi[down], *ends, ends[1] - ends[0], 0.5 * (x + 1.0), 0.5 * w,
-            samples, seeded,
+            lo[down], hi[down], *ends, ends[1] - ends[0], u, half_w, second, samples, seeded
         )
         for column in rule:
             column.flags.writeable = False
@@ -473,26 +484,28 @@ class ExactAdiabat:
         analytic in t at fold singularities, and split at the Fermi step
         dg = eta (or at t = 1/2 where the step lies outside); each part
         takes the rule's Gauss-Legendre points, and the weights include
-        d dg / dt. E* comes from ``seeded_barriers``; the nodes of the
-        pieces it does not accept go into one ``barriers`` call, and a
-        closed node there (``closed_channel``) gets E* = +inf.
+        d dg / dt. t, the weights and dg are built for both parts of every
+        piece at once, shape (pieces, 2 * _EXACT_NODES), and sin(pi t / 2)
+        serves both dg and d dg / dt. E* comes from ``seeded_barriers``;
+        the nodes of the pieces it does not accept go into one
+        ``barriers`` call, and a closed node there (``closed_channel``)
+        gets E* = +inf.
         """
         rule = self.rule
-        lo, width = rule.lo, rule.width
+        lo, width, second = rule.lo, rule.width, rule.second
         # the t of the Fermi step, or t = 1/2 where the step lies outside
         s = (eta - lo) / width
         s = np.where((0.0 < s) & (s < 1.0), s, 0.5)
         split = np.arcsin(np.sqrt(s)) / (0.5 * np.pi)
-        # t and its weights on [0, split] and [split, 1], one row per part
-        start = np.stack([np.zeros_like(split), split], axis=1)
-        length = np.stack([split, 1.0 - split], axis=1)
-        t = start + length * rule.u
+        # t and its weights on [0, split] and then on [split, 1]: one row
+        # of nodes per piece
+        length = np.where(second, 1.0 - split, split)
+        t = second * split + length * rule.u
         phase = 0.5 * np.pi * t
+        sin = np.sin(phase)
         # d dg / dt = (hi - lo) * (pi/2) * sin(pi t)
-        weight = length * rule.half_w * width[:, None] * np.pi * np.sin(phase) * np.cos(phase)
-        # one row of nodes per piece
-        t = t.reshape(len(t), 2 * len(rule.u))
-        dg = piece_shifts(lo, rule.hi, t)
+        weight = length * rule.half_w * width * np.pi * sin * np.cos(phase)
+        dg = lo + width * sin * sin  # piece_shifts(lo, hi, t)
         e_star, seeded = self.seeded_barriers(t, dg)
         if not seeded.all():
             e, _q_ts, q_r, single = self.barriers(dg[~seeded].ravel())
@@ -507,43 +520,46 @@ class ExactAdiabat:
         t and dg have shape (pieces, nodes), one row per BARRIER piece in
         order. The reactant well and the transition state are seeded by
         the polynomials through the samples of ``rule`` (``_barycentric``)
-        and polished by Newton's method on F (``_newton_step``).
+        and polished by Newton's method on F (``_newton_step``), both
+        roots of every node in one array of shape (pieces, 2, nodes).
         E* = E_minus(q_ts) - E_minus(q_r) is taken at the q of the last
         step, as the diabat mean less the sqrt(g) that the step forms: no
         second pass over the adiabat. That step is at most _POLISH_STEP,
         so E_minus there is within about E'' _POLISH_STEP^2 / 2 (1e-19 eV)
         of its value at the root.
-        Returns (e_star, ok), ok one flag per piece: False where the piece
-        is not seeded (with no piece seeded, nothing is evaluated), or at
-        some node the diabatic crossing is a kink, the last Newton step
-        exceeds _POLISH_STEP, a root moved more than _POLISH_MOVE from its
-        seed (a node on a sample point has a NaN seed, which fails this)
-        or q_r >= q_ts. e_star is meaningful only where ok; such a
-        piece takes ``barriers`` at its nodes.
+        Returns (e_star, ok), ok one flag per piece: True where the piece
+        is seeded and at every node the diabatic crossing is no kink, the
+        last Newton step is at most _POLISH_STEP, both roots are at most
+        _POLISH_MOVE from their seeds (a node on a sample point has a NaN
+        seed, which fails this) and q_r < q_ts. With no piece seeded,
+        nothing is evaluated. e_star is meaningful only where ok; any
+        other piece takes ``barriers`` at its nodes.
         """
         rule = self.rule
         ok = rule.seeded
         if not ok.any():
             return np.full(dg.shape, np.nan), ok
-        # q_r and q_ts at every node, one row each
-        seed = _barycentric(2.0 * t - 1.0, rule.samples).transpose(2, 0, 1).reshape(2, -1)
-        dg_all = dg.ravel()
         lam = self.lam
-        q = seed
-        # a piece whose Newton iterates run off is rejected below; its
-        # e_star, maybe not finite, is not used
-        with np.errstate(over="ignore", invalid="ignore"):
+        # the level shift of both roots of a node
+        column = dg[:, None]
+        # a node on a sample point gets a NaN seed, and a piece whose
+        # Newton iterates run off an e_star, maybe not finite, that is not
+        # used: both are rejected below, without a warning
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            q = seed = _barycentric(2.0 * t - 1.0, rule.samples)
             for _ in range(_POLISH_STEPS):
-                step, _slope_h, root_g = self._newton_step(q, dg_all)
+                step, _slope_h, root_g = self._newton_step(q, column)
                 q, last = q - step, q
-                if (np.abs(step) <= _POLISH_STEP).all():
+                settled = np.abs(step) <= _POLISH_STEP
+                if settled.all():
                     break
-            good = (np.abs(step) <= _POLISH_STEP) & (np.abs(q - seed) <= _POLISH_MOVE)
-            good = good.all(axis=0) & (q[0] < q[1]) & ~self._crossing(dg_all)[1]
-            ok = ok & good.reshape(dg.shape).all(axis=1)
-            e = 0.5 * (lam * last * last + (lam * (1.0 - last) ** 2 + dg_all)) - root_g
-            e_star = np.maximum(e[1] - e[0], 0.0)
-        return e_star.reshape(dg.shape), ok
+            good = settled & (np.abs(q - seed) <= _POLISH_MOVE)
+            # the checks of a node as a whole go on its q_r entry
+            good[:, 0] &= (q[:, 0] < q[:, 1]) & ~self._crossing(dg)[1]
+            ok = ok & good.all(axis=(1, 2))
+            e = 0.5 * (lam * last * last + (lam * (1.0 - last) ** 2 + column)) - root_g
+            e_star = np.maximum(e[:, 1] - e[:, 0], 0.0)
+        return e_star, ok
 
     def _edge_crossings(self):
         """Level shifts at which a stationary point crosses an end q of the
@@ -555,7 +571,7 @@ class ExactAdiabat:
         dg = (root - b) / (2.0 * c2)
         real = dg.imag == 0.0
         q, dg = q[real], dg.real[real]
-        v, dv, _ddv = horner(self._taylor[:, :, 0], q)
+        v, dv, _ddv = horner(self._taylor[:, :, None], q)
         slope = self.lam * (2.0 * q - 1.0)
         return dg[slope * (0.5 * self.lam * (slope - dg) + v * dv) >= 0.0]
 
@@ -583,14 +599,15 @@ def piece_shifts(lo, hi, t):
 
 
 def _barycentric(x, samples):
-    """The polynomials through samples (shape (pieces, _SEED_POINTS, k))
+    """The polynomials through samples (shape (pieces, k, _SEED_POINTS))
     at the points _SEED_X, at x (shape (pieces, nodes)), by the
     barycentric formula, which is forward-stable at Chebyshev points;
-    returns shape (pieces, nodes, k). An x on a sample point gives NaN,
-    without a warning."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = _SEED_W / (x[:, :, None] - _SEED_X)
-        return w @ samples / w.sum(axis=2, keepdims=True)
+    returns shape (pieces, k, nodes). The weights w_j / (x - x_j) form
+    one (pieces, _SEED_POINTS, nodes) array, shared by the k
+    polynomials. An x on a sample point gives NaN, with the warnings of
+    0/0 unless the caller silences them."""
+    w = _SEED_W[:, None] / (x[:, None, :] - _SEED_X[:, None])
+    return samples @ w / w.sum(axis=1, keepdims=True)
 
 
 def _padd(*polys):

@@ -576,8 +576,8 @@ class TestSeeds:
         t = np.random.default_rng(11).random((len(rule.seeded), 200))
         got = _barycentric(2.0 * t - 1.0, rule.samples)
         for piece, samples in enumerate(rule.samples):
-            coef = cheb.chebfit(_SEED_X, samples, _SEED_POINTS - 1)
-            want = cheb.chebval(2.0 * t[piece] - 1.0, coef).T
+            coef = cheb.chebfit(_SEED_X, samples.T, _SEED_POINTS - 1)
+            want = cheb.chebval(2.0 * t[piece] - 1.0, coef)
             assert np.abs(got[piece] - want).max() <= 1e-13
 
     def test_a_node_on_a_sample_point(self):

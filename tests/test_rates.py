@@ -516,6 +516,36 @@ def counted_barriers(monkeypatch):
     return calls
 
 
+# (lam, coeffs, T, eta, pin): the five couplings of the tafel_exact
+# benchmark, three etas each
+TAFEL_EXACT_PINS = [
+    (4.0, (0.5,), 300.0, -0.8, 70042789.36368881),
+    (4.0, (0.5,), 300.0, -0.3, 36546.69099305614),
+    (4.0, (0.5,), 300.0, 0.2, 3.649318890968494),
+    (4.0, (0.1, 0.4), 300.0, -0.8, 125071.71195958578),
+    (4.0, (0.1, 0.4), 300.0, -0.3, 100.5235748977214),
+    (4.0, (0.1, 0.4), 300.0, 0.2, 0.02177366331093433),
+    (4.0, (0.2, 0.8), 300.0, -0.8, 500640749.47141385),
+    (4.0, (0.2, 0.8), 300.0, -0.3, 1980012.0471130933),
+    (4.0, (0.2, 0.8), 300.0, 0.2, 1914.688314810161),
+    (4.0, (0.6, 0.4), 300.0, -0.8, 77984401258.49998),
+    (4.0, (0.6, 0.4), 300.0, -0.3, 328014489.06105256),
+    (4.0, (0.6, 0.4), 300.0, 0.2, 183696.7874578536),
+    (4.0, (0.3, 0.5, -0.4), 300.0, -0.8, 34415538.343613096),
+    (4.0, (0.3, 0.5, -0.4), 300.0, -0.3, 21797.222156652686),
+    (4.0, (0.3, 0.5, -0.4), 300.0, 0.2, 2.489057241012386),
+]
+# draws 149 and 157 of tests/exact_traffic.py: (lam, coeffs, T, eta)
+DRAW_149 = (
+    5.17949782600355, (-0.5926938148223172, 0.033778078275239445, 0.5646145062171052),
+    304.1145480534742, 0.5726991207618264,
+)
+DRAW_157 = (
+    2.662623260827285, (0.7666324319134604, -0.7649304145935234), 358.6988535935767,
+    0.5620783809514625,
+)
+
+
 class TestExactRouteFixedRule:
     # tests/pin_oracles.py::quad_exact_rate: scipy's adaptive quad over
     # eps at epsrel 1e-12, cut at the fold shifts bisected on the topology
@@ -569,22 +599,7 @@ class TestExactRouteFixedRule:
     @pytest.mark.parametrize(
         "lam, coeffs, T, eta, pin",
         [
-            # the five couplings of the tafel_exact benchmark, three etas each
-            (4.0, (0.5,), 300.0, -0.8, 70042789.36368881),
-            (4.0, (0.5,), 300.0, -0.3, 36546.69099305614),
-            (4.0, (0.5,), 300.0, 0.2, 3.649318890968494),
-            (4.0, (0.1, 0.4), 300.0, -0.8, 125071.71195958578),
-            (4.0, (0.1, 0.4), 300.0, -0.3, 100.5235748977214),
-            (4.0, (0.1, 0.4), 300.0, 0.2, 0.02177366331093433),
-            (4.0, (0.2, 0.8), 300.0, -0.8, 500640749.47141385),
-            (4.0, (0.2, 0.8), 300.0, -0.3, 1980012.0471130933),
-            (4.0, (0.2, 0.8), 300.0, 0.2, 1914.688314810161),
-            (4.0, (0.6, 0.4), 300.0, -0.8, 77984401258.49998),
-            (4.0, (0.6, 0.4), 300.0, -0.3, 328014489.06105256),
-            (4.0, (0.6, 0.4), 300.0, 0.2, 183696.7874578536),
-            (4.0, (0.3, 0.5, -0.4), 300.0, -0.8, 34415538.343613096),
-            (4.0, (0.3, 0.5, -0.4), 300.0, -0.3, 21797.222156652686),
-            (4.0, (0.3, 0.5, -0.4), 300.0, 0.2, 2.489057241012386),
+            *TAFEL_EXACT_PINS,
             # 400 K, and a fold where E* is about 0.65 eV
             (4.0, (0.6, 0.4), 400.0, 0.4, 912940.7991629479),
             # two seeded barrier pieces, interpolated in one pass
@@ -600,14 +615,73 @@ class TestExactRouteFixedRule:
             (4.0, (1e-10,), 300.0, -0.3, 0.0021274091052646436),
             # no barrier piece: one downhill piece in closed form
             (1.0, (0.8,), 300.0, -0.3, 1875297196046.9292),
+            # the one draw whose barrier pieces fall back: both take
+            # ExactAdiabat.barriers (test_fallback_pieces_pinned)
+            (*DRAW_149, 4.715888836471434e-10),
+            # three seeded barrier pieces, polished in one array
+            (*DRAW_157, 0.28662781403171206),
         ],
     )
     def test_rates_pinned(self, lam, coeffs, T, eta, pin):
         # repr of each rate when every seeded root was polished and E_minus
         # evaluated again there, seeded by the degree-31 polynomial through
         # the rule's samples, as now: E* from the last Newton step moves
-        # E_minus by about E''*(1e-10)^2/2 at most
+        # E_minus by about E''*(1e-10)^2/2 at most. The last two were
+        # pinned before the polish took one (pieces, 2, nodes) array
         assert exact_rate(lam, coeffs, T, eta) == pytest.approx(pin, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize(
+        "lam, coeffs, T, eta, seeded, accepted",
+        [
+            # the second piece is not seeded, and the seeded one fails
+            # its polish at the rate's nodes (a root moves more than
+            # _POLISH_MOVE from its seed)
+            (*DRAW_149, [True, False], [False, False]),
+            (*DRAW_157, [True, True, True], [True, True, True]),
+        ],
+        ids=["draw149", "draw157"],
+    )
+    def test_fallback_pieces_pinned(self, monkeypatch, lam, coeffs, T, eta, seeded, accepted):
+        exact_rate(lam, coeffs, T, eta)
+        assert exact_adiabat(lam, PolynomialCoupling(coeffs)).rule.seeded.tolist() == seeded
+        seen = []
+        seeded_barriers = ExactAdiabat.seeded_barriers
+
+        def recorded(self, t, dg):
+            e_star, ok = seeded_barriers(self, t, dg)
+            seen.append(ok.tolist())
+            return e_star, ok
+
+        monkeypatch.setattr(ExactAdiabat, "seeded_barriers", recorded)
+        calls = counted_barriers(monkeypatch)
+        exact_rate(lam, coeffs, T, eta)
+        assert seen == [accepted]
+        # the nodes of every piece that falls back, in one call
+        fallback = accepted.count(False) * 2 * 128
+        assert calls == ([fallback] if fallback else [])
+
+    def test_warm_tafel_exact_rates_take_one_newton_step(self, monkeypatch):
+        # the cost of a warm seeded rate: one Newton evaluation settles
+        # both roots of every node of every piece, and no node takes the
+        # eigenvalue path
+        for lam, coeffs, T, eta, _pin in TAFEL_EXACT_PINS:
+            exact_rate(lam, coeffs, T, eta)
+        shapes = []
+        newton_step = ExactAdiabat._newton_step
+
+        def counted(self, q, dg):
+            shapes.append(q.shape)
+            return newton_step(self, q, dg)
+
+        monkeypatch.setattr(ExactAdiabat, "_newton_step", counted)
+        calls = counted_barriers(monkeypatch)
+        for lam, coeffs, T, eta, _pin in TAFEL_EXACT_PINS:
+            shapes.clear()
+            exact_rate(lam, coeffs, T, eta)
+            kind = exact_adiabat(lam, PolynomialCoupling(coeffs)).pieces[2]
+            pieces = np.count_nonzero(kind == BARRIER)
+            assert shapes == [(pieces, 2, 2 * 128)], (coeffs, eta)
+        assert calls == []
 
     def test_rule_is_built_on_the_first_rate_only(self):
         # barrier() and adiabatic_driving_force() pay for no rate set-up
