@@ -63,7 +63,10 @@ class SweepSpec:
     """One swept variable plus the fixed bundle everything else uses.
 
     ``start``/``stop`` bound the sweep (finite, must differ), ``n`` >= 2
-    points. ``conditions`` may be None for pure barrier sweeps.
+    points. ``conditions`` may be None for pure barrier sweeps. Rate
+    sweeps set each column's prefactor themselves (golden-rule for
+    marcus, kT/h otherwise): they read neither ``conditions.prefactor``
+    nor the field of ``conditions`` that is swept.
     """
 
     variable: SweepVariable

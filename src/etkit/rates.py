@@ -74,6 +74,14 @@ class ElectrodeConditions:
 
 @dataclass(frozen=True)
 class RateRequest:
+    """The inputs of one rate: the system, the coupling model, the
+    electrode conditions and the barrier method.
+
+    A rate reads only ``sys.lam`` of the system: the level shift of each
+    electronic level comes from ``cond.eta_f``, and ``sys.dg0`` is not
+    read.
+    """
+
     sys: object
     coupling: object
     cond: ElectrodeConditions

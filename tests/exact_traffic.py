@@ -20,9 +20,9 @@ a few seconds on one core. Two parts:
   seeded pieces (the roots from ``barriers`` at the same level shifts; a
   node at a fold end where ``barriers`` finds no transition state is
   skipped, and NaN means no node is left), the relative gap to a
-  reference file of rates (see below) and to ``reference_rate``: the same
-  pieces under 2 x 512 Gauss-Legendre nodes, E* from the eigenvalue path
-  ``barriers``.
+  reference file of rates (see below) and to ``reference.exact_rate``,
+  which computes the rate without etkit: its own pieces, 2 x 512
+  Gauss-Legendre nodes on each barrier piece and its own barriers.
 
 ``--save FILE`` writes the draws' rates as ``repr`` strings (the name of
 the exception where a rate raises) and stops; it needs nothing but
@@ -43,17 +43,17 @@ import timeit
 
 import numpy as np
 
-from etkit import barriers, numerics, rates
-from etkit.barriers import BARRIER, DOWNHILL, ExactAdiabat, exact_adiabat
+from reference import exact_rate
+
+from etkit import barriers, rates
+from etkit.barriers import ExactAdiabat, exact_adiabat
 from etkit.constants import beta
 from etkit.errors import SurfaceTopologyError
 from etkit.model import DiabaticSystem, LinearCoupling, PolynomialCoupling
 
 N_DRAWS = 300
-REFERENCE_NODES = 512
 REPEATS = 300
-# the largest error of the draws is 1.6e-9, and it is the reference's
-# own: one of its nodes next to a product fold reads a closed channel
+# the largest error of the draws is 1.4e-11
 MAX_REFERENCE_ERROR = 1e-8
 # 2 of the draws' 363 barrier pieces fall back
 MAX_FALLBACK = 0.01
@@ -93,32 +93,6 @@ def saved_rate(lam, coupling, T, eta):
         return repr(rate(lam, coupling, T, eta))
     except Exception as exc:  # noqa: BLE001 - recorded by name
         return type(exc).__name__
-
-
-def reference_rate(lam, coupling, T, eta, n=REFERENCE_NODES):
-    """The exact rate under n Gauss-Legendre nodes on each side of the
-    Fermi step of every barrier piece, E* from ``ExactAdiabat.barriers``
-    at every node (adiabatic prefactor, rho = 1)."""
-    b = beta(T)
-    adiabat = exact_adiabat(lam, coupling)
-    lo, hi, kind = adiabat.pieces
-    down, barrier = kind == DOWNHILL, kind == BARRIER
-    total = np.sum(
-        np.logaddexp(0.0, -b * (eta - hi[down])) - np.logaddexp(0.0, -b * (eta - lo[down]))
-    ) / b
-    x, w = numerics.gauss_legendre(n)
-    for a, z in zip(lo[barrier], hi[barrier]):
-        s = (eta - a) / (z - a)
-        split = math.asin(math.sqrt(s)) / (0.5 * math.pi) if 0.0 < s < 1.0 else 0.5
-        for start, end in ((0.0, split), (split, 1.0)):
-            t = start + 0.5 * (end - start) * (x + 1.0)
-            dg = barriers.piece_shifts(a, z, t)
-            e, _q_ts, q_r, single = adiabat.barriers(dg)
-            e = np.where(barriers.closed_channel(q_r, single), np.inf, e)
-            jacobian = (z - a) * 0.5 * math.pi * np.sin(math.pi * t)
-            weight = 0.5 * (end - start) * w * jacobian
-            total += np.sum(weight * rates._fermi_boltzmann(b, eta - dg, e))
-    return rates.prefactor(rates.PrefactorKind.ADIABATIC, None, 0.0, T) * total
 
 
 class Traffic:
@@ -226,7 +200,7 @@ def report(against):
         if against is not None and against[i][0].isdigit():  # not an exception's name
             other = float(against[i])
             gap = 0.0 if got.rate == other else abs(got.rate - other) / abs(other)
-        ref = reference_rate(lam, coupling, T, eta)
+        ref = exact_rate(lam, coupling.coeffs, eta, T)
         err = abs(got.rate - ref) / abs(ref)
         seeded += got.seeded
         fallback += got.fallback
@@ -244,7 +218,7 @@ def report(against):
         + ", ".join(f"{k}: {v}" for k, v in enumerate(counts) if v)
         + f"; max |seed - root| {max(seed_errors, default=math.nan):.2e}"
         + (f"; max gap {np.nanmax([0.0, *gaps]):.2e}" if against is not None else "")
-        + f"; error vs 2 x {REFERENCE_NODES} reference median {np.median(errors):.2e} "
+        + f"; error vs reference.exact_rate median {np.median(errors):.2e} "
         f"max {max(errors):.2e}"
     )
     bad = sum(not err <= MAX_REFERENCE_ERROR for err in errors)

@@ -12,7 +12,7 @@ For each fit it prints:
 - ``evals``: closed-form rates evaluated by the whole fit;
 - ``conv``: the ``converged`` flag;
 - ``dlam``, ``drms``: lambda_eff and rms_residual less those of the
-  scipy-Brent fit ``pin_oracles.fit_closed_form`` (NaN when unconverged).
+  scipy-Brent fit ``reference.fit_closed_form`` (NaN when unconverged).
 
 A summary line closes the table. It also counts the scans that picked
 the best point of the whole 200-point grid, as one objective call on the
@@ -26,7 +26,7 @@ import math
 import sys
 
 import numpy as np
-from pin_oracles import fit_closed_form, log10_closed_form
+from reference import closed_form_rms, fit_closed_form
 
 import etkit.analysis
 from etkit.rates import closed_form_model, closed_form_rates
@@ -52,11 +52,6 @@ def draws(n=N_DRAWS, seed=2026):
         )
         out.append((lam, T, eta, y))
     return out
-
-
-def oracle_rms(lam_eff, eta, y, T):
-    r = log10_closed_form(lam_eff, eta, T) - y
-    return float(np.sqrt(np.mean((r - r.mean()) ** 2)))
 
 
 def rms_residuals(k, y):
@@ -121,7 +116,7 @@ def main():
         if res.converged:
             ref = fit_closed_form(eta, y, T)
             dl = res.lambda_eff - ref
-            dr = res.rms_residual - oracle_rms(ref, eta, y, T)
+            dr = res.rms_residual - closed_form_rms(ref, eta, y, T)
             dlams.append(abs(dl))
             drms.append(dr)
         else:

@@ -20,8 +20,9 @@ about ten minutes on one core. Each rate runs once through
 For each rate it prints the nodes, integrand calls and stop level
 (intervals) of ``integrate``. On the narrow and broad sets it also prints
 the relative error of the window's integral against a 2^22-interval
-trapezoid of the same integrand on the same window, NaN where the rate
-raised AccuracyError. A summary line closes each set; on the broad set a
+trapezoid of the same integrand on the same window
+(``reference.dense_trapezoid``), NaN where the rate raised
+AccuracyError. A summary line closes each set; on the broad set a
 second one covers the ``[closes]`` draws.
 """
 
@@ -32,6 +33,7 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+from reference import dense_trapezoid
 
 import etkit
 from etkit import numerics
@@ -45,17 +47,6 @@ ROUTES = {
     "shift": etkit.BarrierMethod.CONSTANT_SHIFT,
     "eff": etkit.BarrierMethod.EFFECTIVE_LAMBDA,
 }
-DENSE_INTERVALS = 2**22
-
-
-def dense_trapezoid(f, a, b, n=DENSE_INTERVALS, chunk=2**16):
-    """Trapezoid sum of f on n equal intervals of [a, b], in chunks."""
-    h = (b - a) / n
-    total = 0.0
-    for start in range(0, n + 1, chunk):
-        total += float(np.sum(f(a + h * np.arange(start, min(start + chunk, n + 1)))))
-    ends = f(np.array([a, b]))
-    return h * (total - 0.5 * (ends[0] + ends[1]))
 
 
 class Run:

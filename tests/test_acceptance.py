@@ -38,7 +38,7 @@ ALL_METHODS = (
 CLOSED_VS_QUADRATURE_DEX = 0.26
 CLOSED_VS_EXACT_DEX = 0.31
 
-# pinned from tests/pin_oracles.py (theory_curve_fit_linear): the single
+# pinned from reference.theory_curve_fit_linear: the single
 # lambda_eff (eV) that best fits the reduced-lambda theory's own Tafel
 # curve, log10 k_closed(lam_eff(eta)), on criterion 10's grid (lam=4,
 # eta in [-1, 0.5], 31 points, 300 K), keyed by linear coupling (v0, v1)

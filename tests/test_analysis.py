@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from fit_traffic import counting_model, draws
-from pin_oracles import fit_closed_form, log10_closed_form
+from reference import fit_closed_form, log10_closed_form
 
 import etkit.analysis
 from etkit.analysis import (
@@ -22,7 +22,12 @@ from etkit.model import (
     LinearCoupling,
     PolynomialCoupling,
 )
-from etkit.rates import ElectrodeConditions, closed_form_rates, mhc_rate_closed_form
+from etkit.rates import (
+    ElectrodeConditions,
+    PrefactorKind,
+    closed_form_rates,
+    mhc_rate_closed_form,
+)
 
 ALL_METHODS = (
     BarrierMethod.MARCUS,
@@ -194,6 +199,16 @@ class TestTafelSweep:
             f"eff failed at eta_f_V={eta:.6g}: rate is zero; log undefined"
             for eta in t.column("eta_f_V")[3:]
         ]
+
+    def test_reads_neither_the_prefactor_nor_the_swept_eta(self):
+        # each column sets its own prefactor (golden-rule for marcus, kT/h
+        # otherwise) and its own eta_f
+        def rows(cond):
+            return tafel_sweep(spec(SweepVariable.ETA_F, -0.5, 0.0, 3, conditions=cond)).rows
+
+        ref = rows(ElectrodeConditions(300.0, 0.0, 1.0, PrefactorKind.NON_ADIABATIC))
+        assert rows(ElectrodeConditions(300.0, 0.0, 1.0, PrefactorKind.ADIABATIC)) == ref
+        assert rows(ElectrodeConditions(300.0, 0.3, 1.0, PrefactorKind.NON_ADIABATIC)) == ref
 
     def test_requires_conditions(self):
         with pytest.raises(ValueError):
@@ -465,7 +480,7 @@ NOISY_LINES = ((0.6, 1), (2.25, 2), (4.5, 3))
 
 
 class TestFitAgainstScipyOracle:
-    # tests/pin_oracles.py::fit_closed_form: the same least-squares
+    # reference.fit_closed_form: the same least-squares
     # objective with scipy's erfc, minimized by scipy's Brent
     def check(self, eta, y, T=300.0, rho=1.0):
         res = fit_lambda_eff(eta, y, T, rho)

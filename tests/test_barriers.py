@@ -1,7 +1,6 @@
 import math
 import warnings
 
-import mpmath as mp
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
 import numpy.polynomial.polynomial as npoly
@@ -9,6 +8,7 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import bisect, count_float, count_mp, topology_flag
 
 from etkit.barriers import (
     BARRIER,
@@ -295,81 +295,6 @@ class TestAlgebraicExtrema:
         assert got == pytest.approx(scan_barrier(s, c), abs=1e-8)
 
 
-def stationarity_polynomial(lam, coeffs, dg, mul, sub):
-    """(P, M', h) as ascending coefficients: P = M'^2 g - h^2 with
-    M' = lam*(2q - 1), Delta = M' - dg, g = Delta^2/4 + V^2 and
-    h = lam*Delta/2 + V V'."""
-    v = list(coeffs)
-    dv = [k * c for k, c in enumerate(v)][1:] or [0 * v[0]]
-    slope = [-lam, 2 * lam]
-    delta = [-lam - dg, 2 * lam]
-    g = npoly.polyadd([d / 4 for d in mul(delta, delta)], mul(v, v))
-    h = npoly.polyadd([lam * d / 2 for d in delta], mul(v, dv))
-    return sub(mul(mul(slope, slope), g), mul(h, h)), slope, h
-
-
-def count_float(lam, coeffs, dg):
-    """Stationary points of E_minus in (-0.5, 1.5) at dg, in floats."""
-    p, slope, h = stationarity_polynomial(
-        lam, [float(c) for c in coeffs], dg, npoly.polymul, npoly.polysub
-    )
-    r = npoly.polyroots(p)
-    q = r.real[(np.abs(r.imag) < 1e-9) & (r.real > -0.5) & (r.real < 1.5)]
-    q = q[npoly.polyval(q, slope) * npoly.polyval(q, h) > 0]
-    return len(np.unique(np.round(q, 12)))
-
-
-def count_mp(lam, coeffs, dg):
-    """Stationary points of E_minus in (-0.5, 1.5) at dg: the distinct
-    real roots of P where M' h > 0, in 40-digit mpmath."""
-
-    def mul(a, b):
-        out = [mp.mpf(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return out
-
-    def sub(a, b):
-        n = max(len(a), len(b))
-        a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
-        return [x - y for x, y in zip(a, b)]
-
-    with mp.workdps(40):
-        p, slope, h = stationarity_polynomial(
-            mp.mpf(lam), [mp.mpf(c) for c in coeffs], mp.mpf(dg), mul, sub
-        )
-        while p[-1] == 0:
-            p.pop()
-        real = sorted(
-            mp.re(r)
-            for r in mp.polyroots(p[::-1], maxsteps=200, extraprec=200)
-            if abs(mp.im(r)) < 1e-20 and -0.5 < mp.re(r) < 1.5
-        )
-        val = lambda c, x: sum(a * x**k for k, a in enumerate(c))
-        genuine = [x for x in real if val(slope, x) * val(h, x) > 0]
-        # both roots of a double root count once
-        return len(genuine) - sum(b - a <= 1e-15 for a, b in zip(genuine, genuine[1:]))
-
-
-def bisect(flag, a, b, tol=1e-13):
-    """A bracket of width <= tol where flag changes, inside [a, b]."""
-    fa = flag(a)
-    assert flag(b) != fa
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if flag(mid) == fa:
-            a = mid
-        else:
-            b = mid
-    return a, b
-
-
-def topology_flag(lam, c, dg):
-    res = barrier(DiabaticSystem(lam, dg), c, BarrierMethod.EXACT_ADIABAT)
-    return (res.activationless, res.q_r < 0.5)
-
-
 class TestShifts:
     """Fold points against bisections of the topology of the lower
     adiabat, independent of the fold polynomial."""
@@ -442,7 +367,7 @@ class TestShifts:
         # for V >= lam/2 the adiabat has one well for every dg; it moves
         # from the product side to the reactant side at dg = 2 V V'/lam = 0
         c = ConstantCoupling(2.5)
-        x = 0.5 * sum(bisect(lambda d: topology_flag(4.0, c, d), -1.0, 1.0))
+        x = 0.5 * sum(bisect(lambda d: topology_flag(4.0, (2.5,), d), -1.0, 1.0))
         adiabat = ExactAdiabat(4.0, c)
         assert np.abs(adiabat.shifts - x).min() <= 1e-12
         lo, hi, kind = adiabat.pieces

@@ -392,7 +392,7 @@ class TestMarcusFormColumnGolden:
     # stdout and stderr of the Marcus-form columns when a rate doubled its
     # window until the integral stopped changing. The two tafel files were
     # regenerated under composite Simpson: each changed row equals the
-    # dense-trapezoid oracle (pin_oracles.trapezoid_marcus_rate) to the
+    # dense-trapezoid oracle (reference.marcus_family_rate) to the
     # printed digit, where adaptive Simpson was 1e-9 off
     @pytest.mark.parametrize(
         "name, argv",

@@ -6,12 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from pin_oracles import trapezoid_marcus_rate
+from reference import dense_trapezoid, marcus_family_rate
 
 import etkit
 from etkit import BarrierMethod, ConstantCoupling, DiabaticSystem, numerics
 from etkit.cli import main
-from etkit.constants import H, K_B
 from etkit.errors import AccuracyError
 from etkit.numerics import (
     FIRST_BATCH,
@@ -20,13 +19,7 @@ from etkit.numerics import (
     gauss_legendre,
     integrate,
 )
-from etkit.rates import (
-    ElectrodeConditions,
-    PrefactorKind,
-    RateRequest,
-    mhc_rate_numeric,
-    prefactor,
-)
+from etkit.rates import ElectrodeConditions, PrefactorKind, RateRequest, mhc_rate_numeric
 
 
 def step(x):
@@ -79,7 +72,8 @@ class TestLevelNodeLimit:
             ElectrodeConditions(T, eta),
             BarrierMethod.EFFECTIVE_LAMBDA,
         )
-        ref = trapezoid_marcus_rate(lam * (1.0 - 2.0 * v / lam) ** 2, T, eta)
+        lam_eff = lam * (1.0 - 2.0 * v / lam) ** 2
+        ref = marcus_family_rate("marcus", lam_eff, (0.0,), eta, T, "adiabatic")
         assert mhc_rate_numeric(req) == pytest.approx(ref, rel=1e-9, abs=0)
 
     def test_cli_prints_both_points_without_warning(self, capsys):
@@ -92,13 +86,10 @@ class TestLevelNodeLimit:
         assert err == ""
         header, *rows = out.splitlines()
         assert header == "eta_f_V,log10k_marcus"
-        factor = prefactor(
-            PrefactorKind.NON_ADIABATIC, DiabaticSystem(0.5, 0.0), 0.1, 250.0
-        ) / (K_B * 250.0 / H)
         assert [float(r.split(",")[0]) for r in rows] == [-1.5, -1.4]
         for row in rows:
             eta, logk = map(float, row.split(","))
-            ref = trapezoid_marcus_rate(0.5, 250.0, eta) * factor
+            ref = marcus_family_rate("marcus", 0.5, (0.1,), eta, 250.0, "non_adiabatic")
             # CSV carries 10 significant digits
             assert logk == pytest.approx(math.log10(ref), abs=1e-7)
 
@@ -115,14 +106,8 @@ class TestIntegrate:
 
     def test_continuum_integrand_vs_dense_trapezoid(self):
         # Marcus-barrier integrand at lam=4, V=0.5, 300 K, eta=-0.3
-        lam, eta, w, f = continuum_integrand()
-        xs = np.linspace(-w, w, 1_000_001)
-        b = 1.0 / (8.617333262e-5 * 300.0)
-        occ = 1.0 / (1.0 + np.exp(np.clip(b * xs, -700, 700)))
-        dense = np.trapezoid(
-            occ * np.exp(np.clip(-b * (lam + eta - xs) ** 2 / (4 * lam), -700, 0)),
-            xs,
-        )
+        _lam, _eta, w, f = continuum_integrand()
+        dense = dense_trapezoid(f, -w, w, 1_000_000)
         got = integrate(f, -w, w)
         assert got == pytest.approx(dense, rel=1e-6, abs=0)
 
@@ -178,15 +163,11 @@ def reference_rule(f, a, b):
     sum is returned once it agrees with its predecessor to REL_TOL;
     returns (that sum, its number of intervals)."""
 
-    def trapezoid(n):
-        y = f(np.linspace(a, b, n + 1))
-        return (b - a) / n * (0.5 * y[0] + y[1:-1].sum() + 0.5 * y[-1])
-
     n = 2 * FIRST_BATCH
-    trap = trapezoid(n)
+    trap = dense_trapezoid(f, a, b, n)
     while True:
         n *= 2
-        last, trap = trap, trapezoid(n)
+        last, trap = trap, dense_trapezoid(f, a, b, n)
         if abs(trap - last) <= REL_TOL * abs(trap):
             return trap, n
 

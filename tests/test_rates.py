@@ -6,7 +6,8 @@ import pytest
 import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from pin_oracles import trapezoid_marcus_rate
+from pin_oracles import EXACT_QUAD_CASES, NARROW_EFF_CASES
+from reference import log10_closed_form, marcus_family_rate
 
 from etkit import numerics
 from etkit.barriers import (
@@ -29,7 +30,7 @@ from etkit.model import (
     DiabaticSystem,
     LinearCoupling,
     PolynomialCoupling,
-    coupling_eval,
+    as_polynomial,
 )
 from etkit.rates import (
     ElectrodeConditions,
@@ -166,22 +167,6 @@ class TestConditionsValidation:
                 prefactor(kind, DiabaticSystem(4.0, 0.0), 0.5, T)
 
 
-def trapezoid_eff_rate(lam, v0, v1, T, eta, n=2_000_001):
-    """Dense-trapezoid oracle for the EFFECTIVE_LAMBDA continuum integral
-    with a linear coupling; nodes with lam_eff <= 0 contribute 0."""
-    b = 1.0 / (K_B * T)
-    w = 2 * lam + abs(eta) + 40 * K_B * T
-    x = np.linspace(-4 * w, 4 * w, n)
-    dg = eta - x
-    v_ts = v0 + 0.5 * (1.0 + dg / lam) * (v1 - v0)
-    lam_eff = lam - 4.0 * v_ts + 4.0 * v0 * v0 / lam
-    open_ = lam_eff > 0.0
-    safe = np.where(open_, lam_eff, 1.0)
-    expo = np.where(open_, -b * (safe + dg) ** 2 / (4.0 * safe), -np.inf)
-    weight = scipy.special.expit(-b * x) * np.exp(np.maximum(expo, -700.0))
-    return (K_B * T / H) * np.trapezoid(np.where(open_, weight, 0.0), x)
-
-
 # rate_quadrature benchmark draws (by seed) where the Marcus-form routes
 # missed their reference under the adaptive Simpson rule, whose tolerance
 # came from a 3-point estimate: (method, lam, coupling, eta, T, reference
@@ -239,7 +224,7 @@ class TestNumericRate:
         req = RateRequest(
             s, LinearCoupling(0.2, 1.0), cond, BarrierMethod.EFFECTIVE_LAMBDA
         )
-        ref = trapezoid_eff_rate(4.0, 0.2, 1.0, 300.0, -0.3)
+        ref = marcus_family_rate("eff", 4.0, (0.2, 0.8), -0.3, 300.0, "adiabatic", n=2000001)
         assert mhc_rate_numeric(req) == pytest.approx(ref, rel=1e-6, abs=0)
 
     def test_marcus_route_vs_dense_trapezoid(self):
@@ -247,7 +232,7 @@ class TestNumericRate:
         cond = ElectrodeConditions(300.0, -0.2, 1.0)
         req = RateRequest(s, ConstantCoupling(0.0), cond, BarrierMethod.MARCUS)
         got = mhc_rate_numeric(req)
-        ref = trapezoid_marcus_rate(1.55, 300.0, -0.2)
+        ref = marcus_family_rate("marcus", 1.55, (0.0,), -0.2, 300.0, "adiabatic")
         assert got == pytest.approx(ref, rel=1e-6, abs=0)
 
     def test_exact_route_pinned(self):
@@ -260,6 +245,18 @@ class TestNumericRate:
         assert mhc_rate_numeric(req) == pytest.approx(
             36546.69099305575, rel=1e-4, abs=0
         )
+
+    @pytest.mark.parametrize("method", list(BarrierMethod))
+    def test_rate_reads_lam_and_not_dg0(self, method):
+        # the level shift of each level comes from cond.eta_f
+        cond = ElectrodeConditions(300.0, -0.3, 1.0)
+        k0, k1 = (
+            mhc_rate_numeric(
+                RateRequest(DiabaticSystem(4.0, dg0), ConstantCoupling(0.5), cond, method)
+            )
+            for dg0 in (0.0, 0.5)
+        )
+        assert k0 == k1
 
     def test_rate_scales_linearly_with_dos(self):
         s = DiabaticSystem(2.0, 0.0)
@@ -304,21 +301,15 @@ class TestNumericRate:
     ):
         # the draws of the rate_quadrature benchmark workload that missed its
         # dense-trapezoid reference by more than 1e-6; pin is that
-        # reference. Each barrier is the Marcus one at some lam, minus a
-        # constant, so the rate is a Marcus-route integral times a factor
+        # reference, with the prefactor etkit's Tafel sweep gives the route
         kind = PrefactorKind.NON_ADIABATIC
         if method is not BarrierMethod.MARCUS:
             kind = PrefactorKind.ADIABATIC
-        s = DiabaticSystem(lam, 0.0)
-        v_half = coupling_eval(c, 0.5)
-        factor = prefactor(kind, s, v_half, T) / (K_B * T / H)
-        if method is BarrierMethod.CONSTANT_SHIFT:
-            factor *= math.exp(beta(T) * v_half)
-        if method is BarrierMethod.EFFECTIVE_LAMBDA:
-            lam = lam * (1.0 - 2.0 * c.v / lam) ** 2  # Condon lam_eff
-        ref = trapezoid_marcus_rate(lam, T, eta) * factor
+        coeffs = as_polynomial(c).coeffs
+        ref = marcus_family_rate(method.value, lam, coeffs, eta, T, kind.value)
         assert ref == pytest.approx(pin, rel=1e-12, abs=0)
-        req = RateRequest(s, c, ElectrodeConditions(T, eta, 1.0, kind), method)
+        cond = ElectrodeConditions(T, eta, 1.0, kind)
+        req = RateRequest(DiabaticSystem(lam, 0.0), c, cond, method)
         assert mhc_rate_numeric(req) == pytest.approx(ref, rel=1e-6, abs=0)
 
 
@@ -363,14 +354,6 @@ def test_marcus_form_rate_pinned(method, lam, c, eta, T, pin):
     assert mhc_rate_numeric(req) == pytest.approx(pin, rel=1e-12, abs=0)
 
 
-# Condon eff channels with lam_eff/lam = 2.5e-5 and 6.25e-4 (lam_eff 1e-4
-# and 5e-3 eV), and their rates by a 4,000,001-point trapezoid
-# (pin_oracles.NARROW_EFF_CASES): (lam, V, T, eta, rate)
-NARROW_CHANNEL_PINS = [
-    (4.0, 1.99, 300.0, -0.3, 35628416309.44694),
-    (8.0, 3.9, 220.0, -0.9, 158211356147.87848),
-]
-
 MARCUS_FORM = (
     BarrierMethod.MARCUS,
     BarrierMethod.CONSTANT_SHIFT,
@@ -407,10 +390,10 @@ class TestTailBound:
             adiabatic_rate(8.0, (3.996,), 250.0, -0.3, BarrierMethod.EFFECTIVE_LAMBDA)
         assert err.value.best_estimate == 0.0
 
-    @pytest.mark.parametrize("lam, v, T, eta, pin", NARROW_CHANNEL_PINS)
+    @pytest.mark.parametrize("lam, v, T, eta, pin", NARROW_EFF_CASES)
     def test_narrow_channel_matches_dense_trapezoid(self, lam, v, T, eta, pin):
-        # channels that the first Simpson sums on 2 and 4 intervals missed,
-        # so that both were 0 and the rate raised
+        # Condon channels (lam_eff/lam = 2.5e-5, 6.25e-4) that the first
+        # Simpson sums on 2 and 4 intervals missed, so that the rate raised
         k = adiabatic_rate(lam, (v,), T, eta, BarrierMethod.EFFECTIVE_LAMBDA)
         assert k == pytest.approx(pin, rel=1e-9, abs=0)
 
@@ -429,7 +412,8 @@ class TestTailBound:
             k = adiabatic_rate(lam, (v,), T, eta, BarrierMethod.EFFECTIVE_LAMBDA)
         except AccuracyError:
             return
-        ref = trapezoid_marcus_rate(lam * (1.0 - 2.0 * v / lam) ** 2, T, eta)
+        lam_eff = lam * (1.0 - 2.0 * v / lam) ** 2
+        ref = marcus_family_rate("marcus", lam_eff, (0.0,), eta, T, "adiabatic")
         assert k == pytest.approx(ref, rel=1e-9, abs=0)
 
     @settings(derandomize=True, deadline=None, max_examples=150)
@@ -547,29 +531,9 @@ DRAW_157 = (
 
 
 class TestExactRouteFixedRule:
-    # tests/pin_oracles.py::quad_exact_rate: scipy's adaptive quad over
-    # eps at epsrel 1e-12, cut at the fold shifts bisected on the topology
-    # flags of the scalar barrier and at the kinks from the roots of V
-    @pytest.mark.parametrize(
-        "lam, coeffs, T, eta, pin",
-        [
-            # the adaptive route took seconds here: the product well
-            # vanishes at a level shift where E* is about 0.65 eV
-            (4.0, (0.6, 0.4), 400.0, 0.4, 912940.7991629516),
-            # V crosses 0 at q = 1/2: E*(dg) has a kink at dg = 0
-            (4.0, (0.2, -0.4), 300.0, -0.3, 0.0024867253378102866),
-            (4.0, (0.2, -0.4), 300.0, 0.0, 6.070179310991449e-06),
-            (4.0, (0.2, -0.4), 300.0, -0.6, 0.7392744921296626),
-            # and at q = 0.3: a kink at dg = -1.6; without that cut the
-            # rule is 2.4e-5 off
-            (4.0, (0.15, -0.5), 300.0, -1.5, 163680.95376436974),
-            # zero coupling, and one below the kink threshold of 1e-12 eV
-            (4.0, (0.0,), 300.0, -0.3, 0.0021274090970449786),
-            (4.0, (1e-13,), 300.0, -0.3, 0.002127409097053191),
-            (2.0, (0.0,), 300.0, -0.2, 78274.95700481138),
-            (2.0, (1e-13,), 300.0, -0.2, 78274.95700511338),
-        ],
-    )
+    # frozen from scipy's adaptive quad; `python tests/pin_oracles.py`
+    # checks them against reference.exact_rate
+    @pytest.mark.parametrize("lam, coeffs, T, eta, pin", EXACT_QUAD_CASES)
     def test_against_quad_pins(self, lam, coeffs, T, eta, pin):
         got = exact_rate(lam, coeffs, T, eta)
         assert got == pytest.approx(pin, rel=1e-9, abs=0)
@@ -589,7 +553,7 @@ class TestExactRouteFixedRule:
     )
     def test_zero_coupling_is_the_marcus_route(self, lam, T, eta):
         # as ratios: approx's absolute 1e-12 would pass any rate of 1e-32
-        ref = trapezoid_marcus_rate(lam, T, eta)
+        ref = marcus_family_rate("marcus", lam, (0.0,), eta, T, "adiabatic")
         for v in (0.0, 1e-13):
             assert exact_rate(lam, (v,), T, eta) / ref == pytest.approx(1.0, rel=1e-9)
         # E* moves by about V, so the rate by about V/kT
@@ -966,19 +930,10 @@ class TestClosedForm:
         )
 
     def test_matches_independent_recomputation(self):
-        # same algebra evaluated with scipy's erfc and raw floats
+        # same algebra evaluated with scipy's erfc in log10
         for lam_eff in (0.8, 1.55, 3.0):
             for eta in np.linspace(-1.0, 0.5, 31):
-                b = beta(300.0)
-                bl, be = b * lam_eff, b * float(eta)
-                arg = (bl - math.sqrt(1 + math.sqrt(bl) + be * be)) / (
-                    2 * math.sqrt(bl)
-                )
-                ref = (
-                    math.sqrt(math.pi * lam_eff / b)
-                    / (b * H * (1 + math.exp(be)))
-                    * scipy.special.erfc(arg)
-                )
+                ref = 10.0 ** log10_closed_form(lam_eff, float(eta), 300.0)
                 got = mhc_rate_closed_form(
                     lam_eff, ElectrodeConditions(300.0, float(eta), 1.0)
                 )
