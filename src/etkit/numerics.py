@@ -3,8 +3,9 @@ Gauss-Legendre rule.
 
 ``integrate`` takes a vectorized integrand: a function of a 1-D float
 array of abscissae that returns the values as an array of the same
-length. It calls it once with the FIRST_BATCH + 1 nodes of its first
-grid, then once per doubling with that doubling's new midpoints.
+length. It calls it once with the FIRST_BATCH + 1 nodes of the grid of
+its first convergence test, then once per doubling with that doubling's
+new midpoints.
 ``gauss_legendre`` builds its nodes once per order, on first use.
 
 Everything here is a pure function of its arguments and safe for
@@ -30,11 +31,12 @@ __all__ = [
 # tests/quadrature_traffic.py it is 2^18 for narrow Condon eff channels
 # and this limit for one eff channel that closes inside its window.
 MAX_LEVEL_NODES = 2**20
-# intervals of integrate's first grid. The Marcus-form rates of the
+# intervals of integrate's first call, the finer grid of its first
+# convergence test (against its even nodes). The Marcus-form rates of the
 # rate_quadrature benchmark stop at 2^9-2^12 intervals, so it evaluates
-# no node the rule would not; with the first doublings, its nodes see a
-# Condon eff channel down to lam_eff/lam of about 4e-6.
-FIRST_BATCH = 64
+# no node the rule would not; its nodes see a Condon eff channel down to
+# lam_eff/lam of about 4e-6.
+FIRST_BATCH = 256
 # relative agreement of integrate's successive sums; the Marcus-form
 # rates also bound the mass outside their window by it
 REL_TOL = 1e-9
@@ -47,17 +49,16 @@ def integrate(f, a, b):
     ``f`` takes a 1-D float array of abscissae and returns the values as
     an array of the same length; ``a`` and ``b`` are floats.
 
-    The rule starts from the trapezoid sum T_n on n = FIRST_BATCH equal
-    intervals, whose n + 1 nodes are f's first call, and halves its
-    intervals, one call of f with the new midpoints per doubling. From
-    the second doubling on it returns T_2n once
-    |T_2n - T_n| <= REL_TOL*|T_2n|; the first test compares
-    4*FIRST_BATCH intervals against 2*FIRST_BATCH. The sums converge
-    geometrically on an integrand that is analytic in a strip about
-    [a, b] and negligible at both ends, such as a Marcus-form rate's over
-    its window. Raises ValueError unless a and b are finite with a < b,
-    and AccuracyError (carrying the last trapezoid sum) before a
-    doubling would evaluate more than MAX_LEVEL_NODES new nodes.
+    The rule's first call of f is the n + 1 nodes of n = FIRST_BATCH
+    equal intervals, whose trapezoid sum T_n it tests against T_(n/2),
+    the sum on their even nodes. It returns T_n once
+    |T_n - T_(n/2)| <= REL_TOL*|T_n|; otherwise it halves the intervals,
+    one call of f with the new midpoints per doubling, and tests again.
+    The sums converge geometrically on an integrand that is analytic in a
+    strip about [a, b] and negligible at both ends, such as a Marcus-form
+    rate's over its window. Raises ValueError unless a and b are finite
+    with a < b, and AccuracyError (carrying the last trapezoid sum)
+    before a doubling would evaluate more than MAX_LEVEL_NODES new nodes.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got {a}, {b}")
@@ -66,8 +67,11 @@ def integrate(f, a, b):
     x = a + h * np.arange(n + 1)
     x[-1] = b
     y = np.asarray(f(x))
-    trap = h * (np.sum(y) - 0.5 * (y[0] + y[-1]))
+    last = 2.0 * h * (np.sum(y[::2]) - 0.5 * (y[0] + y[-1]))
+    trap = 0.5 * last + h * np.sum(y[1::2])
     while True:
+        if abs(trap - last) <= REL_TOL * abs(trap):
+            return float(trap)
         if n > MAX_LEVEL_NODES:
             raise AccuracyError(
                 f"quadrature would evaluate {n} new nodes in one doubling "
@@ -78,8 +82,6 @@ def integrate(f, a, b):
         h *= 0.5
         n *= 2
         last, trap = trap, 0.5 * trap + h * np.sum(mids)
-        if n > 2 * FIRST_BATCH and abs(trap - last) <= REL_TOL * abs(trap):
-            return float(trap)
 
 
 # home-grown: at n = 128 numpy's leggauss has 50x its end-weight error (1.4e-11)

@@ -196,7 +196,7 @@ def mhc_rate_numeric(req):
     at a closed node or where exp(beta*eps) overflows.
 
     On the Marcus-form routes, one quadrature (``numerics.integrate``:
-    64 intervals, whose 65 nodes are one call, then halved until two
+    256 intervals, whose 257 nodes are one call, then halved until two
     successive trapezoid sums agree to relative ``numerics.REL_TOL`` =
     1e-9, first tested at 256 against 128 intervals) runs over the
     window [-W, W], W = 2*lam + |e*eta_f| + 40*kT. There the integrand

@@ -22,8 +22,9 @@ For each rate it prints the nodes, integrand calls and stop level
 the relative error of the window's integral against a 2^22-interval
 trapezoid of the same integrand on the same window
 (``reference.dense_trapezoid``), NaN where the rate raised
-AccuracyError. A summary line closes each set; on the broad set a
-second one covers the ``[closes]`` draws.
+AccuracyError. A summary line closes each set: the mean nodes per rate,
+the mean, smallest and largest calls per rate, the raises and the stop
+levels; on the broad set a second one covers the ``[closes]`` draws.
 """
 
 import importlib
@@ -169,7 +170,8 @@ def report(name, rates, dense):
             closing.append(err)
     summary = (
         f"{name}: {len(nodes)} rates; nodes per rate {np.mean(nodes):,.0f}, calls per "
-        f"rate {np.mean(calls):.2f}; raises {raised}; stop intervals "
+        f"rate {np.mean(calls):.2f} ({min(calls)}-{max(calls)}); raises {raised}; "
+        "stop intervals "
         + ", ".join(f"{k}: {v}" for k, v in sorted(stops.items()))
         + (max_error(errors) if dense else "")
     )

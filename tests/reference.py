@@ -292,12 +292,19 @@ def bisect(flag, a, b, tol=1e-13):
 
 def flag_changes(lam, coeffs, lo, hi, n=4001, tol=1e-13):
     """Level shifts in [lo, hi] where ``topology_flag`` changes: a scan on
-    n points, then bisection of each change to tol."""
-    flag = lambda dg: topology_flag(lam, coeffs, dg)
+    n points, then bisection of every change at once, one array
+    ``topology_flag`` call per halving. Each bracket halves until its own
+    width is <= tol, so it ends where ``bisect`` would."""
     grid = np.linspace(lo, hi, n)
-    flags = flag(grid)
+    flags = topology_flag(lam, coeffs, grid)
     changes = np.flatnonzero(flags[1:] != flags[:-1])
-    return [0.5 * sum(bisect(flag, grid[i], grid[i + 1], tol)) for i in changes]
+    a, b, fa = grid[changes], grid[changes + 1], flags[changes]
+    while (wide := (b - a) > tol).any():
+        mid = 0.5 * (a[wide] + b[wide])
+        same = topology_flag(lam, coeffs, mid) == fa[wide]
+        a[wide] = np.where(same, mid, a[wide])
+        b[wide] = np.where(same, b[wide], mid)
+    return list(0.5 * (a + b))
 
 
 _leggauss = lru_cache(maxsize=4)(np.polynomial.legendre.leggauss)

@@ -121,11 +121,12 @@ class TestIntegrate:
 
         integrate(recorded, -w, w)
         sizes = [len(x) for x in batches]
-        # the first call is the grid of FIRST_BATCH intervals
-        assert sizes == [FIRST_BATCH + 1] + [
-            FIRST_BATCH * 2**k for k in range(len(batches) - 1)
-        ]
+        # the first call is the 257-node grid of the first test (256
+        # against 128 intervals), then each doubling's midpoints up to
+        # the stop at 2048 intervals
+        assert sizes == [257, 256, 512, 1024]
         nodes = np.sort(np.concatenate(batches))
+        assert len(np.unique(nodes)) == len(nodes)
         grid = np.linspace(-w, w, len(nodes))
         assert nodes == pytest.approx(grid, rel=0, abs=1e-12 * w)
 
@@ -158,12 +159,12 @@ class TestIntegrate:
 
 
 def reference_rule(f, a, b):
-    """Trapezoid sums on 2, 4, 8, ... times FIRST_BATCH intervals, each
-    from scratch at its own nodes. From 4*FIRST_BATCH intervals on, the
+    """Trapezoid sums on 1/2, 1, 2, 4, ... times FIRST_BATCH intervals,
+    each from scratch at its own nodes. From FIRST_BATCH intervals on, the
     sum is returned once it agrees with its predecessor to REL_TOL;
     returns (that sum, its number of intervals)."""
 
-    n = 2 * FIRST_BATCH
+    n = FIRST_BATCH // 2
     trap = dense_trapezoid(f, a, b, n)
     while True:
         n *= 2
@@ -190,9 +191,9 @@ def rate_integrand(req):
 
 def reference_cases():
     _lam, _eta, w, f = continuum_integrand()
-    # a rate_quadrature benchmark rate (seed 0) on whose integrand a
+    # rate_quadrature benchmark rates (seed 0). On the marcus one a
     # Simpson column, tested before the trapezoid one, returned first at
-    # 16*FIRST_BATCH intervals: the trapezoid sums stop there too
+    # 4*FIRST_BATCH intervals: the trapezoid sums stop there too
     marcus = RateRequest(
         DiabaticSystem(1.0504117008274259, 0.0),
         ConstantCoupling(0.13320096268048218),
@@ -200,6 +201,23 @@ def reference_cases():
             335.888463421509, -0.035007082618920715, 1.0, PrefactorKind.NON_ADIABATIC
         ),
         BarrierMethod.MARCUS,
+    )
+    shift = RateRequest(
+        DiabaticSystem(5.16980157707877, 0.0),
+        ConstantCoupling(1.1969803757047752),
+        ElectrodeConditions(
+            294.69471101403764, 0.4985620359255738, 1.0, PrefactorKind.ADIABATIC
+        ),
+        BarrierMethod.CONSTANT_SHIFT,
+    )
+    # Condon: lam_eff = lam*(1 - 2V/lam)^2 on every node
+    eff = RateRequest(
+        DiabaticSystem(3.2860169377844213, 0.0),
+        ConstantCoupling(0.5846220792123517),
+        ElectrodeConditions(
+            316.9451810203385, -0.7375990700256725, 1.0, PrefactorKind.ADIABATIC
+        ),
+        BarrierMethod.EFFECTIVE_LAMBDA,
     )
     return [
         # polynomials and exp: the O(h^2) error stops the rule far beyond
@@ -214,6 +232,8 @@ def reference_cases():
         pytest.param(f, -w, w, id="continuum"),
         pytest.param(lambda x: np.exp(-x * x / 2), -40.0, 40.0, id="gaussian"),
         pytest.param(*rate_integrand(marcus), id="marcus_rate"),
+        pytest.param(*rate_integrand(shift), id="shift_rate"),
+        pytest.param(*rate_integrand(eff), id="eff_rate"),
     ]
 
 
@@ -232,13 +252,16 @@ class TestAgainstReferenceTrapezoid:
         got = integrate(counted, a, b)
         ref, n = reference_rule(f, a, b)
         assert got == pytest.approx(ref, rel=1e-14, abs=0)
-        # the nodes of n intervals and no more
+        # the nodes of n intervals and no more: one call for the first
+        # test (256 intervals) and one per doubling after it
         assert sum(sizes) == n + 1
+        assert len(sizes) == 1 + math.log2(n / 256)
 
     def test_cases_stop_at_and_beyond_the_first_test(self):
         stops = [reference_rule(*p.values)[1] for p in reference_cases()]
         assert stops == [
-            2**16, 2**15, 2**14, 32 * FIRST_BATCH, 4 * FIRST_BATCH, 16 * FIRST_BATCH
+            2**16, 2**15, 2**14, 8 * FIRST_BATCH, FIRST_BATCH, 4 * FIRST_BATCH,
+            16 * FIRST_BATCH, 8 * FIRST_BATCH,
         ]
 
 

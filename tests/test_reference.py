@@ -4,8 +4,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
-from reference import exact_rate, marcus_family_rate
+from reference import (
+    K_B,
+    bisect,
+    exact_rate,
+    flag_changes,
+    marcus_family_rate,
+    topology_flag,
+)
 
 
 @pytest.mark.parametrize("lam, eta", [(4.0, -0.3), (2.0, -0.2)])
@@ -24,6 +32,21 @@ def test_exact_rate_meets_its_pin():
     assert exact_rate(4.0, (0.5,), -0.3, 300.0) == pytest.approx(
         36546.69099305575, rel=1e-12, abs=0
     )
+
+
+def test_flag_changes_cut_where_scalar_bisection_does():
+    # draw 157 of tests/exact_traffic.py: V changes sign inside the
+    # window, which holds four topology changes
+    lam, coeffs = 2.662623260827285, (0.7666324319134604, -0.7649304145935234)
+    T, eta = 358.6988535935767, 0.5620783809514625
+    w = 2.0 * lam + abs(eta) + 40.0 * K_B * T
+    flag = lambda dg: topology_flag(lam, coeffs, dg)
+    grid = np.linspace(eta - w, eta + w, 4001)
+    flags = flag(grid)
+    changes = np.flatnonzero(flags[1:] != flags[:-1])
+    expected = [0.5 * sum(bisect(flag, grid[i], grid[i + 1])) for i in changes]
+    assert len(expected) == 4
+    assert flag_changes(lam, coeffs, eta - w, eta + w) == expected
 
 
 def test_import_loads_neither_etkit_nor_perfbench_nor_tests():
