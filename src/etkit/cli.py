@@ -4,8 +4,9 @@ Subcommands: surface, barrier, sweep, tafel, arrhenius, fit, extract-v.
 Option precedence is built-in defaults < JSON config file (--config) <
 command-line flags; config keys mirror flag names with dashes replaced by
 underscores. A config key of another subcommand is allowed, so one file can
-serve several; a key of none is rejected. Tables are written as CSV to
-stdout or --out.
+serve several; a key of none is rejected. Each subcommand returns a
+SweepTable and a status; ``main`` writes the table's CSV to stdout or --out
+and its warnings to stderr, and decides the exit code.
 
 Exit codes: 0 success (including partial success with warnings), 2 usage
 or domain error (an unknown config key or an unwritable --out among them),
@@ -36,7 +37,7 @@ from .model import (
     surface_table,
 )
 from .rates import ElectrodeConditions, extract_coupling
-from .tables import SweepTable, format_number
+from .tables import SweepTable
 
 
 class UsageError(Exception):
@@ -150,9 +151,11 @@ def _merge_options(args):
     return merged
 
 
-def _finish(text, warnings, args):
-    """Write the CSV to --out or stdout and the warnings to stderr (unless
-    --quiet); the exit code is 3 under --strict when there are warnings."""
+def _finish(table, status, args):
+    """Write the table's CSV to --out or stdout and its warnings to stderr
+    (unless --quiet); the exit code is 3 under --strict when there are
+    warnings, otherwise the subcommand's status."""
+    text = table.to_csv()
     if args.out:
         try:
             with open(args.out, "w") as fh:
@@ -164,89 +167,81 @@ def _finish(text, warnings, args):
     else:
         _sys.stdout.write(text)
     if not args.quiet:
-        for line in warnings:
+        for line in table.warnings:
             print(f"warning: {line}", file=_sys.stderr)
-    return 3 if warnings and args.strict else 0
+    return 3 if table.warnings and args.strict else status
 
 
-def _one_row_csv(columns, values):
-    return ",".join(columns) + "\n" + ",".join(values) + "\n"
-
-
-def _cmd_surface(opt, args):
+def _cmd_surface(opt):
     sys_ = DiabaticSystem(opt["lambda"], opt["dg"])
     c = parse_coupling(opt["coupling"])
-    table = surface_table(sys_, c, opt["qmin"], opt["qmax"], opt["n"])
-    return _finish(table.to_csv(), (), args)
+    return surface_table(sys_, c, opt["qmin"], opt["qmax"], opt["n"]), 0
 
 
-def _cmd_barrier(opt, args):
+def _cmd_barrier(opt):
     sys_ = DiabaticSystem(opt["lambda"], opt["dg"])
     c = parse_coupling(opt["coupling"])
-    methods = _parse_methods(opt["method"])
-    lines = ["method,E_star_eV,q_ts,q_r,lambda_used_eV,activationless"]
-    warnings = []
-    for m in methods:
-        name = m.value
+    table = SweepTable(
+        ["method", "E_star_eV", "q_ts", "q_r", "lambda_used_eV", "activationless"],
+        [],
+    )
+    for m in _parse_methods(opt["method"]):
         try:
             res = barrier(sys_, c, m)
         except EtkitError as exc:
-            warnings.append(f"{name}: {exc}")
-            lines.append(f"{name},,,,,")
-            continue
-        numbers = (res.e_star, res.q_ts, res.q_r, res.lambda_used)
-        lines.append(",".join(
-            [name, *map(format_number, numbers),
-             "true" if res.activationless else "false"]
-        ))
-    return _finish("\n".join(lines) + "\n", warnings, args)
+            table.warnings.append(f"{m.value}: {exc}")
+            table.rows.append([m.value] + [float("nan")] * 5)
+        else:
+            table.rows.append([
+                m.value, res.e_star, res.q_ts, res.q_r, res.lambda_used,
+                "true" if res.activationless else "false",
+            ])
+    return table, 0
 
 
-def _run_sweep(run, opt, args, variable, start, stop, dg=0.0, conditions=None):
-    """The SweepSpec of sweep, tafel or arrhenius, run and written out;
-    conditions is the (temperature, eta) pair of a rate sweep, whose rho
-    is --rho."""
+def _run_sweep(run, opt, variable, start, stop, dg=0.0, conditions=None):
+    """Run sweep, tafel or arrhenius on its SweepSpec; conditions is the
+    (temperature, eta) pair of a rate sweep, whose rho is --rho."""
     spec = SweepSpec(
         variable, start, stop, opt["n"], DiabaticSystem(opt["lambda"], dg),
         parse_coupling(opt["coupling"]), _parse_methods(opt["method"]),
         conditions and ElectrodeConditions(*conditions, opt["rho"]),
     )
-    table = run(spec)
-    return _finish(table.to_csv(), table.warnings, args)
+    return run(spec), 0
 
 
 _SWEEP_X = {"dg": SweepVariable.DG0, "v": SweepVariable.COUPLING_SCALAR,
             "lambda": SweepVariable.LAMBDA}
 
 
-def _cmd_sweep(opt, args):
+def _cmd_sweep(opt):
     if opt["x"] not in _SWEEP_X:
         raise UsageError(
             f"unknown sweep variable {opt['x']!r}; expected dg, v or lambda"
         )
     return _run_sweep(
-        barrier_sweep, opt, args, _SWEEP_X[opt["x"]], opt["from"], opt["to"],
+        barrier_sweep, opt, _SWEEP_X[opt["x"]], opt["from"], opt["to"],
         opt["dg"],
     )
 
 
-def _cmd_tafel(opt, args):
+def _cmd_tafel(opt):
     return _run_sweep(
-        tafel_sweep, opt, args, SweepVariable.ETA_F, opt["eta_from"],
+        tafel_sweep, opt, SweepVariable.ETA_F, opt["eta_from"],
         opt["eta_to"], conditions=(opt["temp"], 0.0),
     )
 
 
-def _cmd_arrhenius(opt, args):
+def _cmd_arrhenius(opt):
     if not (opt["tmin"] > 0 and opt["tmax"] > opt["tmin"]):
         raise UsageError("need 0 < tmin < tmax")
     return _run_sweep(
-        arrhenius_sweep, opt, args, SweepVariable.INV_TEMPERATURE,
+        arrhenius_sweep, opt, SweepVariable.INV_TEMPERATURE,
         1.0 / opt["tmax"], 1.0 / opt["tmin"], conditions=(300.0, opt["eta"]),
     )
 
 
-def _cmd_fit(opt, args):
+def _cmd_fit(opt):
     try:
         with open(opt["input"]) as fh:
             table = SweepTable.from_csv(fh.read())
@@ -269,23 +264,20 @@ def _cmd_fit(opt, args):
         fit = fit_lambda_eff(eta, y, opt["temp"], opt["rho"])
     except ValueError as exc:
         raise UsageError(str(exc))
-    numbers = (fit.lambda_eff, fit.log10_scale, fit.rms_residual)
-    text = _one_row_csv(
+    return SweepTable(
         ["lambda_eff_eV", "log10_scale", "rms_residual_dex", "n_points",
          "converged"],
-        [*map(format_number, numbers), str(fit.n_points),
-         "true" if fit.converged else "false"],
-    )
-    _finish(text, (), args)
-    return 0 if fit.converged else 4
+        [[fit.lambda_eff, fit.log10_scale, fit.rms_residual, fit.n_points,
+          "true" if fit.converged else "false"]],
+    ), 0 if fit.converged else 4
 
 
-def _cmd_extract_v(opt, args):
+def _cmd_extract_v(opt):
     try:
         v = extract_coupling(opt["lambda"], opt["lambda_eff"])
     except ValueError as exc:
         raise UsageError(str(exc))
-    return _finish(_one_row_csv(["V_eV"], [format_number(v)]), (), args)
+    return SweepTable(["V_eV"], [[v]]), 0
 
 
 # An option is (flag, type, built-in default); its config key is the flag
@@ -333,7 +325,8 @@ _COMMANDS = {
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command][0](_merge_options(args), args)
+        table, status = _COMMANDS[args.command][0](_merge_options(args))
+        return _finish(table, status, args)
     except UsageError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         print(f"run 'etkit {args.command} --help' for usage",

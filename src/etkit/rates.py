@@ -203,19 +203,20 @@ def mhc_rate_numeric(req):
     is analytic in a strip of half-width pi*kT (unless an eff channel
     closes inside the window) and negligible at both ends, so the
     trapezoid sums converge geometrically. The mass outside the window
-    is bounded in closed form: every Marcus-form barrier has
-    E*(dg) >= dg - v_s and E* >= -v_s, with v_s = max(V(1/2), 0) on the
-    shift route and 0 on the others, because
+    is bounded in closed form. The shift barrier is the Marcus barrier
+    less V(1/2), so the shift route integrates the Marcus barrier and
+    multiplies by e^(beta*V(1/2)) once, in logs; every barrier integrated
+    then has E*(dg) >= dg and E* >= 0, because
     (l + dg)^2/(4 l) - dg = (l - dg)^2/(4 l) >= 0 for every l > 0. With
     n(eps) <= e^(-beta*eps) above the window and n <= 1 below it, the
-    tails hold at most
-    B = kT (e^(beta(v_s - W)) + e^(beta(v_s - e*eta_f - W))). Raises
-    AccuracyError, carrying the best estimate of the rate, unless
+    tails hold at most B = kT (e^(-beta*W) + e^(-beta(e*eta_f + W))).
+    Raises AccuracyError, carrying the best estimate of the rate, unless
     B <= REL_TOL times the window's integral; if that integral is 0 (a
     rate whose every node is closed, e.g. lam_eff = 0 everywhere, or a
     Condon eff channel that the first grid misses, seen only with
     lam_eff/lam below about 4e-6; raises with 0); or if the quadrature
-    gives up (``numerics.MAX_LEVEL_NODES``).
+    gives up (``numerics.MAX_LEVEL_NODES``). Raises NumericalDomainError
+    if a shift-route rate or estimate overflows, or underflows to 0.
     """
     sys, c, cond = req.sys, req.coupling, req.cond
     T = cond.temperature
@@ -236,27 +237,42 @@ def mhc_rate_numeric(req):
         dg, weight, e_star = adiabat.rate_nodes(eta)
         nodes = weight * _fermi_boltzmann(b, eta - dg, e_star)
         return scale * float(downhill + np.sum(nodes))
-    e_star = marcus_form(sys.lam, c, req.barrier_method)
+    method, shift = req.barrier_method, 0.0
+    if method is BarrierMethod.CONSTANT_SHIFT:
+        method, shift = BarrierMethod.MARCUS, b * v_half
+    e_star = marcus_form(sys.lam, c, method)
 
     def integrand(eps):
         return _fermi_boltzmann(b, eps, e_star(cond.eta_f - eps))
+
+    def rate(integral):
+        # scale * e^shift * integral, with e^shift formed only in the
+        # exponent of the integral's logarithm
+        if shift == 0.0 or integral == 0.0:
+            return scale * integral
+        try:
+            k = scale * math.exp(shift + math.log(integral))
+        except OverflowError:
+            k = math.inf
+        if 0.0 < k < math.inf:
+            return k
+        raise NumericalDomainError(
+            "rate beyond float range: ln k = "
+            f"{math.log(scale) + shift + math.log(integral):.6g}"
+        )
 
     w = 2.0 * sys.lam + abs(cond.eta_f) + 40.0 * K_B * T
     try:
         total = numerics.integrate(integrand, -w, w)
     except AccuracyError as exc:
-        raise AccuracyError(str(exc), best_estimate=scale * exc.best_estimate) from exc
-    v_s = 0.0
-    if req.barrier_method is BarrierMethod.CONSTANT_SHIFT:
-        v_s = max(v_half, 0.0)
-    # each term in one exponent, which w >= |eta| + 40 kT keeps below
-    # beta*v_s - 40
-    tail = K_B * T * (np.exp(b * (v_s - w)) + np.exp(b * (v_s - cond.eta_f - w)))
+        raise AccuracyError(str(exc), best_estimate=rate(exc.best_estimate)) from exc
+    # each term in one exponent, which w >= |eta| + 40 kT keeps below -40
+    tail = K_B * T * (np.exp(-b * w) + np.exp(-b * (cond.eta_f + w)))
     if not tail <= numerics.REL_TOL * total:
         raise AccuracyError(
             f"tail bound {tail:.3g} eV outside the window +-{w:.6g} eV exceeds "
             f"{numerics.REL_TOL:g} of the window's integral {total:.3g} eV",
-            best_estimate=scale * total,
+            best_estimate=rate(total),
         )
     if total == 0.0:
         # the bound underflowed to 0 as well, yet certifies no rate of 0
@@ -265,7 +281,7 @@ def mhc_rate_numeric(req):
             "or underflows: the window's integral is 0",
             best_estimate=0.0,
         )
-    return scale * total
+    return rate(total)
 
 
 def effective_lambda_overpotential(sys, c, eta_f):

@@ -1,9 +1,9 @@
-"""Ordered numeric tables with named columns, serialized as CSV.
+"""Ordered tables with named columns, serialized as CSV.
 
-Cells are floats; NaN marks an empty cell (a method that errored at that
-abscissa). The CSV dialect is fixed: ',' field separator, '.' decimal
-separator, '\\n' line terminator, 10 significant digits, empty string for
-missing cells.
+Cells are floats, or strings written as they are; NaN marks an empty cell
+(a method that errored at that abscissa). The CSV dialect is fixed: ','
+field separator, '.' decimal separator, '\\n' line terminator, 10
+significant digits, empty string for missing cells.
 """
 
 import math
@@ -15,7 +15,10 @@ __all__ = ["SweepTable", "format_number"]
 
 
 def format_number(x):
-    """Render a float with 10 significant digits; NaN becomes empty."""
+    """Render a float with 10 significant digits; NaN becomes empty and a
+    string stays as it is."""
+    if isinstance(x, str):
+        return x
     if isinstance(x, float) and math.isnan(x):
         return ""
     return f"{x:.10g}"
@@ -36,7 +39,7 @@ class SweepTable:
                 )
 
     def column(self, name):
-        """One column as a float array (NaN for empty cells)."""
+        """One numeric column as a float array (NaN for empty cells)."""
         j = self.columns.index(name)
         return np.array([row[j] for row in self.rows], dtype=float)
 

@@ -34,6 +34,26 @@ def pin_nonadiabatic_prefactor():
         return (mp.mpf("0.25") / mp.mpf("6.582119569e-16")) * mp.sqrt(mp.pi * b / 4)
 
 
+def shift_rate_mp(lam, v, eta, T):
+    """Adiabatic CONSTANT_SHIFT rate (1/s, rho 1) for a constant V: kT/h
+    times the integral of n(eps) exp(-beta((lam + eta - eps)^2/(4 lam) - V))
+    over the window +-(2 lam + |eta| + 40 kT), in 40-digit mpmath
+    quadrature with breakpoints every 0.2 eV within 2 eV of the Fermi
+    level (801 breakpoints there agree to 20 digits)."""
+    with mp.workdps(40):
+        kT = mp.mpf("8.617333262e-5") * T
+        lam, v, eta = mp.mpf(lam), mp.mpf(v), mp.mpf(eta)
+
+        def f(eps):
+            return mp.exp(((lam + eta - eps) ** 2 / (4 * lam) - v) / -kT) / (
+                1 + mp.exp(eps / kT)
+            )
+
+        w = 2 * lam + abs(eta) + 40 * kT
+        integral = mp.quad(f, [-w, *mp.linspace(-2, 2, 21), w])
+        return integral * kT / mp.mpf("4.135667696e-15")
+
+
 def closed_vs_trapezoid_max_dev():
     """Worst |dlog10| of the closed form against the Marcus-route
     trapezoid over lam_eff in {0.8, 1.55, 2.25, 3.0}, eta in [-1, 0.5]
@@ -93,6 +113,12 @@ NARROW_EFF_CASES = (
 )
 
 
+# (lam, V, T, eta, pin) of the shift rate whose exp(-beta*E*) and
+# exp(beta*eps) both overflow (beta*V(1/2) = 846.5), though the rate is a
+# float; read by tests/test_rates.py::TestShiftFactor
+SHIFT_OVERFLOW_CASE = (8.904, 3.793, 52.0, -1.5, 4.327903111977823e+228)
+
+
 def pins():
     """(label, value, frozen, tolerance, kind, reader) of every pin; kind
     is "rel" or "abs" (the gap against the tolerance) or "bound" (the
@@ -119,6 +145,10 @@ def pins():
                marcus_family_rate("marcus", lam_eff, (0.0,), eta, T, "adiabatic", n=4000001),
                pin, 1e-9, "rel",
                "test_rates.py::TestTailBound::test_narrow_channel_matches_dense_trapezoid")
+    lam, v, T, eta, pin = SHIFT_OVERFLOW_CASE
+    yield (f"shift rate past exp's range (lam={lam}, V={v}, {T} K, {eta} V)",
+           float(shift_rate_mp(str(lam), str(v), str(eta), T)), pin, 1e-9, "rel",
+           "test_rates.py::TestShiftFactor::test_rate_whose_boltzmann_factor_overflows")
     # the bounds were frozen from 0.2512 and 0.2905 dex
     yield ("closed-vs-quadrature max dev (dex)", closed_vs_trapezoid_max_dev(), 0.26,
            None, "bound", "test_acceptance.py::test_criterion_07 (CLOSED_VS_QUADRATURE_DEX)")

@@ -25,11 +25,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def assert_golden(capsys, name, argv):
-    """Exit 0, with stdout and stderr equal to tests/golden/<name>.csv and
-    .err byte for byte."""
+def assert_golden(capsys, name, argv, status=0):
+    """Exit status, with stdout and stderr equal to tests/golden/<name>.csv
+    and .err byte for byte."""
     code, out, err = run(capsys, *argv.split())
-    assert code == 0
+    assert code == status
     assert out == (GOLDEN / f"{name}.csv").read_text()
     assert err == (GOLDEN / f"{name}.err").read_text()
 
@@ -407,6 +407,31 @@ class TestMarcusFormColumnGolden:
     )
     def test_csv_and_warnings_unchanged(self, capsys, name, argv):
         assert_golden(capsys, name, argv)
+
+
+class TestTableCommandGolden:
+    # stdout, stderr and exit code of the subcommands that joined their own
+    # CSV lines or exit code, before every subcommand returned a SweepTable
+    # for main to write
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("surface_linear",
+             "surface --lambda 4 --coupling linear:0.6,1.0 --n 11"),
+            ("fit_eff_mixed", f"fit --input {GOLDEN / 'tafel_eff_mixed.csv'}"),
+            ("extract_v", "extract-v --lambda 6.3 --lambda-eff 0.75"),
+        ],
+    )
+    def test_csv_and_warnings_unchanged(self, capsys, name, argv):
+        assert_golden(capsys, name, argv)
+
+    def test_unconverged_fit_unchanged(self, capsys, tmp_path):
+        path = tmp_path / "flat.csv"
+        path.write_text(
+            "eta_f_V,log10k_eff\n"
+            + "".join(f"{e:g},0\n" for e in np.linspace(-0.5, 0.5, 9))
+        )
+        assert_golden(capsys, "fit_flat", f"fit --input {path}", status=4)
 
 
 class TestArrhenius:

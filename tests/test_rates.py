@@ -6,7 +6,7 @@ import pytest
 import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from pin_oracles import EXACT_QUAD_CASES, NARROW_EFF_CASES
+from pin_oracles import EXACT_QUAD_CASES, NARROW_EFF_CASES, SHIFT_OVERFLOW_CASE
 from reference import log10_closed_form, marcus_family_rate
 
 from etkit import numerics
@@ -749,10 +749,13 @@ class TestExactRouteFixedRule:
         T=st.floats(250.0, 400.0),
     )
     def test_tafel_branch_monotone_in_eta(self, lam, shape, T):
-        # the reduction rate grows with the cathodic driving -eta
+        # the reduction rate grows with the cathodic driving -eta, and by no
+        # more than d ln k/d eta = -beta <1 - n> > -beta allows
         coeffs = tuple(f * lam for f in shape)
-        ks = [exact_rate(lam, coeffs, T, eta) for eta in np.linspace(-1.0, 0.5, 7)]
+        etas = np.linspace(-1.0, 0.5, 7)
+        ks = [exact_rate(lam, coeffs, T, eta) for eta in etas]
         assert all(a > b for a, b in zip(ks, ks[1:]))
+        assert np.all(-np.diff(np.log(ks)) <= beta(T) * np.diff(etas))
 
 
     def test_unseeded_rule_gives_the_seeded_rate(self, monkeypatch):
@@ -851,6 +854,27 @@ def adiabatic_rate(lam, coeffs, T, eta, method):
     )
 
 
+class TestShiftFactor:
+    # the shift route integrates the Marcus barrier and multiplies by
+    # e^(beta*V(1/2)) once, in logs
+
+    def test_rate_whose_boltzmann_factor_overflows(self):
+        # exp(-beta*E*) and exp(beta*eps) overflowed together, NaN nodes
+        # followed (a RuntimeWarning), and the quadrature doubled its grid
+        # until it gave up
+        lam, v, T, eta, pin = SHIFT_OVERFLOW_CASE
+        k = adiabatic_rate(lam, (v,), T, eta, BarrierMethod.CONSTANT_SHIFT)
+        assert k == pytest.approx(pin, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("v, ln_k", [(3.793, "894.2"), (-3.793, "-2040")])
+    def test_rate_beyond_float_range_raises(self, v, ln_k):
+        # at 30 K, ln k is about 894 (overflow) or -2040 (underflow to 0)
+        with pytest.raises(
+            NumericalDomainError, match=f"^rate beyond float range: ln k = {ln_k}"
+        ):
+            adiabatic_rate(8.904, (v,), 30.0, -1.5, BarrierMethod.CONSTANT_SHIFT)
+
+
 class TestMarcusFormRouteProperties:
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(
@@ -884,18 +908,18 @@ class TestMarcusFormRouteProperties:
         # the reduction rate grows with the cathodic driving -eta; with
         # |V| <= 0.1*lam on q in [0, 1], lam_eff >= 0.6 eV > |eta|, so
         # every eta is on the activated branch, and 0.2 V steps change the
-        # rate far more than the quadrature error
+        # rate far more than the quadrature error. It grows by no more than
+        # d ln k/d eta = -beta <1 - n> > -beta allows
         coeffs = tuple(f * lam for f in shape)
+        etas = np.linspace(-0.5, 0.5, 6)
         for method in (
             BarrierMethod.MARCUS,
             BarrierMethod.CONSTANT_SHIFT,
             BarrierMethod.EFFECTIVE_LAMBDA,
         ):
-            ks = [
-                adiabatic_rate(lam, coeffs, T, eta, method)
-                for eta in np.linspace(-0.5, 0.5, 6)
-            ]
+            ks = [adiabatic_rate(lam, coeffs, T, eta, method) for eta in etas]
             assert all(a > b for a, b in zip(ks, ks[1:])), method
+            assert np.all(-np.diff(np.log(ks)) <= beta(T) * np.diff(etas)), method
 
 
 class TestEffectiveLambdaOverpotential:

@@ -18,6 +18,10 @@ class TestFormatNumber:
     def test_scientific_notation_for_extremes(self):
         assert format_number(2.5e-12) == "2.5e-12"
 
+    @pytest.mark.parametrize("cell", ["eff", "true", "1.23456789012"])
+    def test_string_written_as_it_is(self, cell):
+        assert format_number(cell) == cell
+
 
 class TestSweepTable:
     def make(self):
@@ -39,6 +43,16 @@ class TestSweepTable:
     def test_csv_dialect(self):
         text = self.make().to_csv()
         assert text == "x,y\n0,1\n0.5,\n1,3\n"
+
+    def test_string_cells_in_csv(self):
+        t = SweepTable(
+            columns=["method", "E_star_eV", "activationless"],
+            rows=[["eff", 0.25, "false"], ["exact", math.nan, ""]],
+        )
+        assert t.to_csv() == (
+            "method,E_star_eV,activationless\neff,0.25,false\nexact,,\n"
+        )
+        assert np.allclose(t.column("E_star_eV")[:1], [0.25])
 
     def test_roundtrip(self):
         t = self.make()
