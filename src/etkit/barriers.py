@@ -487,9 +487,8 @@ class ExactAdiabat:
         d dg / dt. t, the weights and dg are built for both parts of every
         piece at once, shape (pieces, 2 * _EXACT_NODES), and sin(pi t / 2)
         serves both dg and d dg / dt. E* comes from ``seeded_barriers``;
-        the nodes of the pieces it does not accept go into one
-        ``barriers`` call, and a closed node there (``closed_channel``)
-        gets E* = +inf.
+        the nodes it does not accept go into one ``barriers`` call, and a
+        closed node there (``closed_channel``) gets E* = +inf.
         """
         rule = self.rule
         lo, width, second = rule.lo, rule.width, rule.second
@@ -506,11 +505,10 @@ class ExactAdiabat:
         # d dg / dt = (hi - lo) * (pi/2) * sin(pi t)
         weight = length * rule.half_w * width * np.pi * sin * np.cos(phase)
         dg = lo + width * sin * sin  # piece_shifts(lo, hi, t)
-        e_star, seeded = self.seeded_barriers(t, dg)
-        if not seeded.all():
-            e, _q_ts, q_r, single = self.barriers(dg[~seeded].ravel())
-            e = np.where(closed_channel(q_r, single), np.inf, e)
-            e_star[~seeded] = e.reshape(-1, dg.shape[1])
+        e_star, ok = self.seeded_barriers(t, dg)
+        if not ok.all():
+            e, _q_ts, q_r, single = self.barriers(dg[~ok])
+            e_star[~ok] = np.where(closed_channel(q_r, single), np.inf, e)
         return dg.ravel(), weight.ravel(), e_star.ravel()
 
     def seeded_barriers(self, t, dg):
@@ -527,22 +525,21 @@ class ExactAdiabat:
         second pass over the adiabat. That step is at most _POLISH_STEP,
         so E_minus there is within about E'' _POLISH_STEP^2 / 2 (1e-19 eV)
         of its value at the root.
-        Returns (e_star, ok), ok one flag per piece: True where the piece
-        is seeded and at every node the diabatic crossing is no kink, the
-        last Newton step is at most _POLISH_STEP, both roots are at most
-        _POLISH_MOVE from their seeds (a node on a sample point has a NaN
-        seed, which fails this) and q_r < q_ts. With no piece seeded,
-        nothing is evaluated. e_star is meaningful only where ok; any
-        other piece takes ``barriers`` at its nodes.
+        Returns (e_star, ok), ok one flag per node, shape (pieces, nodes):
+        True where the node's piece is seeded and, at that node, the
+        diabatic crossing is no kink, the last Newton step is at most
+        _POLISH_STEP, both roots are at most _POLISH_MOVE from their seeds
+        (a node on a sample point has a NaN seed, which fails this) and
+        q_r < q_ts. With no piece seeded, nothing is evaluated. e_star is
+        meaningful only where ok; any other node takes ``barriers``.
         """
         rule = self.rule
-        ok = rule.seeded
-        if not ok.any():
-            return np.full(dg.shape, np.nan), ok
+        if not rule.seeded.any():
+            return np.full(dg.shape, np.nan), np.zeros(dg.shape, dtype=bool)
         lam = self.lam
         # the level shift of both roots of a node
         column = dg[:, None]
-        # a node on a sample point gets a NaN seed, and a piece whose
+        # a node on a sample point gets a NaN seed, and a node whose
         # Newton iterates run off an e_star, maybe not finite, that is not
         # used: both are rejected below, without a warning
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -553,10 +550,8 @@ class ExactAdiabat:
                 settled = np.abs(step) <= _POLISH_STEP
                 if settled.all():
                     break
-            good = settled & (np.abs(q - seed) <= _POLISH_MOVE)
-            # the checks of a node as a whole go on its q_r entry
-            good[:, 0] &= (q[:, 0] < q[:, 1]) & ~self._crossing(dg)[1]
-            ok = ok & good.all(axis=(1, 2))
+            good = (settled & (np.abs(q - seed) <= _POLISH_MOVE)).all(axis=1)
+            ok = rule.seeded[:, None] & good & (q[:, 0] < q[:, 1]) & ~self._crossing(dg)[1]
             e = 0.5 * (lam * last * last + (lam * (1.0 - last) ** 2 + column)) - root_g
             e_star = np.maximum(e[:, 1] - e[:, 0], 0.0)
         return e_star, ok

@@ -506,9 +506,8 @@ class TestSeeds:
             assert np.abs(got[piece] - want).max() <= 1e-13
 
     def test_a_node_on_a_sample_point(self):
-        # there the barycentric formula is 0/0: no warning, and the node's
-        # E* is that of ExactAdiabat.barriers or its piece falls back; the
-        # other piece keeps its barriers
+        # there the barycentric formula is 0/0: no warning, and that node
+        # alone is refused; every other node of both pieces keeps its E*
         adiabat = exact_adiabat(2.0, PolynomialCoupling((0.2, -0.6)))
         rule = adiabat.rule
         assert rule.seeded.all() and len(rule.seeded) == 2
@@ -523,10 +522,10 @@ class TestSeeds:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             e_star, ok = adiabat.seeded_barriers(t, dg)
-        if ok[0]:
-            assert abs(e_star[0, 3] - adiabat.barriers(dg[0, 3])[0][0]) <= 1e-12
-        assert ok[1]
-        assert e_star[1] == pytest.approx(e_before[1], rel=0, abs=1e-12)
+        refused = np.zeros(t.shape, dtype=bool)
+        refused[0, 3] = True
+        assert (ok == ~refused).all()
+        assert e_star[ok] == pytest.approx(e_before[ok], rel=0, abs=1e-12)
 
 
 class TestExactAdiabatCache:
