@@ -348,14 +348,16 @@ class ExactAdiabat:
         """Level shifts (eV), ascending, at which the exact barrier can
         jump or kink.
 
-        They are the fold points, where two stationary points of the lower
-        adiabat meet; the kinks, where V vanishes at the diabatic
-        crossing; and ``center_shift``. The fold points are the real roots
-        in the window of the fold polynomial S(q) (the resultant in Delta
-        of P and dP/dq, stripped of its factors (2q - 1)^2 V^2
-        (lam^2 + V'^2)), polished by Newton's method. With a coupling that
-        is 0 to within 1e-12 eV the folds are -lam and +lam. Some shifts
-        may change nothing.
+        They are every level shift at which the topology of the lower
+        adiabat in the window can change: the fold points, where two
+        stationary points meet; the kinks, where V vanishes at the
+        diabatic crossing; the edge crossings (``_edge_crossings``), where
+        a stationary point enters or leaves the window; and
+        ``center_shift``. The fold points are the real roots in the window
+        of the fold polynomial S(q) (the resultant in Delta of P and dP/dq,
+        stripped of its factors (2q - 1)^2 V^2 (lam^2 + V'^2)), polished by
+        Newton's method. With a coupling that is 0 to within 1e-12 eV the
+        folds are -lam and +lam. Some shifts may change nothing.
         """
         lam = self.lam
         v = self._v
@@ -368,7 +370,9 @@ class ExactAdiabat:
         roots = np.roots(v[::-1])
         q = roots.real[np.abs(roots.imag) <= 1e-8]
         kinks = lam * (2.0 * q[(SCAN_Q_LO <= q) & (q <= SCAN_Q_HI)] - 1.0)
-        shifts = _distinct(np.concatenate([folds, kinks, [self.center_shift]]))
+        shifts = _distinct(
+            np.concatenate([folds, kinks, self._edge_crossings(), [self.center_shift]])
+        )
         shifts.flags.writeable = False
         return shifts
 
@@ -390,10 +394,11 @@ class ExactAdiabat:
         ``closed_channel``), DOWNHILL (a single product-side well, barrier
         0) or BARRIER. Across ``center_shift`` a stationary point only
         moves, unless V vanishes at q = 1/2 (a kink), so the two pieces
-        next to it are joined when they are of the same kind. Raises
-        SurfaceTopologyError if a stationary point crosses an end of the
-        scan window inside a BARRIER piece: the barrier can jump there,
-        and no shift cuts the piece.
+        next to it are joined when they are of the same kind. Every level
+        shift at which the topology can change is an end, so each piece
+        has its midpoint's kind throughout. Raises SurfaceTopologyError
+        (``barriers``' "no minimum") if the window holds no minimum at some
+        piece's probe.
         """
         edges = self.shifts
         ends = [edges[0] - self.lam], [edges[-1] + self.lam]
@@ -405,13 +410,6 @@ class ExactAdiabat:
         if kind[i] == kind[i + 1] and abs(coupling_eval(self.coupling, 0.5)) > _KINK_V:
             edges, kind = np.delete(edges, i), np.delete(kind, i)
         out = np.append(-np.inf, edges), np.append(edges, np.inf), kind
-        inner = kind == BARRIER
-        for dg in self._edge_crossings():
-            if ((out[0][inner] < dg) & (dg < out[1][inner])).any():
-                raise SurfaceTopologyError(
-                    "a stationary point of the lower adiabat crosses an end of the "
-                    f"scan window at level shift {dg:.6g} eV, inside a barrier piece"
-                )
         for x in out:
             x.flags.writeable = False
         return out

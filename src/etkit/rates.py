@@ -188,8 +188,8 @@ def mhc_rate_numeric(req):
     (lam, coupling) only, built on the pair's first rate, and
     ``ExactAdiabat.rate_nodes`` gives the nodes, weights and exact E* at
     eta. A rate adds the downhill closed form and one kernel sum. It
-    raises SurfaceTopologyError if a barrier piece is unbounded or a
-    stationary point leaves the scan window inside one.
+    raises SurfaceTopologyError if a barrier piece is unbounded or the
+    scan window holds no minimum on some piece.
 
     On every route the integrand at a node is n(eps) * exp(-beta*E*) in
     one kernel, exp(-beta*E*) / (1 + exp(beta*eps)): 0, with no warning,

@@ -23,6 +23,21 @@ Q_LO, Q_HI = -0.5, 1.5
 KINK_V = 1e-12
 
 
+def broad_draws(n, seed):
+    """n (lam, coeffs, T, eta) draws from ``default_rng(seed)`` over the
+    model's broad range: lam U(0.1, 16) eV; a coupling of degree i % 4
+    for draw i, each ascending coefficient U(-0.5, 0.5) lam; T U(50,
+    1000) K; eta U(-1.5, 1) V."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        lam = rng.uniform(0.1, 16.0)
+        coeffs = tuple(float(c) for c in rng.uniform(-0.5, 0.5, i % 4 + 1) * lam)
+        T = rng.uniform(50.0, 1000.0)
+        out.append((float(lam), coeffs, float(T), float(rng.uniform(-1.5, 1.0))))
+    return out
+
+
 def closed_form_mp(lam_eff, T, eta, rho=1):
     """The package's closed-form rate (1/s), in 30-digit mpmath."""
     with mp.workdps(30):

@@ -8,7 +8,9 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import bisect, count_float, count_mp, topology_flag
+from exact_traffic import kind_violations, rate
+from reference import bisect, broad_draws, count_float, count_mp, topology_flag
+from reference import exact_rate as reference_exact_rate
 
 from etkit.barriers import (
     BARRIER,
@@ -38,14 +40,7 @@ from etkit.model import (
     PolynomialCoupling,
     lower_adiabat,
 )
-from etkit.rates import (
-    ElectrodeConditions,
-    PrefactorKind,
-    RateRequest,
-    mhc_rate_numeric,
-    prefactor,
-    validity_report,
-)
+from etkit.rates import PrefactorKind, prefactor, validity_report
 
 
 def scan_barrier(s, c, n=20001):
@@ -389,9 +384,9 @@ class TestShifts:
 
 
 # a strong cubic coupling whose product well leaves the scan window at
-# q = 1.5 near dg = 0.457, inside the barrier piece [-4.460, 0.940]: the
-# barrier jumps there with no shift to cut at, and the rate changed by up
-# to 41x when the window was widened
+# q = 1.5 near dg = 0.457, between the folds at -4.460 and 0.940: the
+# barrier jumps there, so only the edge crossing cuts the piece (the rate
+# changed by up to 41x when the window was widened)
 WINDOW_EDGE_CASE = (
     5.846682047973708,
     PolynomialCoupling(
@@ -415,16 +410,43 @@ def signed_in_window(shape):
 
 
 class TestWindowEdges:
-    def test_well_leaving_the_window_inside_a_barrier_piece_raises(self):
-        adiabat = ExactAdiabat(*WINDOW_EDGE_CASE)
-        with pytest.raises(SurfaceTopologyError, match="crosses an end of the scan"):
-            adiabat.pieces
-        req = RateRequest(
-            DiabaticSystem(WINDOW_EDGE_CASE[0], 0.0), WINDOW_EDGE_CASE[1],
-            ElectrodeConditions(300.0, 0.8), BarrierMethod.EXACT_ADIABAT,
+    def test_well_leaving_the_window_inside_a_barrier_piece_is_cut(self):
+        lam, c = WINDOW_EDGE_CASE
+        lo, hi, _kind = ExactAdiabat(lam, c).pieces
+        assert np.abs(hi - 0.4574).min() <= 1e-4
+        for eta in (-1.0, -0.3, 0.0, 0.3, 0.8):
+            want = reference_exact_rate(lam, c.coeffs, eta, 300.0)
+            assert rate(lam, c, 300.0, eta) == pytest.approx(
+                want, rel=1e-9, abs=0
+            ), eta
+
+    def test_barrier_stretch_past_the_outer_probe_is_rated(self):
+        # draw 15 of broad_draws(750, 7): the surface has a barrier from
+        # the fold at 0.032 eV up to dg = 5.435, where a stationary point
+        # leaves the window, and a closed channel above; only the edge
+        # crossing cuts the two apart
+        lam, coeffs, T, eta = (
+            14.853700387437938,
+            (0.7772419701365024, -4.744977477555483, 5.704666038124317, 2.1028636927134117),
+            591.2095607501176, -0.5592804096751998,
         )
-        with pytest.raises(SurfaceTopologyError):
-            mhc_rate_numeric(req)
+        want = reference_exact_rate(lam, coeffs, eta, T)
+        got = rate(lam, PolynomialCoupling(coeffs), T, eta)
+        assert got == pytest.approx(want, rel=1e-9, abs=0)
+
+    def test_piece_without_a_minimum_raises_as_the_reference_does(self):
+        # draw 207 of broad_draws(750, 7): between the edge crossing at
+        # dg = -3.980 and the fold at -0.108 the window holds no minimum,
+        # though it holds one below -3.980
+        lam, coeffs, T, eta = (
+            5.855840012392462,
+            (1.8621971781187392, 0.29225759420991393, 0.07021504688601522, 1.5236069855066976),
+            672.3062760778411, -0.7753604696068159,
+        )
+        with pytest.raises(ValueError, match="no minimum of the lower adiabat"):
+            reference_exact_rate(lam, coeffs, eta, T)
+        with pytest.raises(SurfaceTopologyError, match="no minimum of the lower adiabat"):
+            rate(lam, PolynomialCoupling(coeffs), T, eta)
 
     def test_no_minimum_in_the_window_raises(self):
         # V = 5 q^3 makes the lower adiabat fall through both ends of the
@@ -439,12 +461,14 @@ class TestWindowEdges:
 
     def test_edge_crossing_is_a_stationary_point_at_the_edge(self):
         lam, c = WINDOW_EDGE_CASE
-        crossings = ExactAdiabat(lam, c)._edge_crossings()
+        adiabat = ExactAdiabat(lam, c)
+        crossings = adiabat._edge_crossings()
         dg = float(crossings[np.abs(crossings - 0.4574).argmin()])
         assert dg == pytest.approx(0.4574, abs=1e-4)
         q = SCAN_Q_HI + np.array([-1e-6, 1e-6])
         e = lower_adiabat(DiabaticSystem(lam, dg), c, q)
         assert abs(e[1] - e[0]) / 2e-6 <= 1e-7
+        assert dg in adiabat.shifts
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(lam=st.floats(0.5, 8.0), shape=couplings.filter(signed_in_window))
@@ -458,6 +482,20 @@ class TestWindowEdges:
             dg = dg[(dg - a >= 1e-6) & (b - dg >= 1e-6)]
             _q, _e, is_min, _is_max = adiabat.extrema(dg)
             assert (is_min.sum(axis=1) >= 2).all(), (a, b)
+
+
+class TestBroadDraws:
+    # fixed draws, not hypothesis: its shrinking heads for V = 2e-12 eV
+    # and V = lam/2, where ROADMAP item 4's flicker lives
+    def test_every_piece_has_its_kind_throughout(self):
+        for i, (lam, coeffs, _T, _eta) in enumerate(broad_draws(150, 7)):
+            adiabat = ExactAdiabat(lam, PolynomialCoupling(coeffs))
+            try:
+                bad = kind_violations(adiabat)
+            except SurfaceTopologyError as exc:
+                assert "no minimum of the lower adiabat" in str(exc), i
+                continue
+            assert not bad, (i, bad)
 
 
 class TestRateNodes:
