@@ -177,13 +177,16 @@ class ExactAdiabat:
     The stationary points at a level shift dg are the real roots in the
     window of P(q) = M'^2 g - h^2, where M' = lam*(2q - 1) is the slope
     of the diabat mean, g = Delta^2/4 + V^2, h = lam*Delta/2 + V V' and
-    Delta = lam*(2q - 1) - dg is the diabat gap. Squaring adds the roots
-    where sign(M') != sign(h); they are dropped. P = A + dg*B + dg^2*C
+    Delta = lam*(2q - 1) - dg is the diabat gap. P = A + dg*B + dg^2*C
     with polynomials A, B, C of lam and the coupling only: they are
     formed once here, and one stacked companion-matrix eigenvalue call
-    solves every dg of a batch. Where V vanishes at the diabatic
-    crossing, E_minus has a kink there that is no root of E_minus', so
-    the crossing is added as a candidate.
+    solves every dg of a batch. The candidates are the real part of every
+    eigenvalue and the diabatic crossing, a kink of E_minus where V
+    vanishes. E_minus is monotone between stationary points, so a
+    candidate that is none (a root squaring adds where sign(M') !=
+    sign(h), a complex pair's real part) is no strict extremum; where the
+    eigenvalues lose one (a near-double root by a kink), the crossing or
+    the pair's real part stands in.
 
     ``shifts``, ``center_shift``, ``pieces`` and ``rule`` depend on
     (lam, c) only: each is computed on first use and kept, its arrays
@@ -233,6 +236,8 @@ class ExactAdiabat:
     def extrema(self, dg):
         """Stationary points at every level shift in the 1-D array dg.
 
+        The candidates (see the class) in the window, one per 1e-12, are
+        compared by E_minus with their neighbours and the window ends.
         Returns (q, e, is_min, is_max), each of shape (len(dg), k): the
         candidates in ascending q, then SCAN_Q_HI as padding; E_minus
         there; and which of them are strict minima and maxima (of two
@@ -244,33 +249,24 @@ class ExactAdiabat:
         p = a + column * (b + column * c2)
         companion = self._companion.repeat(len(dg), axis=0)
         companion[:, :, -1] = p[:, :-1] / -p[:, -1:]
-        roots = np.linalg.eigvals(companion)
-        q = roots.real
+        q = np.linalg.eigvals(companion).real
         # a double root of P (the transition state at q = 1/2 when h
         # vanishes there, or a near-kink) comes back as a pair split by
-        # ~1e-8, possibly complex (one of the two is kept), with M'*h at
-        # noise level; so refine by one Newton step on F
-        step, slope_h, _root_g = self._newton_step(q, column)
-        keep = (0.0 <= roots.imag) & (roots.imag <= 1e-6)
-        keep &= slope_h >= -1e-12 * lam * (lam * lam)
+        # ~1e-8, possibly complex, whose real parts both stay candidates;
+        # so refine each by one Newton step on F
+        step, _root_g = self._newton_step(q, column)
         q = np.where(np.abs(step) <= 1e-6, q - step, q)
-        # candidates between the window ends; a rejected one moves to the
-        # upper end, so that after sorting the valid ones lead
-        crossing, kink = self._crossing(column)
-        ends = np.ones_like(column, dtype=bool)
-        grid = np.concatenate([SCAN_Q_LO * ends, q, crossing, SCAN_Q_HI * ends], axis=1)
-        keep = np.concatenate([ends, keep, kink, ends], axis=1)
-        keep &= (SCAN_Q_LO <= grid) & (grid <= SCAN_Q_HI)
-        grid = np.where(keep, grid, SCAN_Q_HI)
+        # candidates between the window ends, one per 1e-12; one outside
+        # or a repeat moves to the upper end, so that after sorting the
+        # valid ones lead
+        ends = np.ones_like(column)
+        grid = np.concatenate(
+            [SCAN_Q_LO * ends, q, self._crossing(column), SCAN_Q_HI * ends], axis=1
+        )
+        grid = np.where((SCAN_Q_LO <= grid) & (grid <= SCAN_Q_HI), grid, SCAN_Q_HI)
         grid.sort(axis=1)
-        if kink.any():
-            # a root of P at the kink candidate is one point: as two with
-            # equal E_minus, the left copy would pass for an extremum
-            # where E_minus is monotone (V = 0, dg outside (-lam, lam))
-            twice = np.zeros_like(keep)
-            twice[:, 1:] = grid[:, 1:] - grid[:, :-1] <= 1e-12
-            grid[twice] = SCAN_Q_HI
-            grid.sort(axis=1)
+        grid[:, 1:][np.diff(grid, axis=1) <= 1e-12] = SCAN_Q_HI
+        grid.sort(axis=1)
         cand = grid[:, 1:-1]
         valid = (SCAN_Q_LO < cand) & (cand < SCAN_Q_HI)
         # lower_adiabat reads only lam and dg0 of a system; here dg0 is
@@ -283,9 +279,8 @@ class ExactAdiabat:
 
     def _newton_step(self, q, dg):
         """Newton step toward a stationary point of E_minus at each q of an
-        array of any rank, M'*h there and sqrt(g), the half gap of the
-        adiabats (E_minus is the diabat mean less it); dg broadcasts
-        against q.
+        array of any rank and sqrt(g) there, the half gap of the adiabats
+        (E_minus is the diabat mean less it); dg broadcasts against q.
 
         The step is on F = M' sqrt(g) - h, whose genuine roots are simple
         (F' = 2 lam sqrt(g) + M' h / sqrt(g) - h'), unlike those of P.
@@ -298,20 +293,21 @@ class ExactAdiabat:
         slope = lam * (2.0 * q - 1.0)
         delta = slope - dg
         h = 0.5 * lam * delta + v * dv
-        slope_h = slope * h
         with np.errstate(divide="ignore", invalid="ignore"):
             root_g = np.sqrt(0.25 * delta * delta + v * v)
             step = (slope * root_g - h) / (
-                2.0 * lam * root_g + slope_h / root_g - (lam * lam + dv * dv + v * ddv)
+                2.0 * lam * root_g + slope * h / root_g - (lam * lam + dv * dv + v * ddv)
             )
-        return step, slope_h, root_g
+        return step, root_g
 
     def _crossing(self, dg):
-        """The diabatic crossing q = (1 + dg/lam)/2 of level shifts dg, and
-        where V vanishes there (to _KINK_V): E_minus has a kink there that
-        is no root of F."""
-        q = 0.5 * (1.0 + dg / self.lam)
-        return q, np.abs(coupling_eval(self.coupling, q)) <= _KINK_V
+        """The diabatic crossing q = (1 + dg/lam)/2 of level shifts dg."""
+        return 0.5 * (1.0 + dg / self.lam)
+
+    def _kink(self, dg):
+        """Where V vanishes (to _KINK_V) at the diabatic crossing of level
+        shifts dg: E_minus has a kink there that is no root of F."""
+        return np.abs(coupling_eval(self.coupling, self._crossing(dg))) <= _KINK_V
 
     def barriers(self, dg):
         """Exact barriers at every level shift in dg (scalar or array).
@@ -453,7 +449,7 @@ class ExactAdiabat:
         try:
             _e, q_ts, q_r, single = self.barriers(dg.ravel())
             q_r, q_ts = q_r.reshape(dg.shape), q_ts.reshape(dg.shape)
-            seeded = ~single.reshape(dg.shape) & (q_r < q_ts) & ~self._crossing(dg)[1]
+            seeded = ~single.reshape(dg.shape) & (q_r < q_ts) & ~self._kink(dg)
             seeded = seeded.all(axis=1)
         except SurfaceTopologyError:
             # nothing is seeded, and the samples below are all 0
@@ -543,13 +539,13 @@ class ExactAdiabat:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             q = seed = _barycentric(2.0 * t - 1.0, rule.samples)
             for _ in range(_POLISH_STEPS):
-                step, _slope_h, root_g = self._newton_step(q, column)
+                step, root_g = self._newton_step(q, column)
                 q, last = q - step, q
                 settled = np.abs(step) <= _POLISH_STEP
                 if settled.all():
                     break
             good = (settled & (np.abs(q - seed) <= _POLISH_MOVE)).all(axis=1)
-            ok = rule.seeded[:, None] & good & (q[:, 0] < q[:, 1]) & ~self._crossing(dg)[1]
+            ok = rule.seeded[:, None] & good & (q[:, 0] < q[:, 1]) & ~self._kink(dg)
             e = 0.5 * (lam * last * last + (lam * (1.0 - last) ** 2 + column)) - root_g
             e_star = np.maximum(e[:, 1] - e[:, 0], 0.0)
         return e_star, ok

@@ -18,7 +18,10 @@ about half a minute on one core. Four parts:
   steps of the seeded pieces (0 where none is seeded), the barrier
   pieces whose every node ``seeded_barriers`` accepts and those with a
   fallback node, the fallback nodes (the one ``barriers`` call of the
-  rate), the largest |seed - root| in q over the nodes of the seeded
+  rate), those of them that ``barriers`` reads as a closed channel
+  (``closed``: every node lies inside a barrier piece, so each is a
+  misread that the rate loses, ROADMAP items 4 and 23), the largest
+  |seed - root| in q over the nodes of the seeded
   pieces (the roots from ``barriers`` at the same level shifts; a node
   at a fold end where ``barriers`` finds no transition state is skipped,
   and NaN means no node is left), the relative gap to a reference file
@@ -32,8 +35,8 @@ about half a minute on one core. Four parts:
 - ``broad``: 150 draws of ``reference.broad_draws`` at seed BROAD_SEED
   (lam up to 16 eV, couplings up to cubic, 50-1000 K). Each line gives
   the relative error against ``reference.exact_rate`` (NaN where either
-  side raises, and which does) and the pieces that ``kind_violations``
-  finds; the summary lists the draws more than MAX_REFERENCE_ERROR off,
+  side raises, and which does), the pieces that ``kind_violations``
+  finds and the ``closed`` nodes; the summary lists the draws more than MAX_REFERENCE_ERROR off,
   which are not gated (low temperatures on wide barrier pieces, ROADMAP
   item 17, and pieces the reference's scan misses, item 26).
 
@@ -46,7 +49,8 @@ each part. Exits 1 if a draw or kink pair raises or is off the
 reference by more than MAX_REFERENCE_ERROR relative, or if more than
 MAX_FALLBACK of the draws' barrier pieces have a fallback node: a
 seeding regression would only slow rates. The kink pairs' fallback
-nodes are reported, not gated. Exits 1 too if a broad draw raises on
+nodes and every part's closed nodes (with the rates they hit) are
+reported, not gated. Exits 1 too if a broad draw raises on
 one side only (etkit's SurfaceTopologyError, the reference's
 ValueError) or some piece of a broad draw reads another kind inside.
 """
@@ -160,9 +164,10 @@ def saved_rate(lam, coupling, T, eta):
 
 
 class Traffic:
-    """Newton steps, barrier pieces, pieces and nodes that fall back, and
-    the largest seed error of one warm rate (the pair's seeds, built on
-    its first rate, take Newton steps of their own in ``extrema``)."""
+    """Newton steps, barrier pieces, pieces and nodes that fall back, the
+    fallback nodes read closed (``closed_nodes``) and the largest seed
+    error of one warm rate (the pair's seeds, built on its first rate,
+    take Newton steps of their own in ``extrema``)."""
 
     def __init__(self, lam, coupling, T, eta):
         rate(lam, coupling, T, eta)
@@ -201,6 +206,14 @@ class Traffic:
             self.rate = rate(lam, coupling, T, eta)
         finally:
             ExactAdiabat.seeded_barriers = seeded_barriers
+        self.closed = closed_nodes(exact_adiabat(lam, coupling), eta)
+
+
+def closed_nodes(adiabat, eta):
+    """The rate nodes at eta that fall back to ``barriers`` and read a
+    closed channel there (E* = +inf): every node lies inside a BARRIER
+    piece, so each is a misread, and the rate loses it."""
+    return int(np.isinf(adiabat.rate_nodes(eta)[2]).sum())
 
 
 def best_us(f):
@@ -253,9 +266,9 @@ def stages():
 def report(cases, against=None):
     """One line per case of (label, lam, coupling, T, eta), then a summary;
     returns the tallies."""
-    print(f"{'#':>3} {'steps':>5} {'seed':>4} {'fall':>4} {'nodes':>5} {'seed_err':>9} "
-          f"{'gap':>9} {'ref_err':>9}  rate")
-    got = SimpleNamespace(raised=0, pieces=0, fallback=0, nodes=0, errors=[])
+    print(f"{'#':>3} {'steps':>5} {'seed':>4} {'fall':>4} {'nodes':>5} {'closed':>6} "
+          f"{'seed_err':>9} {'gap':>9} {'ref_err':>9}  rate")
+    got = SimpleNamespace(raised=0, pieces=0, fallback=0, nodes=0, closed=[], errors=[])
     gaps, steps, seed_errors = [], [], []
     for i, (label, lam, coupling, T, eta) in enumerate(cases):
         gap = err = math.nan
@@ -263,8 +276,8 @@ def report(cases, against=None):
             one = Traffic(lam, coupling, T, eta)
         except SurfaceTopologyError:
             got.raised += 1
-            print(f"{i:3d} {'-':>5} {'-':>4} {'-':>4} {'-':>5} {'-':>9} {gap:9.2e} "
-                  f"{err:9.2e}  {label} [raises]")
+            print(f"{i:3d} {'-':>5} {'-':>4} {'-':>4} {'-':>5} {'-':>6} {'-':>9} "
+                  f"{gap:9.2e} {err:9.2e}  {label} [raises]")
             continue
         if against is not None and against[i][0].isdigit():  # not an exception's name
             other = float(against[i])
@@ -274,17 +287,22 @@ def report(cases, against=None):
         got.pieces += one.pieces
         got.fallback += one.fallback
         got.nodes += one.nodes
+        if one.closed:
+            got.closed.append((i, one.closed))
         if one.steps:  # a piece is seeded
             steps.append(one.steps)
         seed_errors.append(one.seed_error)
         gaps.append(gap)
         got.errors.append(err)
         print(f"{i:3d} {one.steps:5d} {one.pieces - one.fallback:4d} {one.fallback:4d} "
-              f"{one.nodes:5d} {one.seed_error:9.2e} {gap:9.2e} {err:9.2e}  {label}")
+              f"{one.nodes:5d} {one.closed:6d} {one.seed_error:9.2e} {gap:9.2e} "
+              f"{err:9.2e}  {label}")
     counts = np.bincount(steps)
     print(
         f"{len(cases)} rates, {got.raised} raise; barrier pieces {got.pieces}, "
-        f"{got.fallback} with fallback nodes; fallback nodes {got.nodes}; Newton steps "
+        f"{got.fallback} with fallback nodes; fallback nodes {got.nodes}, read closed "
+        f"{sum(n for _i, n in got.closed)} on {len(got.closed)} rates "
+        f"{[i for i, _n in got.closed]}; Newton steps "
         "per seeded rate " + ", ".join(f"{k}: {v}" for k, v in enumerate(counts) if v)
         + f"; max |seed - root| {np.fmax.reduce(seed_errors, initial=math.nan):.2e}"
         + (f"; max gap {np.nanmax([0.0, *gaps]):.2e}" if against is not None else "")
@@ -318,16 +336,19 @@ def check_kinks():
 
 def check_broad():
     print(f"== broad: {N_BROAD} draws of reference.broad_draws at seed {BROAD_SEED}")
-    print(f"{'#':>3} {'ref_err':>9} {'kinds':>5}  rate")
-    disagree, kinds, errors, off = [], 0, [], []
+    print(f"{'#':>3} {'ref_err':>9} {'kinds':>5} {'closed':>6}  rate")
+    disagree, kinds, errors, off, closed = [], 0, [], [], []
     for i, (lam, coeffs, T, eta) in enumerate(broad_draws(N_BROAD, BROAD_SEED)):
         label = (f"lam={lam:.4g} V=" + ",".join(f"{c:.4g}" for c in coeffs)
                  + f" T={T:.1f} eta={eta:.4f}")
         coupling = PolynomialCoupling(coeffs)
         try:
             got = rate(lam, coupling, T, eta)
+            shut = closed_nodes(exact_adiabat(lam, coupling), eta)
         except SurfaceTopologyError:
-            got = None
+            got, shut = None, 0
+        if shut:
+            closed.append((i, shut))
         try:
             bad = len(kind_violations(exact_adiabat(lam, coupling)))
         except SurfaceTopologyError:
@@ -342,15 +363,17 @@ def check_broad():
         if got is None or ref is None:
             raises = "both raise" if got is None and ref is None else (
                 "etkit raises" if got is None else "reference raises")
-            print(f"{i:3d} {math.nan:9.2e} {bad:5d}  {label} [{raises}]")
+            print(f"{i:3d} {math.nan:9.2e} {bad:5d} {shut:6d}  {label} [{raises}]")
             continue
         err = abs(got - ref) / abs(ref) if ref else abs(got)
         errors.append(err)
         if not err <= MAX_REFERENCE_ERROR:
             off.append(i)
-        print(f"{i:3d} {err:9.2e} {bad:5d}  {label}")
+        print(f"{i:3d} {err:9.2e} {bad:5d} {shut:6d}  {label}")
     print(f"{N_BROAD} draws, {N_BROAD - len(errors)} raise; raise/rate disagreements "
-          f"with the reference {disagree}; piece-kind violations {kinds}; error vs "
+          f"with the reference {disagree}; piece-kind violations {kinds}; fallback nodes "
+          f"read closed {sum(n for _i, n in closed)} on {len(closed)} rates "
+          f"{[i for i, _n in closed]}; error vs "
           f"reference.exact_rate median {np.median(errors):.2e} max {max(errors):.2e}; "
           f"above {MAX_REFERENCE_ERROR:g} (not gated, ROADMAP items 17 and 26): {off}")
     if disagree or kinds:

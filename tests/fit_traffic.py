@@ -1,7 +1,7 @@
 """Objective traffic and accuracy of ``fit_lambda_eff`` on 300 Tafel lines.
 
-Run directly (`PYTHONPATH=src python3 tests/fit_traffic.py`); takes about
-a minute. The lines are closed-form Tafel data drawn from one fixed seed
+Run directly (`PYTHONPATH=src python3 tests/fit_traffic.py`); takes a
+few seconds. The lines are closed-form Tafel data drawn from one fixed seed
 over lam_eff 0.06-9 eV, 200-400 K, 8-61 points and 0-0.2 dex of noise.
 For each fit it prints:
 

@@ -81,7 +81,8 @@ def fit_closed_form(eta, y, T, rho=1.0, n_scan=4001):
     eta, y = np.asarray(eta, dtype=float), np.asarray(y, dtype=float)
     rms = lambda lam_eff: closed_form_rms(lam_eff, eta, y, T, rho)
     grid = np.geomspace(0.05, 10.0, n_scan)
-    i = int(np.argmin([rms(g) for g in grid]))
+    # closed_form_rms of every candidate at once, one row each
+    i = int(np.argmin(np.std(log10_closed_form(grid[:, None], eta, T, rho) - y, axis=1)))
     res = minimize_scalar(
         rms, bracket=(grid[i - 1], grid[i], grid[i + 1]),
         options={"xtol": 1e-12},

@@ -9,7 +9,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from exact_traffic import kind_violations, rate
-from reference import bisect, broad_draws, count_float, count_mp, topology_flag
+from reference import bisect, broad_draws, count_float, count_mp, exact_barriers, topology_flag
 from reference import exact_rate as reference_exact_rate
 
 from etkit.barriers import (
@@ -278,6 +278,38 @@ class TestAlgebraicExtrema:
         res = barrier(s, c, BarrierMethod.EXACT_ADIABAT)
         assert not res.activationless
         assert res.e_star == pytest.approx(1.3057711841338695, abs=1e-8)
+
+    def test_transition_state_next_to_a_kink(self):
+        # V = 0.125 (1 - q) vanishes at q = 1, the crossing at dg = lam:
+        # 5e-7 eV past it, P's roots at the transition state come back as a
+        # complex pair whose M'h reads negative, and with the pair dropped
+        # the surface read activationless. Its refined real part
+        # (1.0000001318) now stands in. 40-digit mpmath puts the
+        # transition state at q = 1.000000249 and E* at
+        # 2.003904843935331; reference.exact_barriers, which takes the
+        # unrefined real part, reads 2.003904828337095
+        lam, coeffs, dg0 = 2.0, (0.125, -0.125), 2.0000005
+        res = barrier(DiabaticSystem(lam, dg0), PolynomialCoupling(coeffs),
+                      BarrierMethod.EXACT_ADIABAT)
+        assert not res.activationless
+        assert 1.000000125 - 1e-9 <= res.q_ts <= 1.000000249
+        assert res.e_star == pytest.approx(2.003904843935331, abs=1e-8)
+        [ref], [single], _q_r = exact_barriers(lam, [dg0], coeffs)
+        assert not single
+        assert res.e_star == pytest.approx(ref, abs=2e-8)
+
+    def test_transition_state_next_to_a_fold_end(self):
+        # next to this barrier piece's fold end, the transition state and
+        # a nearby root of P come back as a complex pair (imaginary part
+        # about 3e-6) that the filters on the imaginary part and on the
+        # sign of M'h dropped: 11 of these 3,999 level shifts read a
+        # single well. The reference reads two wells at all of them
+        adiabat = exact_adiabat(7.847, PolynomialCoupling((-0.07, 0.043, 0.035, -0.007)))
+        lo, hi, kind = adiabat.pieces
+        [i] = np.flatnonzero((np.abs(lo - 7.67613) < 1e-5) & (np.abs(hi - 7.80783) < 1e-5))
+        assert kind[i] == BARRIER
+        _e, _q_ts, _q_r, single = adiabat.barriers(np.linspace(lo[i], hi[i], 4001)[1:-1])
+        assert not single.any()
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(

@@ -586,8 +586,8 @@ class TestExactRouteFixedRule:
             (4.0, (1e-10,), 300.0, -0.3, 0.0021274091052646436),
             # no barrier piece: one downhill piece in closed form
             (1.0, (0.8,), 300.0, -0.3, 1875297196046.9292),
-            # the one draw with fallback nodes: the unseeded piece and 18
-            # nodes of the seeded one take ExactAdiabat.barriers
+            # the one draw with fallback nodes: 18 nodes of its first
+            # piece take ExactAdiabat.barriers
             # (test_fallback_pieces_pinned)
             (*DRAW_149, 4.715888836471434e-10),
             # three seeded barrier pieces, polished in one array
@@ -605,10 +605,11 @@ class TestExactRouteFixedRule:
     @pytest.mark.parametrize(
         "lam, coeffs, T, eta, seeded, refused",
         [
-            # the second piece is not seeded, and 18 nodes of the seeded
-            # one, next to its fold end, fail their polish (a root moves
-            # more than _POLISH_MOVE from its seed)
-            (*DRAW_149, [True, False], [18, 256]),
+            # 18 nodes of the first piece, next to its fold end, fail their
+            # polish (a root moves more than _POLISH_MOVE from its seed).
+            # The second piece was unseeded while extrema dropped roots of
+            # P by the sign of M'h: some of its samples read a single well
+            (*DRAW_149, [True, True], [18, 0]),
             (*DRAW_157, [True, True, True], [0, 0, 0]),
         ],
         ids=["draw149", "draw157"],
@@ -651,10 +652,22 @@ class TestExactRouteFixedRule:
         monkeypatch.setattr(ExactAdiabat, "seeded_barriers", refused_seeds)
         assert got / exact_rate(lam, coeffs, T, eta) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("eta", [2.5, 3.0])
+    def test_kink_adjacent_rates_are_near_the_reference(self, eta):
+        # next to the kink at dg = lam, 12 nodes of the piece above it,
+        # where |V| at the crossing is 4e-12 to 8e-9 eV, read a closed
+        # channel while extrema filtered the roots of P by their
+        # imaginary part and the sign of M'h: both rates were 2.94e-6
+        # relative low
+        lam, coeffs, T = 2.0, (0.125, -0.125), 300.0
+        want = reference_exact_rate(lam, coeffs, eta, T)
+        assert exact_rate(lam, coeffs, T, eta) == pytest.approx(want, rel=1e-8, abs=0)
+
     @pytest.mark.xfail(
-        reason="ROADMAP items 4 and 23: next to the kink at dg = lam, nodes of the unseeded "
-        "piece where |V| at the crossing is 4e-12 to 8e-9 eV read a closed channel, and "
-        "both rates are 2.94e-6 relative low",
+        reason="ROADMAP item 4: within 3e-6 eV above the kink at dg = lam, P's roots at "
+        "the transition state come back as a complex pair, and etkit and the reference "
+        "both read E* low there (by up to 2.2e-8 and 5.8e-8 eV against 40-digit mpmath); "
+        "the rates are 6.95e-9 and 5.93e-9 relative above the reference's",
         strict=True,
     )
     @pytest.mark.parametrize("eta", [2.5, 3.0])
