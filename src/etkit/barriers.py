@@ -122,16 +122,25 @@ def marcus_form(lam, c, method):
     an array; built once, called per batch of driving forces.
 
     +inf marks a closed channel, as on the exact route: where lam_eff is
-    not positive, the Marcus-form barrier diverges."""
+    not positive, the Marcus-form barrier diverges. The EFFECTIVE_LAMBDA
+    barrier forms the coefficients of lam_eff(dg) (``_lam_eff_coeffs``)
+    once: for a Condon coupling lam_eff is one number and, where it is
+    positive, the barrier is the Marcus barrier at it; otherwise the
+    polynomial is evaluated at each batch of dg (+inf at every dg for a
+    closed Condon channel)."""
     if method is BarrierMethod.MARCUS:
         return lambda dg: _marcus(lam, dg)
     if method is BarrierMethod.CONSTANT_SHIFT:
         v_half = float(coupling_eval(c, 0.5))
         return lambda dg: _marcus(lam, dg) - v_half
     if method is BarrierMethod.EFFECTIVE_LAMBDA:
+        coeffs = _lam_eff_coeffs(lam, c)
+        if len(coeffs) == 1 and coeffs[0] > 0.0:
+            lam_eff = float(coeffs[0])
+            return lambda dg: _marcus(lam_eff, dg)
 
         def eff(dg):
-            lam_eff = effective_lambdas(lam, c, dg)
+            lam_eff = horner(coeffs, dg)
             open_ = lam_eff > 0.0
             # [()] leaves an array as it is and makes a float a numpy
             # scalar, whose ** 2 is the float's (a 0-d array's is x*x)
@@ -144,18 +153,40 @@ def marcus_form(lam, c, method):
 
 def effective_lambdas(lam, c, dg0):
     """lam_eff of effective_lambda at each driving force in dg0 (a scalar
-    or an array), returned as it is where it is not positive."""
-    v0 = float(coupling_eval(c, 0.0))
-    return lam - 4.0 * coupling_eval(c, 0.5 * (1.0 + dg0 / lam)) + 4.0 * v0 * v0 / lam
+    or an array), returned as it is where it is not positive: the
+    polynomial of ``_lam_eff_coeffs`` at dg0, the one definition of
+    lam_eff(dg) that ``barrier``, the sweeps, ``validity_report`` and the
+    eff rate share."""
+    return horner(_lam_eff_coeffs(lam, c), dg0)
+
+
+def _lam_eff_coeffs(lam, c):
+    """Ascending coefficients in dg of lam_eff(dg) = lam - 4 V(q*) +
+    4 V(0)^2/lam, q* = (1 + dg/lam)/2, with top zeros dropped: V's
+    Taylor coefficients at q = 1/2 scaled by (1/(2 lam))^j, times -4,
+    and the constant term (lam - 2 V(0))^2/lam - 4 (V(1/2) - V(0)). That
+    is the same algebra without the cancellation of lam - 4 V + 4 V^2/lam
+    as V(0) -> lam/2; for a Condon coupling it is (lam - 2V)^2/lam, the
+    only coefficient."""
+    v = _coeffs(c)
+    # V - V(0) about q = 1/2: its constant term is V(1/2) - V(0), summed
+    # without V(0)
+    taylor = _composed((0.0, *v[1:]), 0.5, 1.0)
+    out = [-4.0 * t * (0.5 / lam) ** j for j, t in enumerate(taylor)]
+    out[0] += (lam - 2.0 * v[0]) ** 2 / lam
+    while len(out) > 1 and out[-1] == 0.0:
+        out.pop()
+    return np.array(out)
 
 
 def effective_lambda(sys, c):
     """Reduced effective reorganization energy.
 
-    lam_eff = lam - 4*V(q*) + 4*V(0)^2/lam with q* the diabatic crossing;
-    for a constant coupling V and dg0=0 this is lam*(1 - 2V/lam)^2.
-    Raises SingularRegimeError when the result is non-positive (the
-    Marcus-form barrier diverges there).
+    lam_eff = lam - 4*V(q*) + 4*V(0)^2/lam with q* the diabatic crossing,
+    from ``effective_lambdas``; for a constant coupling V this is
+    (lam - 2V)^2/lam = lam*(1 - 2V/lam)^2 at every dg0, formed without
+    cancellation as V -> lam/2. Raises SingularRegimeError when the
+    result is non-positive (the Marcus-form barrier diverges there).
     """
     return positive_effective_lambda(effective_lambdas(sys.lam, c, sys.dg0))
 
@@ -630,16 +661,17 @@ def _fold_shifts(lam, v):
     one only near the origin of its expansion (about q = 0 alone, the
     fold near +lam was lost for 1e-12 < |V| < about 1e-8 eV).
     """
-    return np.concatenate([_fold_half(lam, v, 1.0), _fold_half(lam, _reflected(v), -1.0)])
+    return np.concatenate(
+        [_fold_half(lam, v, 1.0), _fold_half(lam, _composed(v, 1.0, -1.0), -1.0)]
+    )
 
 
-def _reflected(v):
-    """Ascending coefficients in p of V(1 - p), from those v of V(q)."""
-    out = np.zeros(len(v))
+def _composed(v, a, b):
+    """Ascending coefficients in x of V(a + b x), from those v of V(q)."""
+    out = [0.0] * len(v)
     for coef in v[::-1]:
-        out = np.convolve(out, [1.0, -1.0])[: len(v)]
-        out[0] += coef
-    return out
+        out = [a * out[0] + coef] + [a * x + b * x_1 for x_1, x in zip(out, out[1:])]
+    return np.array(out)
 
 
 def _fold_half(lam, v, sign):

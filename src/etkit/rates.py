@@ -203,10 +203,13 @@ def mhc_rate_numeric(req):
     is analytic in a strip of half-width pi*kT (unless an eff channel
     closes inside the window) and negligible at both ends, so the
     trapezoid sums converge geometrically. The mass outside the window
-    is bounded in closed form. The shift barrier is the Marcus barrier
-    less V(1/2), so the shift route integrates the Marcus barrier and
-    multiplies by e^(beta*V(1/2)) once, in logs; every barrier integrated
-    then has E*(dg) >= dg and E* >= 0, because
+    is bounded in closed form. The eff barrier is built once per rate
+    from lam_eff(dg) as one polynomial in dg (``marcus_form``); with a
+    Condon coupling it is the Marcus barrier at the one number lam_eff,
+    and the integrand evaluates no coupling polynomial. The shift barrier
+    is the Marcus barrier less V(1/2), so the shift route integrates the
+    Marcus barrier and multiplies by e^(beta*V(1/2)) once, in logs; every
+    barrier integrated then has E*(dg) >= dg and E* >= 0, because
     (l + dg)^2/(4 l) - dg = (l - dg)^2/(4 l) >= 0 for every l > 0. With
     n(eps) <= e^(-beta*eps) above the window and n <= 1 below it, the
     tails hold at most B = kT (e^(-beta*W) + e^(-beta(e*eta_f + W))).

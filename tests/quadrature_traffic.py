@@ -24,12 +24,17 @@ trapezoid of the same integrand on the same window
 (``reference.dense_trapezoid``), NaN where the rate raised
 AccuracyError. A summary line closes each set: the mean nodes per rate,
 the mean, smallest and largest calls per rate, the raises and the stop
-levels; on the broad set a second one covers the ``[closes]`` draws.
+levels, and the median wall time per rate of each route (µs, the
+whole ``mhc_rate_numeric`` call, raises included); on the broad set a
+second one covers the ``[closes]`` draws. The times are not scaled to a
+reference machine speed, as perfbench's are, so compare the routes
+within one run rather than one route across runs.
 """
 
 import importlib
 import math
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -52,7 +57,8 @@ ROUTES = {
 
 class Run:
     """One rate under ``integrate``: nodes, calls, intervals at the stop,
-    the window integral and the integrand, or raised=True."""
+    the window integral and the integrand, or raised=True; and the wall
+    time of the rate in µs."""
 
     def __init__(self, rate):
         self.nodes = self.calls = 0
@@ -71,11 +77,13 @@ class Run:
             return self.value
 
         numerics.integrate = recorded
+        start = time.perf_counter()
         try:
             rate()
         except AccuracyError:
             self.raised = True
         finally:
+            self.us = 1e6 * (time.perf_counter() - start)
             numerics.integrate = integrate
 
     @property
@@ -88,7 +96,7 @@ def bench_rates():
     workloads = importlib.import_module("workloads")
     for seed in range(10):
         for op in workloads.build("rate_quadrature", seed):
-            yield f"seed {seed} {op.label}", op.run
+            yield f"seed {seed} {op.label}", op.label.split()[0], op.run
 
 
 def rate_of(lam, coupling, T, eta, route):
@@ -111,7 +119,7 @@ def narrow_rates(lo, hi, n):
     for i in range(n):
         v = lam[i] / 2 * (1 - math.sqrt(ratio[i]))
         label = f"lam={lam[i]:.4g} lam_eff/lam={ratio[i]:.3g} T={T[i]:.1f} eta={eta[i]:.4f}"
-        yield label, rate_of(lam[i], etkit.ConstantCoupling(v), T[i], eta[i], "eff")
+        yield label, "eff", rate_of(lam[i], etkit.ConstantCoupling(v), T[i], eta[i], "eff")
 
 
 def broad_rates(n=1500):
@@ -134,7 +142,7 @@ def broad_rates(n=1500):
         ends = effective_lambdas(lam, coupling, np.array([eta - w, eta + w]))
         if route == "eff" and min(ends) <= 0.0 < max(ends):
             label += " [closes]"
-        yield label, rate_of(lam, coupling, T, eta, route)
+        yield label, route, rate_of(lam, coupling, T, eta, route)
 
 
 def max_error(errors):
@@ -150,8 +158,10 @@ def report(name, rates, dense):
     raised = 0
     stops = Counter()
     errors, closing = [], []  # error of every row, of [closes] rows
-    for i, (label, rate) in enumerate(rates):
+    times = {}  # wall times (µs) of each route's rates
+    for i, (label, route, rate) in enumerate(rates):
         got = Run(rate)
+        times.setdefault(route, []).append(got.us)
         raised += got.raised
         nodes.append(got.nodes)
         calls.append(got.calls)
@@ -174,6 +184,8 @@ def report(name, rates, dense):
         "stop intervals "
         + ", ".join(f"{k}: {v}" for k, v in sorted(stops.items()))
         + (max_error(errors) if dense else "")
+        + "; median us per rate "
+        + ", ".join(f"{route} {np.median(us):.0f}" for route, us in times.items())
     )
     if closing:
         summary += f"\n{name} [closes]: {len(closing)} rates" + max_error(closing)

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
 import numpy.polynomial.polynomial as npoly
@@ -25,6 +26,7 @@ from etkit.barriers import (
     adiabatic_driving_force,
     barrier,
     effective_lambda,
+    effective_lambdas,
     exact_adiabat,
     marcus_barrier,
     _barycentric,
@@ -115,6 +117,47 @@ class TestEffectiveLambda:
     def test_singular_regime(self):
         with pytest.raises(SingularRegimeError):
             effective_lambda(DiabaticSystem(1.0, 0.0), ConstantCoupling(0.5))
+
+    def test_polynomial_in_dg_is_the_formula(self):
+        # lam - 4 V((1 + dg/lam)/2) + 4 V(0)^2/lam, evaluated directly
+        rng = np.random.default_rng(40)
+        for degree in range(4):
+            for _ in range(25):
+                lam = float(rng.uniform(0.5, 8.0))
+                coeffs = rng.uniform(-0.5 * lam, 0.5 * lam, degree + 1)
+                dg = rng.uniform(-2.0 * lam, 2.0 * lam, 50)
+                v = npoly.Polynomial(coeffs)
+                ref = lam - 4.0 * v(0.5 * (1.0 + dg / lam)) + 4.0 * v(0.0) ** 2 / lam
+                got = effective_lambdas(lam, PolynomialCoupling(tuple(coeffs)), dg)
+                tol = 1e-12 * (lam + np.abs(coeffs).sum())
+                assert np.abs(got - ref).max() <= tol, (lam, coeffs)
+
+    def test_condon_near_singular_vs_mpmath(self):
+        # lam_eff/lam = 1e-6: lam - 4V + 4V^2/lam lost 2.9e-11 of it to
+        # cancellation; (lam - 2V)^2/lam keeps it
+        lam, v = 4.0, 2.0 * (1.0 - 1e-3)
+        with mp.workdps(40):
+            ref = (mp.mpf(lam) - 2 * mp.mpf(v)) ** 2 / mp.mpf(lam)
+            for dg0 in (-0.5, 0.0, 0.3):
+                got = effective_lambda(DiabaticSystem(lam, dg0), ConstantCoupling(v))
+                assert abs(got - ref) <= 1e-15 * ref
+
+    def test_condon_eff_barrier_is_marcus_at_lam_eff(self):
+        dg = np.linspace(-9.0, 9.0, 101)
+        for lam, v in ((4.0, 0.5), (4.0, 1.998), (1.3, -0.2), (2.0, 0.0)):
+            c = ConstantCoupling(v)
+            lam_eff = effective_lambda(DiabaticSystem(lam, 0.0), c)
+            eff = marcus_form(lam, c, BarrierMethod.EFFECTIVE_LAMBDA)
+            marcus = marcus_form(lam_eff, ConstantCoupling(0.0), BarrierMethod.MARCUS)
+            np.testing.assert_array_equal(eff(dg), marcus(dg))
+            assert eff(0.3) == marcus(0.3)
+
+    def test_closed_condon_eff_barrier_is_inf(self):
+        # V = lam/2 makes lam_eff = (lam - 2V)^2/lam = 0 at every dg
+        for lam in (1.0, 3.0):
+            eff = marcus_form(lam, ConstantCoupling(lam / 2), BarrierMethod.EFFECTIVE_LAMBDA)
+            assert (eff(np.linspace(-3.0, 3.0, 7)) == np.inf).all()
+            assert eff(0.2) == np.inf
 
 
 class TestBarrier:

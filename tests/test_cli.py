@@ -434,6 +434,23 @@ class TestTableCommandGolden:
         assert_golden(capsys, "fit_flat", f"fit --input {path}", status=4)
 
 
+class TestReadmePipelineGolden:
+    # stdout and stderr of the README's tafel and fit lines (the open
+    # Condon eff column) from before lam_eff(dg) was one polynomial in dg
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("tafel_eff_const",
+             "tafel --lambda 4 --coupling const:0.5 --eta-from -1.0 --eta-to 0.5 "
+             "--n 61 --method eff"),
+            ("fit_eff_const",
+             f"fit --input {GOLDEN / 'tafel_eff_const.csv'} --temp 300"),
+        ],
+    )
+    def test_csv_and_warnings_unchanged(self, capsys, name, argv):
+        assert_golden(capsys, name, argv)
+
+
 class TestArrhenius:
     def test_runs_and_is_monotone(self, capsys):
         code, out, _err = run(

@@ -10,7 +10,7 @@ from pin_oracles import EXACT_QUAD_CASES, NARROW_EFF_CASES, SHIFT_OVERFLOW_CASE
 from reference import exact_rate as reference_exact_rate
 from reference import log10_closed_form, marcus_family_rate
 
-from etkit import numerics
+from etkit import barriers, model, numerics
 from etkit.barriers import (
     BARRIER,
     BarrierMethod,
@@ -901,6 +901,56 @@ def adiabatic_rate(lam, coeffs, T, eta, method):
             ElectrodeConditions(T, eta, 1.0, PrefactorKind.ADIABATIC), method,
         )
     )
+
+
+def integrand_polynomials(monkeypatch, req):
+    """mhc_rate_numeric(req) and the number of polynomials (``horner``
+    calls, coupling_eval's included) that its integrand evaluates."""
+    inside, count = [False], [0]
+
+    def counted(horner):
+        def wrapped(p, x):
+            count[0] += inside[0]
+            return horner(p, x)
+
+        return wrapped
+
+    def watched(integrate):
+        def wrapped(f, a, b):
+            def g(x):
+                inside[0] = True
+                try:
+                    return f(x)
+                finally:
+                    inside[0] = False
+
+            return integrate(g, a, b)
+
+        return wrapped
+
+    for module in (model, barriers):
+        monkeypatch.setattr(module, "horner", counted(module.horner))
+    monkeypatch.setattr(numerics, "integrate", watched(numerics.integrate))
+    return mhc_rate_numeric(req), count[0]
+
+
+class TestCondonEffRoute:
+    # a Condon coupling's lam_eff is one number: the eff barrier is the
+    # Marcus barrier at it, formed once per rate
+    @pytest.mark.parametrize(
+        "c, evaluates",
+        # a linear coupling's polynomial is seen at every call: the counter
+        # counts
+        [(ConstantCoupling(0.5), False), (LinearCoupling(0.2, 1.0), True)],
+    )
+    def test_integrand_evaluates_no_coupling_polynomial(self, monkeypatch, c, evaluates):
+        req = RateRequest(
+            DiabaticSystem(4.0, 0.0), c, ElectrodeConditions(300.0, -0.3, 1.0),
+            BarrierMethod.EFFECTIVE_LAMBDA,
+        )
+        k, inside = integrand_polynomials(monkeypatch, req)
+        assert k > 0.0
+        assert (inside > 0) == evaluates
 
 
 class TestShiftFactor:
